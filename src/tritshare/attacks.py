@@ -7,26 +7,29 @@ qutrit and substitutes a fake one; the dealer's random designation then
 decides whether the theft pays off silently or shows up when the
 reconstruction is compared against the secret.
 
-Every experiment draws trial ``t`` from the substream ``(seed, t)``, so
-aggregate counts are reproducible bit for bit and independent of
-execution order.
+The experiments simulate blocks of trials as one ``(B, 3, ..., 3)``
+amplitude array and draw from one ``Philox`` stream keyed by the seed.
+Every trial consumes the same number K of uniform doubles, a multiple of
+the four doubles Philox yields per counter step, so trial ``t`` reads the
+K uniforms at counter ``t * K / 4``. Results are therefore identical for
+any block size, and trial ``t`` alone can be replayed from a generator
+advanced by ``t * K / 4``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .core import (
     PureState,
-    apply_single,
     born_distribution,
-    fidelity,
-    haar_random_state,
     measure_subsystem,
-    reduced_density,
     sample_index,
+    sample_indices,
     tensor,
 )
 from .errors import ConfigInvalid, LabelOutOfRange, SelfCapture
@@ -37,8 +40,6 @@ from .protocol import (
     FOURIER,
     ChannelTamperer,
     CheckRecord,
-    channel_check_round,
-    reconstruct,
 )
 
 ALWAYS_COMPUTATIONAL = "always_computational"
@@ -54,6 +55,45 @@ COMPARISON_MODES = (EXACT, SINGLE_COPY)
 EXACT_COMPARISON_THRESHOLD = 1.0 - 1e-9
 
 RANDOM_CHECK_BASIS = "random"
+
+#: Trials simulated together as one array. Larger blocks run a little faster
+#: but raise an experiment's peak memory, by about 0.6 MiB per doubling.
+_BLOCK = 64
+#: Widest array of an inside trial: the secret and the three-qutrit GHZ channel.
+_INSIDE_QUTRITS = 4
+
+# Columns of an inside trial's uniforms: six for the Haar secret, then the
+# designation, the Bell outcome, the two Fourier outcomes and the
+# single-copy comparison. The twelfth only fills the last Philox step.
+_INSIDE_UNIFORMS = 12
+_U_DESIGNATE, _U_BELL, _U_FIRST, _U_SECOND, _U_COMPARE = 6, 7, 8, 9, 10
+
+#: Computational-basis members as rows, as ``_family_rows`` holds the others.
+_COMPUTATIONAL_ROWS = np.eye(3, dtype=np.complex128)
+
+
+# The kernels' operator tables are built on first use, so that importing the
+# package (every CLI command does) pays neither for them nor for the BLAS
+# buffers that validating their operators allocates.
+@lru_cache(maxsize=None)
+def _family_rows() -> tuple[np.ndarray, np.ndarray]:
+    """Bell and Fourier families as conjugated member rows: contracting a
+    row with a qutrit axis gives that member's projection coefficient."""
+    bell = np.array([member.amplitudes for member in bell_family()]).conj()
+    xi = np.array([member.amplitudes for member in xi_family()]).conj()
+    bell.setflags(write=False)
+    xi.setflags(write=False)
+    return bell, xi
+
+
+@lru_cache(maxsize=None)
+def _recovery_table() -> np.ndarray:
+    """``[n, m, L]`` is the correction for Bell outcome (n, m) and helper sum L."""
+    table = np.array(
+        [[[recovery_operator(BellOutcome(n, m), L).entries for L in range(3)] for m in range(3)] for n in range(3)]
+    )
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -144,6 +184,188 @@ def intercept_tamperer(attack: OutsideAttack) -> ChannelTamperer:
     return tamper
 
 
+# ---------------------------------------------------------------------------
+# block kernels
+
+
+def _stream(seed: int) -> np.random.Generator:
+    """The experiment's one counter-based stream, keyed by the seed."""
+    if not 0 <= int(seed) < 2**128:
+        raise ConfigInvalid("seed must be a non-negative integer below 2**128")
+    return np.random.Generator(np.random.Philox(key=int(seed)))
+
+
+def _block_sizes(total: int, width: int) -> Iterator[int]:
+    """Trial counts of the consecutive blocks covering ``total`` trials.
+
+    Registers wider than an inside trial's get fewer trials per block, so
+    that no block holds more amplitudes than ``_BLOCK`` inside trials.
+    """
+    step = max(1, min(_BLOCK, _BLOCK * 3**_INSIDE_QUTRITS // 3**width))
+    for start in range(0, total, step):
+        yield min(step, total - start)
+
+
+def _weights(amplitudes: np.ndarray) -> np.ndarray:
+    return amplitudes.real**2 + amplitudes.imag**2
+
+
+def _contract(rows: np.ndarray, moved: np.ndarray) -> np.ndarray:
+    """Apply shared ``(d, d)`` or per-trial ``(B, d, d)`` rows to axis 1 of ``(B, d, ...)``."""
+    return np.einsum("ij,bj...->bi..." if rows.ndim == 2 else "bij,bj...->bi...", rows, moved)
+
+
+def _apply(rows: np.ndarray, state: np.ndarray, axis: int) -> np.ndarray:
+    """Apply single-qutrit matrices to qutrit ``axis`` (counted from 0) of every trial."""
+    return np.moveaxis(_contract(rows, np.moveaxis(state, axis + 1, 1)), 1, axis + 1)
+
+
+def _measure(state: np.ndarray, axis: int, rows: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample axis ``axis`` of every trial (one qutrit, or the dealer's pair
+    as one axis of 9) in the family whose conjugated members are ``rows``;
+    return the outcomes and the normalized states of the other axes."""
+    coeffs = _contract(rows, np.moveaxis(state, axis + 1, 1))
+    trials = np.arange(len(u))
+    probs = _weights(coeffs).reshape(len(u), coeffs.shape[1], -1).sum(axis=2)
+    outcome = sample_indices(probs, u)
+    norm = np.sqrt(probs[trials, outcome]).reshape((-1,) + (1,) * (coeffs.ndim - 2))
+    return outcome, coeffs[trials, outcome] / norm
+
+
+def _fourier_flags(u: np.ndarray, random: bool, always: bool) -> np.ndarray:
+    """Per-trial basis choice: Fourier on a 50/50 draw when ``random``, else everywhere or nowhere."""
+    return u >= 0.5 if random else np.full(len(u), always)
+
+
+def _basis_rows(fourier: np.ndarray) -> np.ndarray:
+    """Per-trial measurement rows: the Fourier basis where flagged, else computational."""
+    return np.where(fourier[:, None, None], _family_rows()[1], _COMPUTATIONAL_ROWS)
+
+
+def _haar_secrets(u: np.ndarray) -> np.ndarray:
+    """Haar-random qutrits from six uniforms per row: three Box-Muller complex Gaussians, normalized."""
+    gaussians = np.sqrt(-2.0 * np.log1p(-u[:, 0:6:2])) * np.exp(2j * np.pi * u[:, 1:6:2])
+    return gaussians / np.linalg.norm(gaussians, axis=1, keepdims=True)
+
+
+class _InsideBlock(NamedTuple):
+    """Per-trial arrays of a block of inside trials."""
+
+    bell: np.ndarray  # Bell outcome index 3n + m
+    announced: np.ndarray  # Fourier outcome the helper announces
+    captured: np.ndarray  # the designated attacker's outcome on the captured qutrit, -1 if none
+    fidelity: np.ndarray  # the designated agent's reconstruction against the secret
+
+
+def _reconstruction_fidelity(
+    state: np.ndarray, secrets: np.ndarray, bell: np.ndarray, helper_sum: np.ndarray
+) -> np.ndarray:
+    """Correct each trial's last qutrit and return its fidelity to the secret.
+
+    Any other qutrit (a captured one the attacker still holds) is traced
+    out: the fidelity is ``<secret|rho|secret>`` of the last qutrit.
+    """
+    corrected = _apply(_recovery_table()[bell // 3, bell % 3, helper_sum], state, state.ndim - 2)
+    overlaps = np.einsum("bs,b...s->b...", secrets.conj(), corrected)
+    return np.minimum(1.0, _weights(overlaps).reshape(len(secrets), -1).sum(axis=1))
+
+
+def _inside_block(secrets: np.ndarray, designated: np.ndarray, attack: InsideAttack, u: np.ndarray) -> _InsideBlock:
+    """Play a block of tampered three-party sessions.
+
+    ``secrets`` is ``(B, 3)``, ``designated`` holds agent 1 or 2 per
+    trial and ``u`` the trials' ``(B, _INSIDE_UNIFORMS)`` uniforms. The
+    register's qutrits are the secret, the dealer's GHZ qutrit, agent 1's
+    and agent 2's channel qutrits. The fake, if any, is unentangled and
+    untouched by the dealer's measurement, so it joins the register as its
+    last qutrit right after that measurement: the outcomes and states are
+    the same as when it joins at capture, on a third of the amplitudes.
+
+    When the dishonest agent is designated, the victim's announcement
+    comes off the fake qutrit and is ignored: the attacker privately
+    Fourier-measures the captured qutrit instead and recovers the secret
+    on their own. Otherwise the attacker plays helper on their genuine
+    qutrit and the victim reconstructs on whatever they hold, which is
+    what the dealer's comparison sees.
+    """
+    attacker = attack.dishonest_agent
+    victim = 3 - attacker
+    fake = attack.fake_state
+    bell_rows, xi_rows = _family_rows()
+    state = secrets[:, :, None, None, None] * ghz_state(3).amplitudes.reshape(3, 3, 3)
+    bell, state = _measure(state.reshape(len(u), 9, 3, 3), 0, bell_rows, u[:, _U_BELL])
+    if fake is not None:
+        state = state[..., None] * fake.amplitudes
+    # qutrits left: agent 1, agent 2, then the fake
+
+    announced = np.empty(len(u), dtype=np.intp)
+    captured = np.full(len(u), -1, dtype=np.intp)
+    fid = np.empty(len(u))
+    wins = designated == attacker
+    if wins.any():
+        holding = 2 if fake is not None else victim - 1
+        first, kept = _measure(state[wins], holding, xi_rows, u[wins, _U_FIRST])
+        announced[wins] = helper_sum = first
+        if fake is not None:
+            helper_sum, kept = _measure(kept, victim - 1, xi_rows, u[wins, _U_SECOND])
+            captured[wins] = helper_sum
+        fid[wins] = _reconstruction_fidelity(kept, secrets[wins], bell[wins], helper_sum)
+    loses = ~wins
+    if loses.any():
+        first, kept = _measure(state[loses], attacker - 1, xi_rows, u[loses, _U_FIRST])
+        announced[loses] = first
+        # the victim holds the last qutrit left: the fake, or its own channel qutrit
+        fid[loses] = _reconstruction_fidelity(kept, secrets[loses], bell[loses], first)
+    return _InsideBlock(bell, announced, captured, fid)
+
+
+def _inside_inputs(u: np.ndarray, force_designate: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's Haar secret and designated agent, drawn from its uniforms."""
+    if force_designate is not None:
+        designated = np.full(len(u), int(force_designate))
+    else:
+        designated = np.where(u[:, _U_DESIGNATE] < 0.5, 1, 2)
+    return _haar_secrets(u), designated
+
+
+def _check_uniforms(attack: OutsideAttack | None) -> int:
+    """Uniforms per check round, rounded up to whole Philox steps: the check
+    basis, Eve's basis and outcome on each target, the joint outcome."""
+    used = 2 + (2 * len(attack.target_qutrits) if attack is not None else 0)
+    return -(-used // 4) * 4
+
+
+def _check_block(
+    u: np.ndarray, attack: OutsideAttack | None, check_basis_policy: str, num_parties: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Play a block of check rounds; return per round the Fourier-basis
+    flag, the parties' outcome trits ``(B, num_parties)`` and the verdict."""
+    fourier = _fourier_flags(u[:, 0], check_basis_policy == RANDOM_CHECK_BASIS, check_basis_policy == FOURIER)
+    ghz = ghz_state(num_parties).amplitudes.reshape((3,) * num_parties)
+    state = np.broadcast_to(ghz, (len(u),) + ghz.shape)
+
+    targets = attack.target_qutrits if attack is not None else ()
+    for i, target in enumerate(targets):
+        policy = attack.measure_basis_policy
+        eve = _basis_rows(_fourier_flags(u[:, 1 + 2 * i], policy == RANDOM_PER_QUTRIT, policy == ALWAYS_FOURIER))
+        outcome, kept = _measure(state, target - 1, eve, u[:, 2 + 2 * i])
+        # Eve resends the basis state she observed in the target's place
+        resent = np.einsum("b...,bj->b...j", kept, eve[np.arange(len(u)), outcome].conj())
+        state = np.moveaxis(resent, -1, target)
+
+    rows = _basis_rows(fourier)
+    for axis in range(num_parties):
+        state = _apply(rows, state, axis)
+    joint = sample_indices(_weights(state).reshape(len(u), -1), u[:, 1 + 2 * len(targets)])
+    trits = np.stack(np.unravel_index(joint, ghz.shape), axis=1)
+    passed = np.where(fourier, trits.sum(axis=1) % 3 == 0, np.all(trits == trits[:, :1], axis=1))
+    return fourier, trits, passed
+
+
+# ---------------------------------------------------------------------------
+# experiments
+
+
 def run_check_rounds(
     rounds: int,
     attack: OutsideAttack | None,
@@ -154,27 +376,30 @@ def run_check_rounds(
     """Seeded stream of verification rounds, optionally under attack.
 
     ``check_basis_policy`` is ``computational``, ``fourier`` or
-    ``random`` (a fresh 50/50 draw per round).
+    ``random`` (a fresh 50/50 draw per round). Every party measures its
+    qutrit in the round's basis; the parties' joint outcome is drawn at
+    once from its Born distribution.
     """
     if rounds < 1:
         raise ConfigInvalid("at least one check round is required")
     if check_basis_policy not in CHECK_BASES + (RANDOM_CHECK_BASIS,):
         raise ConfigInvalid(f"unknown check basis policy {check_basis_policy!r}")
-    tamper = None
+    if num_parties < 2:
+        raise ConfigInvalid("a check round needs at least two parties")
     if attack is not None:
         for target in attack.target_qutrits:
             if not 2 <= target <= num_parties:
                 raise LabelOutOfRange(f"target {target} is not a transit qutrit (2..{num_parties})")
-        tamper = intercept_tamperer(attack)
 
+    rng = _stream(seed)
+    uniforms = _check_uniforms(attack)
     records = []
-    for r in range(int(rounds)):
-        rng = np.random.default_rng([int(seed), r])
-        if check_basis_policy == RANDOM_CHECK_BASIS:
-            basis = COMPUTATIONAL if rng.random() < 0.5 else FOURIER
-        else:
-            basis = check_basis_policy
-        records.append(channel_check_round(basis, rng, tamper, num_parties))
+    for size in _block_sizes(int(rounds), num_parties):
+        fourier, trits, passed = _check_block(rng.random((size, uniforms)), attack, check_basis_policy, num_parties)
+        records.extend(
+            CheckRecord(FOURIER if f else COMPUTATIONAL, tuple(t), p)
+            for f, t, p in zip(fourier.tolist(), trits.tolist(), passed.tolist())
+        )
     return records
 
 
@@ -251,18 +476,9 @@ class InsideTrialOutcome:
     reconstruction_fidelity: float
 
 
-def _measure_xi_and_drop(
-    state: PureState, labels: dict[int, int], captured: dict[int, int], target: int, rng: np.random.Generator
-) -> tuple[PureState, int]:
-    """Fourier-measure one qutrit, shift every tracked label past it, return the outcome."""
-    record = measure_subsystem(state, (target,), xi_family(), rng)
-    for mapping in (labels, captured):
-        for key in list(mapping):
-            if mapping[key] == target:
-                del mapping[key]
-            elif mapping[key] > target:
-                mapping[key] -= 1
-    return record.collapsed, record.outcome_index
+def _validate_inside_attack(attack: InsideAttack) -> None:
+    if attack.dishonest_agent not in (1, 2):
+        raise ConfigInvalid("the three-party setting has agents 1 and 2")
 
 
 def run_inside_trial(
@@ -270,49 +486,25 @@ def run_inside_trial(
 ) -> InsideTrialOutcome:
     """Play one tampered three-party session with the given designation.
 
-    When the dishonest agent is designated, the victim's announcement
-    comes off the fake qutrit and is ignored: the attacker privately
-    Fourier-measures the captured qutrit instead and recovers the secret
-    on their own. Otherwise the attacker plays helper on their genuine
-    qutrit and the victim reconstructs on whatever they hold, which is
-    what the dealer's comparison sees.
+    A designated attacker ignores the victim's announcement, which comes
+    off the fake, and rebuilds the secret from their own Fourier outcome
+    on the captured qutrit; otherwise the victim reconstructs on whatever
+    they hold. This is a one-trial block of the experiment's kernel, fed
+    with one trial's uniforms drawn from ``rng``.
     """
-    attacker = attack.dishonest_agent
-    if attacker not in (1, 2):
-        raise ConfigInvalid("the three-party setting has agents 1 and 2")
+    _validate_inside_attack(attack)
     if designated not in (1, 2):
         raise ConfigInvalid("designated agent must be 1 or 2")
-    victim = 2 if attacker == 1 else 1
-
-    session = inside_capture_and_fake(start_session(secret, num_agents=2), attack, victim)
-
-    bell_record = measure_subsystem(session.state, session.dealer_labels, bell_family(), rng)
-    bell = BellOutcome.from_index(bell_record.outcome_index)
-    state = bell_record.collapsed
-    labels = {a: lbl - 2 for a, lbl in session.agent_label.items()}
-    captured = {a: lbl - 2 for a, lbl in session.captured_label.items()}
-
-    if designated == attacker:
-        state, announced = _measure_xi_and_drop(state, labels, captured, labels[victim], rng)
-        if attacker in captured:
-            state, helper_sum = _measure_xi_and_drop(state, labels, captured, captured[attacker], rng)
-        else:
-            helper_sum = announced  # no-op attack: the victim's announcement is genuine
-        reconstructed = reconstruct(state, bell, helper_sum)
-        fid = fidelity(reconstructed, secret)
-    else:
-        state, announced = _measure_xi_and_drop(state, labels, captured, labels[attacker], rng)
-        target = labels[victim]
-        corrected = apply_single(recovery_operator(bell, announced), target, state)
-        if corrected.num_qutrits == 1:
-            fid = fidelity(corrected, secret)
-        else:
-            # The captured qutrit is still in the attacker's hands; compare
-            # only the victim's marginal against the secret.
-            rho = reduced_density(corrected, (target,))
-            fid = float(np.vdot(secret.amplitudes, rho.entries @ secret.amplitudes).real)
-
-    return InsideTrialOutcome(bell, designated, designated == attacker, fid)
+    if secret.num_qutrits != 1:
+        raise ConfigInvalid("the shared secret is a single-qutrit state")
+    u = rng.random((1, _INSIDE_UNIFORMS))
+    block = _inside_block(secret.amplitudes[None, :], np.array([designated]), attack, u)
+    return InsideTrialOutcome(
+        BellOutcome.from_index(int(block.bell[0])),
+        designated,
+        designated == attack.dishonest_agent,
+        float(block.fidelity[0]),
+    )
 
 
 def run_inside_attack_experiment(
@@ -337,21 +529,22 @@ def run_inside_attack_experiment(
         raise ConfigInvalid(f"comparison mode must be one of {COMPARISON_MODES}")
     if force_designate is not None and force_designate not in (1, 2):
         raise ConfigInvalid("forced designation must be agent 1 or 2")
+    _validate_inside_attack(attack)
 
+    rng = _stream(seed)
     successes = 0
     detections = 0
-    for t in range(int(trials)):
-        rng = np.random.default_rng([int(seed), t])
-        secret = haar_random_state(rng)
-        designated = force_designate if force_designate is not None else int(rng.integers(1, 3))
-        outcome = run_inside_trial(secret, attack, designated, rng)
-        if outcome.attacker_designated:
-            successes += 1
-        elif comparison_mode == EXACT:
-            if outcome.reconstruction_fidelity < EXACT_COMPARISON_THRESHOLD:
-                detections += 1
-        elif rng.random() < 1.0 - outcome.reconstruction_fidelity:
-            detections += 1
+    for size in _block_sizes(int(trials), _INSIDE_QUTRITS):
+        u = rng.random((size, _INSIDE_UNIFORMS))
+        secrets, designated = _inside_inputs(u, force_designate)
+        fid = _inside_block(secrets, designated, attack, u).fidelity
+        compared = designated != attack.dishonest_agent
+        if comparison_mode == EXACT:
+            flagged = fid[compared] < EXACT_COMPARISON_THRESHOLD
+        else:
+            flagged = u[compared, _U_COMPARE] < 1.0 - fid[compared]
+        successes += size - int(np.count_nonzero(compared))
+        detections += int(np.count_nonzero(flagged))
 
     return AttackStats(
         trials=int(trials),

@@ -10,6 +10,7 @@ CSV; diagnostics go to stderr. Exit codes: 0 success, 2 argument error,
 from __future__ import annotations
 
 import argparse
+import cmath
 import sys
 import time
 from pathlib import Path
@@ -32,7 +33,7 @@ from .attacks import (
 )
 from .core import INPUT_NORM_TOL, PureState, haar_random_state
 from .errors import ConfigInvalid, NotNormalized, ParseError, TritshareError
-from .protocol import SessionConfig, run_sharing_session, verify_correlations
+from .protocol import MAX_AGENTS, SessionConfig, run_sharing_session, verify_correlations
 
 #: Secrets whose squared norm is off by more than this are rejected outright.
 GROSS_NORM_TOL = 1e-3
@@ -61,9 +62,12 @@ def _parse_secret_checked(text: str, rng: np.random.Generator | None) -> tuple[P
         if len(halves) != 2:
             raise ParseError(f"component {part!r} is not 're,im'")
         try:
-            values.append(complex(float(halves[0]), float(halves[1])))
+            value = complex(float(halves[0]), float(halves[1]))
         except ValueError:
             raise ParseError(f"component {part!r} has a non-numeric entry") from None
+        if not cmath.isfinite(value):
+            raise ParseError(f"component {part!r} is not finite")
+        values.append(value)
     vec = np.array(values, dtype=np.complex128)
     norm_sq = float(np.vdot(vec, vec).real)
     if abs(norm_sq - 1.0) > GROSS_NORM_TOL:
@@ -139,6 +143,8 @@ def _parse_designate(raw: str, num_agents: int, rng: np.random.Generator) -> int
 
 def _cmd_share(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]:
     seed = _resolve_seed(args)
+    if not 2 <= args.agents <= MAX_AGENTS:
+        raise ConfigInvalid(f"--agents must be in 2..{MAX_AGENTS}, got {args.agents}")
     setup_rng = np.random.default_rng([seed, 1])
     secret, warning = _parse_secret_checked(args.secret, setup_rng)
     designated = _parse_designate(args.designate, args.agents, setup_rng)
@@ -250,7 +256,11 @@ def run_command(argv: list[str], stdout=None, stderr=None) -> int:
 
     text = reporting.render_csv(report) if args.format == "csv" else reporting.render_json(report)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write report to {args.out}: {exc.strerror or exc}", file=stderr)
+            return 2
     else:
         stdout.write(text)
     return code

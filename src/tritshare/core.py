@@ -281,23 +281,32 @@ def born_distribution(s: PureState, targets: Sequence[int], family: Sequence[Pur
     return _branch_probs(coeffs)
 
 
-def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw over ascending outcome index.
+def sample_indices(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise inverse-CDF draws over ascending outcome index.
 
-    Zero-probability entries contribute no cumulative gap and can never
-    be selected.
+    Row ``b`` of ``probs`` is one Born distribution and ``u[b]`` in [0, 1)
+    its uniform. Zero-probability entries contribute no cumulative gap and
+    can never be selected; a uniform beyond a row's rounded total falls to
+    its last positive entry.
     """
-    u = rng.random()
-    cum = np.cumsum(probs)
-    k = int(np.searchsorted(cum, u, side="right"))
-    if k >= len(probs):
-        positive = np.flatnonzero(probs > ZERO_PROB_TOL)
-        if positive.size == 0:
+    n = probs.shape[1]
+    k = np.sum(np.cumsum(probs, axis=1) <= u[:, None], axis=1)
+    if k.max() >= n:
+        positive = probs > ZERO_PROB_TOL
+        overflow = k >= n
+        if not positive[overflow].any(axis=1).all():
             raise ZeroProbabilityBranchSampled("no branch carries positive probability")
-        k = int(positive[-1])
-    if probs[k] <= ZERO_PROB_TOL:
-        raise ZeroProbabilityBranchSampled(f"sampled branch {k} has probability {probs[k]!r}")
+        k[overflow] = n - 1 - np.argmax(positive[overflow, ::-1], axis=1)
+    chosen = probs[np.arange(k.size), k]
+    if chosen.min() <= ZERO_PROB_TOL:
+        b = int(np.argmin(chosen))
+        raise ZeroProbabilityBranchSampled(f"sampled branch {k[b]} has probability {chosen[b]!r}")
     return k
+
+
+def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Inverse-CDF draw over ascending outcome index (one row of ``sample_indices``)."""
+    return int(sample_indices(np.reshape(probs, (1, -1)), rng.random(1))[0])
 
 
 def _collapse_branch(s: PureState, labels: list[int], coeffs: np.ndarray, outcome_index: int) -> MeasurementRecord:

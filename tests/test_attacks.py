@@ -6,14 +6,20 @@ Fourier checks with probability 2/3, and the inside attacker wins only
 the designation coin flip.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
+import tritshare.attacks as attacks
 from tritshare import (
     BellOutcome,
     InsideAttack,
     OutsideAttack,
+    PureState,
+    apply_single,
     basis_state,
+    bell_family,
     born_distribution,
     fidelity,
     ghz_state,
@@ -21,6 +27,8 @@ from tritshare import (
     inside_capture_and_fake,
     outside_intercept_resend,
     project_subsystem,
+    reconstruct,
+    recovery_operator,
     reduced_density,
     run_check_rounds,
     run_inside_attack_experiment,
@@ -259,3 +267,94 @@ def test_attack_stats_rates_consistent():
     assert stats.success_rate == stats.attacker_successes / stats.trials
     assert stats.detection_rate == stats.detections / stats.trials
     assert fidelity(FAKE_ZERO, FAKE_ZERO) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# block engine
+
+
+def _inside_configs():
+    for fake, mode, attacker in itertools.product((FAKE_ZERO, None), (EXACT, SINGLE_COPY), (1, 2)):
+        yield InsideAttack(attacker, fake), mode
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_results_do_not_depend_on_block_size(monkeypatch, block):
+    def run_all():
+        inside = [run_inside_attack_experiment(150, attack, mode, seed=90) for attack, mode in _inside_configs()]
+        forced = run_inside_attack_experiment(70, InsideAttack(2, FAKE_ZERO), SINGLE_COPY, seed=91, force_designate=1)
+        checks = [
+            run_check_rounds(150, None, "random", seed=92),
+            run_check_rounds(150, OutsideAttack((2, 3), "random_per_qutrit"), "random", seed=93),
+            run_check_rounds(150, OutsideAttack((3,), ALWAYS_FOURIER), COMPUTATIONAL, seed=94, num_parties=4),
+            run_check_rounds(40, OutsideAttack((2, 5), "random_per_qutrit"), FOURIER, seed=95, num_parties=6),
+        ]
+        return inside, forced, checks
+
+    reference = run_all()
+    monkeypatch.setattr(attacks, "_BLOCK", block)
+    assert run_all() == reference
+
+
+def test_any_trial_replays_from_its_counter():
+    # trial t reads K uniforms at Philox counter t * K / 4
+    k = attacks._INSIDE_UNIFORMS
+    stream = attacks._stream(95).random((40, k))
+    for t in (0, 1, 17, 39):
+        rng = attacks._stream(95)
+        rng.bit_generator.advance(t * k // 4)
+        assert np.array_equal(rng.random((1, k)), stream[t : t + 1])
+
+
+def _drop(labels, measured):
+    """Labels left after measuring one qutrit away: later labels shift down by one."""
+    return {key: label - (label > measured) for key, label in labels.items() if label != measured}
+
+
+def _replay_inside_trial(secret, attack, designated, bell, announced, captured):
+    """The inside choreography on PureStates, with every sampled outcome forced."""
+    attacker = attack.dishonest_agent
+    victim = 3 - attacker
+    session = inside_capture_and_fake(start_session(secret), attack, victim)
+    state = project_subsystem(session.state, session.dealer_labels, bell_family(), bell).collapsed
+    holds = {agent: label - 2 for agent, label in session.agent_label.items()}
+    stolen = {agent: label - 2 for agent, label in session.captured_label.items()}
+    outcome = BellOutcome.from_index(bell)
+    if designated == attacker:
+        state = project_subsystem(state, (holds[victim],), xi_family(), announced).collapsed
+        holds, stolen = _drop(holds, holds[victim]), _drop(stolen, holds[victim])
+        helper_sum = announced
+        if attacker in stolen:
+            state = project_subsystem(state, (stolen[attacker],), xi_family(), captured).collapsed
+            helper_sum = captured
+        return fidelity(reconstruct(state, outcome, helper_sum), secret)
+    state = project_subsystem(state, (holds[attacker],), xi_family(), announced).collapsed
+    holds = _drop(holds, holds[attacker])
+    corrected = apply_single(recovery_operator(outcome, announced), holds[victim], state)
+    if corrected.num_qutrits == 1:
+        return fidelity(corrected, secret)
+    rho = reduced_density(corrected, (holds[victim],))
+    return float(np.vdot(secret.amplitudes, rho.entries @ secret.amplitudes).real)
+
+
+@pytest.mark.parametrize("attack,mode", list(_inside_configs()))
+def test_inside_kernel_matches_forced_branch_replay(attack, mode):
+    trials, seed = 200, 96 + attack.dishonest_agent
+    u = attacks._stream(seed).random((trials, attacks._INSIDE_UNIFORMS))
+    secrets, designated = attacks._inside_inputs(u, None)
+    block = attacks._inside_block(secrets, designated, attack, u)
+    successes = detections = 0
+    for t in range(trials):
+        replayed = _replay_inside_trial(
+            PureState(1, secrets[t]), attack, int(designated[t]), int(block.bell[t]),
+            int(block.announced[t]), int(block.captured[t]),
+        )
+        assert abs(replayed - block.fidelity[t]) < 1e-12
+        if designated[t] == attack.dishonest_agent:
+            successes += 1
+        elif mode == EXACT:
+            detections += replayed < attacks.EXACT_COMPARISON_THRESHOLD
+        else:
+            detections += u[t, attacks._U_COMPARE] < 1.0 - replayed
+    stats = run_inside_attack_experiment(trials, attack, mode, seed)
+    assert (stats.attacker_successes, stats.detections) == (successes, detections)

@@ -232,6 +232,32 @@ def test_unknown_arguments_exit_two():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["share", "--agents", "0", "--seed", "1"],
+        ["share", "--seed", "1", "--out", "{missing_dir}/x.json"],
+        ["share", "--secret", "1,0;0,0;nan,0", "--seed", "1"],
+        ["attack", "--model", "inside", "--trials", "10", "--fake", "1,0;0,0;nan,0", "--seed", "1"],
+        ["attack", "--model", "inside", "--trials", "10", "--fake", "inf,0;0,0;0,0", "--seed", "1"],
+    ],
+    ids=["agents-zero", "out-missing-dir", "secret-nan", "fake-nan", "fake-inf"],
+)
+def test_bad_input_exits_two_without_traceback(argv, tmp_path):
+    argv = [arg.format(missing_dir=tmp_path / "missing") for arg in argv]
+    proc = subprocess.run([sys.executable, "-m", "tritshare", *argv], capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stdout == ""
+
+
+def test_parse_secret_non_finite_rejected():
+    for text in ("1,0;0,0;nan,0", "1,0;0,inf;0,0", "-inf,0;0,0;0,0"):
+        with pytest.raises(ParseError):
+            parse_secret(text)
+
+
 def test_internal_failure_exits_three(monkeypatch):
     import tritshare.cli as cli
     from tritshare.errors import ZeroProbabilityBranchSampled

@@ -29,6 +29,7 @@ from tritshare import (
     tensor,
     xi_state,
 )
+from tritshare.core import sample_indices
 from tritshare.errors import (
     DimensionMismatch,
     EmptyKeepSet,
@@ -341,6 +342,31 @@ def test_zero_probability_branch_is_refused():
     family = [basis_state([k]) for k in range(3)]
     with pytest.raises(ZeroProbabilityBranchSampled):
         project_subsystem(basis_state([0, 0]), (1,), family, 2)
+
+
+def _scalar_inverse_cdf(probs, u):
+    """Reference rule: first cumulative weight above u, else the last positive entry."""
+    k = int(np.searchsorted(np.cumsum(probs), u, side="right"))
+    return k if k < len(probs) else int(np.flatnonzero(probs > 1e-24)[-1])
+
+
+def test_sample_indices_matches_the_scalar_rule_row_by_row():
+    rng = np.random.default_rng(24)
+    probs = rng.random((200, 9)) * (rng.random((200, 9)) < 0.6)
+    probs[:, 4] += 0.01  # every row keeps a positive entry
+    probs /= probs.sum(axis=1, keepdims=True)
+    u = rng.random(200)
+    u[:10] = np.nextafter(1.0, 0.0)  # the largest uniform: rows whose total rounds below it overflow
+    k = sample_indices(probs, u)
+    assert list(k) == [_scalar_inverse_cdf(p, x) for p, x in zip(probs, u)]
+    assert np.all(probs[np.arange(200), k] > 0)
+
+
+def test_sample_indices_skips_zero_branches_and_refuses_empty_rows():
+    probs = np.array([[0.5, 0.0, 0.5], [0.3, 0.7 - 1e-12, 0.0]])
+    assert list(sample_indices(probs, np.array([0.5, 0.9999999999999]))) == [2, 1]
+    with pytest.raises(ZeroProbabilityBranchSampled):
+        sample_indices(np.array([[0.5, 0.5], [0.0, 0.0]]), np.array([0.1, 0.5]))
 
 
 def test_sampled_distribution_matches_born_within_one_percent():
