@@ -34,13 +34,7 @@ from .core import (
 )
 from .errors import ConfigInvalid, LabelOutOfRange, SelfCapture
 from .operators import BellOutcome, bell_family, computational_family, ghz_state, recovery_operator, xi_family
-from .protocol import (
-    CHECK_BASES,
-    COMPUTATIONAL,
-    FOURIER,
-    ChannelTamperer,
-    CheckRecord,
-)
+from .protocol import CHECK_BASES, COMPUTATIONAL, FOURIER, CheckRecord
 
 ALWAYS_COMPUTATIONAL = "always_computational"
 ALWAYS_FOURIER = "always_fourier"
@@ -142,14 +136,6 @@ class AttackStats:
     seed: int
 
 
-def _resolve_basis(policy: str, rng: np.random.Generator) -> str:
-    if policy == ALWAYS_COMPUTATIONAL:
-        return COMPUTATIONAL
-    if policy == ALWAYS_FOURIER:
-        return FOURIER
-    return COMPUTATIONAL if rng.random() < 0.5 else FOURIER
-
-
 def _insert_qutrit(state: PureState, label: int, qutrit: PureState) -> PureState:
     """Re-tensor a single qutrit so that it takes the given register label."""
     joined = tensor(state, qutrit)
@@ -171,17 +157,6 @@ def outside_intercept_resend(
         return family[sample_index(born_distribution(state, (1,), family), rng)]
     record = measure_subsystem(state, (int(label),), family, rng)
     return _insert_qutrit(record.collapsed, int(label), family[record.outcome_index])
-
-
-def intercept_tamperer(attack: OutsideAttack) -> ChannelTamperer:
-    """Channel tamperer applying the attack to each target during distribution."""
-
-    def tamper(state: PureState, rng: np.random.Generator) -> PureState:
-        for target in attack.target_qutrits:
-            state = outside_intercept_resend(state, target, _resolve_basis(attack.measure_basis_policy, rng), rng)
-        return state
-
-    return tamper
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +341,27 @@ def _check_block(
 # experiments
 
 
+def _check_blocks(
+    rounds: int, attack: OutsideAttack | None, check_basis_policy: str, seed: int, num_parties: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Validate a run of check rounds and yield ``_check_block``'s arrays block by block."""
+    if rounds < 1:
+        raise ConfigInvalid("at least one check round is required")
+    if check_basis_policy not in CHECK_BASES + (RANDOM_CHECK_BASIS,):
+        raise ConfigInvalid(f"unknown check basis policy {check_basis_policy!r}")
+    if num_parties < 2:
+        raise ConfigInvalid("a check round needs at least two parties")
+    if attack is not None:
+        for target in attack.target_qutrits:
+            if not 2 <= target <= num_parties:
+                raise LabelOutOfRange(f"target {target} is not a transit qutrit (2..{num_parties})")
+
+    rng = _stream(seed)
+    uniforms = _check_uniforms(attack)
+    for size in _block_sizes(int(rounds), num_parties):
+        yield _check_block(rng.random((size, uniforms)), attack, check_basis_policy, num_parties)
+
+
 def run_check_rounds(
     rounds: int,
     attack: OutsideAttack | None,
@@ -380,27 +376,11 @@ def run_check_rounds(
     qutrit in the round's basis; the parties' joint outcome is drawn at
     once from its Born distribution.
     """
-    if rounds < 1:
-        raise ConfigInvalid("at least one check round is required")
-    if check_basis_policy not in CHECK_BASES + (RANDOM_CHECK_BASIS,):
-        raise ConfigInvalid(f"unknown check basis policy {check_basis_policy!r}")
-    if num_parties < 2:
-        raise ConfigInvalid("a check round needs at least two parties")
-    if attack is not None:
-        for target in attack.target_qutrits:
-            if not 2 <= target <= num_parties:
-                raise LabelOutOfRange(f"target {target} is not a transit qutrit (2..{num_parties})")
-
-    rng = _stream(seed)
-    uniforms = _check_uniforms(attack)
-    records = []
-    for size in _block_sizes(int(rounds), num_parties):
-        fourier, trits, passed = _check_block(rng.random((size, uniforms)), attack, check_basis_policy, num_parties)
-        records.extend(
-            CheckRecord(FOURIER if f else COMPUTATIONAL, tuple(t), p)
-            for f, t, p in zip(fourier.tolist(), trits.tolist(), passed.tolist())
-        )
-    return records
+    return [
+        CheckRecord(FOURIER if f else COMPUTATIONAL, tuple(t), p)
+        for fourier, trits, passed in _check_blocks(rounds, attack, check_basis_policy, seed, num_parties)
+        for f, t, p in zip(fourier.tolist(), trits.tolist(), passed.tolist())
+    ]
 
 
 def run_outside_attack_experiment(
@@ -411,14 +391,15 @@ def run_outside_attack_experiment(
     num_parties: int = 3,
 ) -> AttackStats:
     """Each trial distributes one check GHZ copy, lets the attacker act,
-    and runs one check round; detections count failed rounds.
+    and runs one check round; detections count failed rounds, the same
+    rounds ``run_check_rounds`` records for these arguments.
 
     Interception yields the attacker no claimable reconstruction, so the
     success counters stay at zero; the figure of merit is the detection
     rate.
     """
-    records = run_check_rounds(trials, attack, check_basis_policy, seed, num_parties)
-    detections = sum(1 for record in records if not record.passed)
+    blocks = _check_blocks(trials, attack, check_basis_policy, seed, num_parties)
+    detections = sum(int(np.count_nonzero(~passed)) for _, _, passed in blocks)
     return AttackStats(
         trials=int(trials),
         attacker_successes=0,

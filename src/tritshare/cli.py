@@ -47,34 +47,39 @@ _EVE_CHOICES = ["none"] + sorted(_EVE_POLICIES)
 _COMPARISON = {"exact": EXACT, "single-copy": SINGLE_COPY}
 
 
-def _parse_secret_checked(text: str, rng: np.random.Generator | None) -> tuple[PureState, str | None]:
-    """Parse a secret literal; returns the state and a renormalization warning, if any."""
+def _parse_secret_checked(
+    text: str, rng: np.random.Generator | None, name: str = "secret"
+) -> tuple[PureState, str | None]:
+    """Parse a secret literal; returns the state and a renormalization warning, if any.
+
+    ``name`` is what messages call the state, so a fake qutrit's errors say "fake state".
+    """
     if text.strip().lower() == "random":
         if rng is None:
-            raise ParseError("a 'random' secret needs a seeded generator")
+            raise ParseError(f"a 'random' {name} needs a seeded generator")
         return haar_random_state(rng), None
     parts = text.split(";")
     if len(parts) != 3:
-        raise ParseError(f"expected three ';'-separated components, got {len(parts)}")
+        raise ParseError(f"{name}: expected three ';'-separated components, got {len(parts)}")
     values = []
     for part in parts:
         halves = part.split(",")
         if len(halves) != 2:
-            raise ParseError(f"component {part!r} is not 're,im'")
+            raise ParseError(f"{name} component {part!r} is not 're,im'")
         try:
             value = complex(float(halves[0]), float(halves[1]))
         except ValueError:
-            raise ParseError(f"component {part!r} has a non-numeric entry") from None
+            raise ParseError(f"{name} component {part!r} has a non-numeric entry") from None
         if not cmath.isfinite(value):
-            raise ParseError(f"component {part!r} is not finite")
+            raise ParseError(f"{name} component {part!r} is not finite")
         values.append(value)
     vec = np.array(values, dtype=np.complex128)
     norm_sq = float(np.vdot(vec, vec).real)
     if abs(norm_sq - 1.0) > GROSS_NORM_TOL:
-        raise NotNormalized(f"secret squared norm {norm_sq:.6g} is off by more than {GROSS_NORM_TOL}")
+        raise NotNormalized(f"{name} squared norm {norm_sq:.6g} is off by more than {GROSS_NORM_TOL}")
     warning = None
     if abs(norm_sq - 1.0) > INPUT_NORM_TOL:
-        warning = f"secret renormalized; squared norm deviated from 1 by {abs(norm_sq - 1.0):.3g}"
+        warning = f"{name} renormalized; squared norm deviated from 1 by {abs(norm_sq - 1.0):.3g}"
     return PureState(1, vec / np.sqrt(norm_sq)), warning
 
 
@@ -184,9 +189,9 @@ def _cmd_attack(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]:
         elif fake_spec == "genuine":
             fake = None  # no-op control: forward the captured qutrit untouched
         else:
-            fake, warning = _parse_secret_checked(args.fake, setup_rng)
+            fake, warning = _parse_secret_checked(args.fake, setup_rng, "fake state")
             if warning:
-                warnings.append(warning.replace("secret", "fake state"))
+                warnings.append(warning)
         force = None
         if str(args.designate).strip().lower() != "random":
             force = _parse_designate(args.designate, 2, setup_rng)

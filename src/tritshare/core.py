@@ -9,8 +9,8 @@ through an explicit ``numpy.random.Generator``.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -226,20 +226,11 @@ def _split_targets(s: PureState, labels: Sequence[int]) -> np.ndarray:
     return psi.reshape(3 ** len(axes), -1)
 
 
-# Validated family matrices keyed by member identity; the stored member
-# tuple pins the objects so ids stay unambiguous while an entry lives.
-_FAMILY_CACHE: OrderedDict[tuple[int, ...], tuple[tuple[PureState, ...], np.ndarray]] = OrderedDict()
-_FAMILY_CACHE_SIZE = 64
-
-
-def _family_matrix(family: Sequence[PureState], width: int) -> np.ndarray:
+# Families are keyed by their members, which hash by identity (``PureState``
+# defines no equality), so a cached entry pins the very states it was built from.
+@lru_cache(maxsize=64)
+def _family_matrix(family: tuple[PureState, ...], width: int) -> np.ndarray:
     """Stack a measurement family into rows, checking completeness and orthonormality."""
-    key = tuple(id(member) for member in family)
-    hit = _FAMILY_CACHE.get(key)
-    if hit is not None and all(a is b for a, b in zip(hit[0], family)):
-        _FAMILY_CACHE.move_to_end(key)
-        if hit[1].shape[1] == 3**width:
-            return hit[1]
     dim = 3**width
     rows = []
     for member in family:
@@ -252,10 +243,7 @@ def _family_matrix(family: Sequence[PureState], width: int) -> np.ndarray:
     gram = mat.conj() @ mat.T
     if np.max(np.abs(gram - np.eye(dim))) > ORTHONORMAL_TOL:
         raise NotOrthonormal("family Gram matrix deviates from the identity")
-    _FAMILY_CACHE[key] = (tuple(family), _freeze(mat))
-    if len(_FAMILY_CACHE) > _FAMILY_CACHE_SIZE:
-        _FAMILY_CACHE.popitem(last=False)
-    return mat
+    return _freeze(mat)
 
 
 def _measurement_coeffs(
@@ -263,7 +251,7 @@ def _measurement_coeffs(
 ) -> tuple[list[int], np.ndarray]:
     """Validate a measurement and return (labels, projection coefficients per member)."""
     labels = _validated_targets(s, targets)
-    mat = _family_matrix(family, len(labels))
+    mat = _family_matrix(tuple(family), len(labels))
     return labels, mat.conj() @ _split_targets(s, labels)
 
 

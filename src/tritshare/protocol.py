@@ -10,7 +10,7 @@ compare-and-abort verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -46,11 +46,6 @@ HELPER_RESULT = "helper_result"
 
 #: Largest supported number of agents (secret + channel stays within 3^12 amplitudes).
 MAX_AGENTS = 10
-#: Default fraction of distributed channel copies diverted to check rounds.
-DEFAULT_CHECK_FRACTION = 0.5
-
-#: Hook applied to the joint state during distribution, before any party measures.
-ChannelTamperer = Callable[[PureState, np.random.Generator], PureState]
 
 
 @dataclass(frozen=True)
@@ -119,7 +114,6 @@ def _validate_config(cfg: SessionConfig) -> None:
 
 def run_sharing_session(
     cfg: SessionConfig,
-    tamper: ChannelTamperer | None = None,
     *,
     forced_bell: BellOutcome | None = None,
     forced_helpers: Sequence[int] | None = None,
@@ -136,9 +130,6 @@ def run_sharing_session(
     rng = np.random.default_rng(cfg.seed)
 
     state = tensor(cfg.secret, ghz_state(cfg.num_agents + 1))
-    if tamper is not None:
-        state = tamper(state, rng)
-
     if forced_bell is not None:
         bell_record = project_subsystem(state, (1, 2), bell_family(), forced_bell.index)
     else:
@@ -155,23 +146,20 @@ def run_sharing_session(
     if forced_helpers is not None and len(forced_helpers) != len(helpers):
         raise ConfigInvalid(f"expected {len(helpers)} forced helper outcomes, got {len(forced_helpers)}")
 
-    # Agent i starts on register label i once the dealer's pair is gone;
-    # labels shift down as helper qutrits are measured away.
-    label = {agent: agent for agent in range(1, cfg.num_agents + 1)}
+    # Agent i starts on register label i once the dealer's pair is gone.
+    # Helpers measure in ascending order, so when agent a measures only the
+    # designated agent can still sit below it: a is at label 1 or 2.
     outcomes: list[XiOutcome] = []
     for position, agent in enumerate(helpers):
+        label = 1 + (agent > cfg.designated)
         if forced_helpers is not None:
-            record = project_subsystem(state, (label[agent],), xi_family(), int(forced_helpers[position]) % 3)
+            record = project_subsystem(state, (label,), xi_family(), int(forced_helpers[position]) % 3)
         else:
-            record = measure_subsystem(state, (label[agent],), xi_family(), rng)
+            record = measure_subsystem(state, (label,), xi_family(), rng)
         outcome = XiOutcome(record.outcome_index)
         outcomes.append(outcome)
         announcements.append(Announcement(HELPER_RESULT, f"agent_{agent}", outcome))
         state = record.collapsed
-        measured = label.pop(agent)
-        for other in label:
-            if label[other] > measured:
-                label[other] -= 1
 
     helper_sum = HelperSum.from_outcomes(outcomes)
     reconstructed = reconstruct(state, bell, helper_sum)
@@ -194,15 +182,17 @@ def reconstruct(state: PureState, bell: BellOutcome, helper_sum: HelperSum | int
 def channel_check_round(
     basis: str,
     rng: np.random.Generator,
-    tamper: ChannelTamperer | None = None,
+    *,
     num_parties: int = 3,
 ) -> CheckRecord:
-    """One verification round on a dedicated GHZ copy.
+    """One honest verification round on a dedicated GHZ copy.
 
     Every party measures its own qutrit in the announced basis. A
     computational round passes when all outcomes agree; a Fourier round
     passes when the outcomes sum to 0 mod 3. Both rules extend the
-    three-party check to any party count.
+    three-party check to any party count. This is the readable one-round
+    reference; ``attacks.run_check_rounds`` plays rounds in blocks, with
+    or without an outside attack.
     """
     if basis not in CHECK_BASES:
         raise ConfigInvalid(f"check basis must be one of {CHECK_BASES}, got {basis!r}")
@@ -210,9 +200,6 @@ def channel_check_round(
         raise ConfigInvalid("a check round needs at least two parties")
 
     state = ghz_state(num_parties)
-    if tamper is not None:
-        state = tamper(state, rng)
-
     family = computational_family() if basis == COMPUTATIONAL else xi_family()
     outcomes: list[int] = []
     for _ in range(num_parties - 1):
@@ -248,18 +235,3 @@ def verify_correlations(records: Iterable[CheckRecord]) -> ChannelVerdict:
         failures_fourier=fails_f,
         failure_rate_fourier=fails_f / rounds_f if rounds_f else 0.0,
     )
-
-
-def verification_plan(
-    num_channels: int, rng: np.random.Generator, check_fraction: float = DEFAULT_CHECK_FRACTION
-) -> np.ndarray:
-    """Mark which distributed channel copies are diverted to check rounds.
-
-    Each copy is diverted independently with probability
-    ``check_fraction``; the rest remain available for sharing sessions.
-    """
-    if num_channels < 0:
-        raise ConfigInvalid("num_channels must be non-negative")
-    if not 0.0 <= check_fraction <= 1.0:
-        raise ConfigInvalid(f"check_fraction must be in [0, 1], got {check_fraction}")
-    return rng.random(int(num_channels)) < check_fraction

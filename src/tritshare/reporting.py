@@ -8,6 +8,7 @@ statistics to one row per experiment.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 from typing import Any, Sequence
@@ -191,27 +192,11 @@ def encode_transcript(transcript: Transcript) -> dict:
 
 
 def encode_attack_stats(stats: AttackStats) -> dict:
-    return {
-        "trials": stats.trials,
-        "attacker_successes": stats.attacker_successes,
-        "detections": stats.detections,
-        "success_rate": stats.success_rate,
-        "detection_rate": stats.detection_rate,
-        "seed": stats.seed,
-    }
+    return dataclasses.asdict(stats)
 
 
 def encode_verdict(verdict: ChannelVerdict) -> dict:
-    return {
-        "disturbed": verdict.disturbed,
-        "total_rounds": verdict.total_rounds,
-        "rounds_computational": verdict.rounds_computational,
-        "failures_computational": verdict.failures_computational,
-        "failure_rate_computational": verdict.failure_rate_computational,
-        "rounds_fourier": verdict.rounds_fourier,
-        "failures_fourier": verdict.failures_fourier,
-        "failure_rate_fourier": verdict.failure_rate_fourier,
-    }
+    return dataclasses.asdict(verdict)
 
 
 def build_report(

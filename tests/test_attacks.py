@@ -147,6 +147,22 @@ def test_outside_stats_reproducible_bitwise():
     assert a == b
 
 
+@pytest.mark.parametrize(
+    "attack,policy,num_parties",
+    [
+        (None, "random", 3),
+        (OutsideAttack((2,), ALWAYS_COMPUTATIONAL), "random", 3),
+        (OutsideAttack((3,), ALWAYS_FOURIER), COMPUTATIONAL, 3),
+        (OutsideAttack((2, 3), "random_per_qutrit"), FOURIER, 3),
+        (OutsideAttack((2, 4), "random_per_qutrit"), "random", 4),
+    ],
+)
+def test_outside_detections_are_the_failed_check_rounds(attack, policy, num_parties):
+    stats = run_outside_attack_experiment(300, attack, policy, seed=70, num_parties=num_parties)
+    records = run_check_rounds(300, attack, policy, seed=70, num_parties=num_parties)
+    assert stats.detections == sum(1 for record in records if not record.passed)
+
+
 # ---------------------------------------------------------------------------
 # inside capture
 

@@ -252,6 +252,24 @@ def test_bad_input_exits_two_without_traceback(argv, tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("fake", ["0,0;0,0;0,0", "1,0;1,0;0,0", "1,0;0,0", "1,0;0,x;0,0"])
+def test_fake_errors_name_the_fake_state(fake):
+    code, out, err = run_cli(["attack", "--model", "inside", "--trials", "10", "--fake", fake, "--seed", "1"])
+    assert code == 2
+    assert err.startswith("error: fake state")
+    assert "secret" not in err
+    assert out == ""
+
+
+def test_encoded_results_keep_the_schema_key_order():
+    _, out, _ = run_cli(["attack", "--model", "outside", "--trials", "50", "--seed", "3"])
+    stats = REPORT_SCHEMA["allOf"][2]["then"]["properties"]["results"]["properties"]["stats"]
+    assert list(json.loads(out)["results"]["stats"]) == stats["required"]
+    _, out, _ = run_cli(["check-channel", "--rounds", "50", "--seed", "3"])
+    verdict = REPORT_SCHEMA["allOf"][1]["then"]["properties"]["results"]["properties"]["verdict"]
+    assert list(json.loads(out)["results"]["verdict"]) == verdict["required"]
+
+
 def test_parse_secret_non_finite_rejected():
     for text in ("1,0;0,0;nan,0", "1,0;0,inf;0,0", "-inf,0;0,0;0,0"):
         with pytest.raises(ParseError):

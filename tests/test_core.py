@@ -278,6 +278,9 @@ def test_born_validation_errors():
         born_distribution(s, (1, 1), [basis_state([a, b]) for a in range(3) for b in range(3)])
     with pytest.raises(TargetOutOfRange):
         born_distribution(s, (5,), family)
+    with pytest.raises(DimensionMismatch):  # refused, and not cached: the family still serves one qutrit
+        born_distribution(s, (1, 2), family)
+    assert born_distribution(s, (1,), family) == pytest.approx([1 / 3] * 3, abs=1e-12)
     with pytest.raises(NotOrthonormal):
         born_distribution(s, (1,), family[:2])
     skewed = [family[0], family[1], make_state([1 / SQRT3, 1 / SQRT3, 1 / SQRT3], 1)]
