@@ -7,8 +7,9 @@ qutrit and substitutes a fake one; the dealer's random designation then
 decides whether the theft pays off silently or shows up when the
 reconstruction is compared against the secret.
 
-The experiments simulate blocks of trials as one ``(B, 3, ..., 3)``
-amplitude array and draw from one ``Philox`` stream keyed by the seed.
+The experiments run blocks of trials as one ``(B, 3, ..., 3)`` amplitude
+array through ``core``'s batched engine, the one every ``PureState``
+operation runs on, and draw from one ``Philox`` stream keyed by the seed.
 Every trial consumes the same number K of uniform doubles, a multiple of
 the four doubles Philox yields per counter step, so trial ``t`` reads the
 K uniforms at counter ``t * K / 4``. Results are therefore identical for
@@ -26,6 +27,11 @@ import numpy as np
 
 from .core import (
     PureState,
+    _apply,
+    _contract,
+    _family_matrix,
+    _measure,
+    _weights,
     born_distribution,
     measure_subsystem,
     sample_index,
@@ -34,7 +40,7 @@ from .core import (
 )
 from .errors import ConfigInvalid, LabelOutOfRange, SelfCapture
 from .operators import BellOutcome, bell_family, computational_family, ghz_state, recovery_operator, xi_family
-from .protocol import CHECK_BASES, COMPUTATIONAL, FOURIER, CheckRecord
+from .protocol import CHECK_BASES, COMPUTATIONAL, FOURIER, CheckRecord, _check_passes, _validated_seed
 
 ALWAYS_COMPUTATIONAL = "always_computational"
 ALWAYS_FOURIER = "always_fourier"
@@ -62,22 +68,13 @@ _INSIDE_QUTRITS = 4
 _INSIDE_UNIFORMS = 12
 _U_DESIGNATE, _U_BELL, _U_FIRST, _U_SECOND, _U_COMPARE = 6, 7, 8, 9, 10
 
-#: Computational-basis members as rows, as ``_family_rows`` holds the others.
-_COMPUTATIONAL_ROWS = np.eye(3, dtype=np.complex128)
-
 
 # The kernels' operator tables are built on first use, so that importing the
 # package (every CLI command does) pays neither for them nor for the BLAS
 # buffers that validating their operators allocates.
-@lru_cache(maxsize=None)
-def _family_rows() -> tuple[np.ndarray, np.ndarray]:
-    """Bell and Fourier families as conjugated member rows: contracting a
-    row with a qutrit axis gives that member's projection coefficient."""
-    bell = np.array([member.amplitudes for member in bell_family()]).conj()
-    xi = np.array([member.amplitudes for member in xi_family()]).conj()
-    bell.setflags(write=False)
-    xi.setflags(write=False)
-    return bell, xi
+def _rows(family: list[PureState]) -> np.ndarray:
+    """A family's conjugated member rows, validated and cached by ``core``."""
+    return _family_matrix(tuple(family), family[0].num_qutrits)
 
 
 @lru_cache(maxsize=None)
@@ -165,9 +162,7 @@ def outside_intercept_resend(
 
 def _stream(seed: int) -> np.random.Generator:
     """The experiment's one counter-based stream, keyed by the seed."""
-    if not 0 <= int(seed) < 2**128:
-        raise ConfigInvalid("seed must be a non-negative integer below 2**128")
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    return np.random.Generator(np.random.Philox(key=_validated_seed(seed)))
 
 
 def _block_sizes(total: int, width: int) -> Iterator[int]:
@@ -181,32 +176,6 @@ def _block_sizes(total: int, width: int) -> Iterator[int]:
         yield min(step, total - start)
 
 
-def _weights(amplitudes: np.ndarray) -> np.ndarray:
-    return amplitudes.real**2 + amplitudes.imag**2
-
-
-def _contract(rows: np.ndarray, moved: np.ndarray) -> np.ndarray:
-    """Apply shared ``(d, d)`` or per-trial ``(B, d, d)`` rows to axis 1 of ``(B, d, ...)``."""
-    return np.einsum("ij,bj...->bi..." if rows.ndim == 2 else "bij,bj...->bi...", rows, moved)
-
-
-def _apply(rows: np.ndarray, state: np.ndarray, axis: int) -> np.ndarray:
-    """Apply single-qutrit matrices to qutrit ``axis`` (counted from 0) of every trial."""
-    return np.moveaxis(_contract(rows, np.moveaxis(state, axis + 1, 1)), 1, axis + 1)
-
-
-def _measure(state: np.ndarray, axis: int, rows: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample axis ``axis`` of every trial (one qutrit, or the dealer's pair
-    as one axis of 9) in the family whose conjugated members are ``rows``;
-    return the outcomes and the normalized states of the other axes."""
-    coeffs = _contract(rows, np.moveaxis(state, axis + 1, 1))
-    trials = np.arange(len(u))
-    probs = _weights(coeffs).reshape(len(u), coeffs.shape[1], -1).sum(axis=2)
-    outcome = sample_indices(probs, u)
-    norm = np.sqrt(probs[trials, outcome]).reshape((-1,) + (1,) * (coeffs.ndim - 2))
-    return outcome, coeffs[trials, outcome] / norm
-
-
 def _fourier_flags(u: np.ndarray, random: bool, always: bool) -> np.ndarray:
     """Per-trial basis choice: Fourier on a 50/50 draw when ``random``, else everywhere or nowhere."""
     return u >= 0.5 if random else np.full(len(u), always)
@@ -214,7 +183,7 @@ def _fourier_flags(u: np.ndarray, random: bool, always: bool) -> np.ndarray:
 
 def _basis_rows(fourier: np.ndarray) -> np.ndarray:
     """Per-trial measurement rows: the Fourier basis where flagged, else computational."""
-    return np.where(fourier[:, None, None], _family_rows()[1], _COMPUTATIONAL_ROWS)
+    return np.where(fourier[:, None, None], _rows(xi_family()), _rows(computational_family()))
 
 
 def _haar_secrets(u: np.ndarray) -> np.ndarray:
@@ -235,14 +204,14 @@ class _InsideBlock(NamedTuple):
 def _reconstruction_fidelity(
     state: np.ndarray, secrets: np.ndarray, bell: np.ndarray, helper_sum: np.ndarray
 ) -> np.ndarray:
-    """Correct each trial's last qutrit and return its fidelity to the secret.
+    """Fidelity of each trial's corrected last qutrit to its secret.
 
     Any other qutrit (a captured one the attacker still holds) is traced
-    out: the fidelity is ``<secret|rho|secret>`` of the last qutrit.
+    out: the fidelity ``<secret|R rho R^dagger|secret>`` of the last qutrit
+    under correction R is the Born weight of the row ``<secret|R`` there.
     """
-    corrected = _apply(_recovery_table()[bell // 3, bell % 3, helper_sum], state, state.ndim - 2)
-    overlaps = np.einsum("bs,b...s->b...", secrets.conj(), corrected)
-    return np.minimum(1.0, _weights(overlaps).reshape(len(secrets), -1).sum(axis=1))
+    rows = secrets.conj()[:, None, :] @ _recovery_table()[bell // 3, bell % 3, helper_sum]
+    return np.minimum(1.0, _weights(_contract(rows, state, (state.ndim - 2,)))[:, 0])
 
 
 def _inside_block(secrets: np.ndarray, designated: np.ndarray, attack: InsideAttack, u: np.ndarray) -> _InsideBlock:
@@ -266,9 +235,9 @@ def _inside_block(secrets: np.ndarray, designated: np.ndarray, attack: InsideAtt
     attacker = attack.dishonest_agent
     victim = 3 - attacker
     fake = attack.fake_state
-    bell_rows, xi_rows = _family_rows()
+    xi_rows = _rows(xi_family())
     state = secrets[:, :, None, None, None] * ghz_state(3).amplitudes.reshape(3, 3, 3)
-    bell, state = _measure(state.reshape(len(u), 9, 3, 3), 0, bell_rows, u[:, _U_BELL])
+    bell, state = _measure(state, (0, 1), _rows(bell_family()), u[:, _U_BELL])
     if fake is not None:
         state = state[..., None] * fake.amplitudes
     # qutrits left: agent 1, agent 2, then the fake
@@ -279,15 +248,15 @@ def _inside_block(secrets: np.ndarray, designated: np.ndarray, attack: InsideAtt
     wins = designated == attacker
     if wins.any():
         holding = 2 if fake is not None else victim - 1
-        first, kept = _measure(state[wins], holding, xi_rows, u[wins, _U_FIRST])
+        first, kept = _measure(state[wins], (holding,), xi_rows, u[wins, _U_FIRST])
         announced[wins] = helper_sum = first
         if fake is not None:
-            helper_sum, kept = _measure(kept, victim - 1, xi_rows, u[wins, _U_SECOND])
+            helper_sum, kept = _measure(kept, (victim - 1,), xi_rows, u[wins, _U_SECOND])
             captured[wins] = helper_sum
         fid[wins] = _reconstruction_fidelity(kept, secrets[wins], bell[wins], helper_sum)
     loses = ~wins
     if loses.any():
-        first, kept = _measure(state[loses], attacker - 1, xi_rows, u[loses, _U_FIRST])
+        first, kept = _measure(state[loses], (attacker - 1,), xi_rows, u[loses, _U_FIRST])
         announced[loses] = first
         # the victim holds the last qutrit left: the fake, or its own channel qutrit
         fid[loses] = _reconstruction_fidelity(kept, secrets[loses], bell[loses], first)
@@ -323,7 +292,7 @@ def _check_block(
     for i, target in enumerate(targets):
         policy = attack.measure_basis_policy
         eve = _basis_rows(_fourier_flags(u[:, 1 + 2 * i], policy == RANDOM_PER_QUTRIT, policy == ALWAYS_FOURIER))
-        outcome, kept = _measure(state, target - 1, eve, u[:, 2 + 2 * i])
+        outcome, kept = _measure(state, (target - 1,), eve, u[:, 2 + 2 * i])
         # Eve resends the basis state she observed in the target's place
         resent = np.einsum("b...,bj->b...j", kept, eve[np.arange(len(u)), outcome].conj())
         state = np.moveaxis(resent, -1, target)
@@ -331,10 +300,9 @@ def _check_block(
     rows = _basis_rows(fourier)
     for axis in range(num_parties):
         state = _apply(rows, state, axis)
-    joint = sample_indices(_weights(state).reshape(len(u), -1), u[:, 1 + 2 * len(targets)])
+    joint = sample_indices(_weights(state.reshape(len(u), -1, 1)), u[:, 1 + 2 * len(targets)])
     trits = np.stack(np.unravel_index(joint, ghz.shape), axis=1)
-    passed = np.where(fourier, trits.sum(axis=1) % 3 == 0, np.all(trits == trits[:, :1], axis=1))
-    return fourier, trits, passed
+    return fourier, trits, _check_passes(fourier, trits)
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +366,8 @@ def run_outside_attack_experiment(
     success counters stay at zero; the figure of merit is the detection
     rate.
     """
+    if trials < 1:
+        raise ConfigInvalid("at least one trial is required")
     blocks = _check_blocks(trials, attack, check_basis_policy, seed, num_parties)
     detections = sum(int(np.count_nonzero(~passed)) for _, _, passed in blocks)
     return AttackStats(

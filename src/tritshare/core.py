@@ -3,8 +3,13 @@
 Amplitude index ``i`` encodes the register's base-3 digit string with
 qutrit label 1 as the most significant digit, so kets read left to right
 exactly as their subscripts. Values are immutable once built; operations
-return fresh, exactly normalized states and consume randomness only
-through an explicit ``numpy.random.Generator``.
+return fresh normalized states and consume randomness only through an
+explicit ``numpy.random.Generator``.
+
+One private batched engine (``_contract``, ``_weights``, ``_measure``,
+``_apply``) acts on B registers held as one ``(B, 3, ..., 3)`` array. The
+``PureState`` operations validate and run it on one register; the Monte
+Carlo kernels in ``attacks`` run it on blocks of trials.
 """
 
 from __future__ import annotations
@@ -44,13 +49,6 @@ ZERO_PROB_TOL = 1e-24
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-def _unit(vec: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        raise NotNormalized("cannot normalize the zero vector")
-    return vec / norm
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -184,18 +182,13 @@ def basis_state(digits: Sequence[int]) -> PureState:
 
 def tensor(a: PureState, b: PureState) -> PureState:
     """Kronecker product; ``a``'s qutrits take the more significant digit positions."""
-    return PureState(a.num_qutrits + b.num_qutrits, _unit(np.kron(a.amplitudes, b.amplitudes)))
+    return PureState(a.num_qutrits + b.num_qutrits, np.kron(a.amplitudes, b.amplitudes))
 
 
 def apply_single(u: Unitary3, target: int, s: PureState) -> PureState:
     """Apply a single-qutrit unitary to the qutrit with the given label."""
-    if not 1 <= int(target) <= s.num_qutrits:
-        raise TargetOutOfRange(f"target {target} outside register of {s.num_qutrits} qutrit(s)")
-    psi = s.amplitudes.reshape((3,) * s.num_qutrits)
-    moved = np.moveaxis(psi, int(target) - 1, 0)
-    out = np.tensordot(u.entries, moved, axes=(1, 0))
-    out = np.moveaxis(out, 0, int(target) - 1).reshape(-1)
-    return PureState(s.num_qutrits, _unit(out))
+    (axis,) = _axes(s, (target,))
+    return PureState(s.num_qutrits, _apply(u.entries, _block(s), axis))
 
 
 def fidelity(a: PureState, b: PureState) -> float:
@@ -205,58 +198,90 @@ def fidelity(a: PureState, b: PureState) -> float:
     return float(min(1.0, abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2))
 
 
-def _validated_targets(s: PureState, targets: Sequence[int]) -> list[int]:
-    labels = [int(t) for t in targets]
-    if not labels:
-        raise TargetOutOfRange("at least one target qutrit is required")
-    if len(set(labels)) != len(labels):
-        raise TargetsOverlap(f"duplicate target labels in {labels}")
-    for t in labels:
-        if not 1 <= t <= s.num_qutrits:
-            raise TargetOutOfRange(f"target {t} outside register of {s.num_qutrits} qutrit(s)")
-    return labels
-
-
-def _split_targets(s: PureState, labels: Sequence[int]) -> np.ndarray:
-    """Reshape to (target subspace, rest), target axes leading in the given order."""
-    n = s.num_qutrits
-    axes = [t - 1 for t in labels]
-    rest = [k for k in range(n) if k not in axes]
-    psi = s.amplitudes.reshape((3,) * n).transpose(axes + rest)
-    return psi.reshape(3 ** len(axes), -1)
+def _axes(
+    s: PureState, labels: Sequence[int], empty: type = TargetOutOfRange, outside: type = TargetOutOfRange
+) -> list[int]:
+    """Axes (from 0) of distinct qutrit labels of the register, in the given order."""
+    axes = [int(t) - 1 for t in labels]
+    if not axes:
+        raise empty("at least one qutrit label is required")
+    if len(set(axes)) != len(axes):
+        raise TargetsOverlap(f"duplicate labels in {[a + 1 for a in axes]}")
+    for a in axes:
+        if not 0 <= a < s.num_qutrits:
+            raise outside(f"label {a + 1} outside register of {s.num_qutrits} qutrit(s)")
+    return axes
 
 
 # Families are keyed by their members, which hash by identity (``PureState``
 # defines no equality), so a cached entry pins the very states it was built from.
 @lru_cache(maxsize=64)
 def _family_matrix(family: tuple[PureState, ...], width: int) -> np.ndarray:
-    """Stack a measurement family into rows, checking completeness and orthonormality."""
+    """A measurement family as conjugated member rows, checked for completeness and
+    orthonormality: a row contracted with the targets gives that member's coefficient."""
     dim = 3**width
-    rows = []
     for member in family:
         if member.num_qutrits != width:
             raise DimensionMismatch(f"family member spans {member.num_qutrits} qutrit(s), targets span {width}")
-        rows.append(member.amplitudes)
-    mat = np.array(rows)
+    mat = np.array([member.amplitudes for member in family]).conj()
     if mat.shape[0] != dim:
         raise NotOrthonormal(f"family of {mat.shape[0]} states cannot be complete on dimension {dim}")
-    gram = mat.conj() @ mat.T
+    gram = mat @ mat.conj().T
     if np.max(np.abs(gram - np.eye(dim))) > ORTHONORMAL_TOL:
         raise NotOrthonormal("family Gram matrix deviates from the identity")
     return _freeze(mat)
 
 
-def _measurement_coeffs(
-    s: PureState, targets: Sequence[int], family: Sequence[PureState]
-) -> tuple[list[int], np.ndarray]:
-    """Validate a measurement and return (labels, projection coefficients per member)."""
-    labels = _validated_targets(s, targets)
-    mat = _family_matrix(tuple(family), len(labels))
-    return labels, mat.conj() @ _split_targets(s, labels)
+# ---------------------------------------------------------------------------
+# the batched engine; qutrit axes count from 0, after a block's register axis
 
 
-def _branch_probs(coeffs: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", coeffs, coeffs.conj()).real
+def _block(s: PureState) -> np.ndarray:
+    """A state as a one-register block."""
+    return s.amplitudes.reshape((1,) + (3,) * s.num_qutrits)
+
+
+def _grouped(block: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """``(B, 3**t, rest)`` form of a block: the t target axes lead in the given order, the others follow in theirs."""
+    others = [k for k in range(block.ndim - 1) if k not in axes]
+    order = [0] + [k + 1 for k in axes] + [k + 1 for k in others]
+    return block.transpose(order).reshape(len(block), 3 ** len(axes), -1)
+
+
+def _contract(rows: np.ndarray, block: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """``(B, m, rest)`` coefficients of shared ``(m, 3**t)`` or per-register ``(B, m, 3**t)`` rows on the targets."""
+    return rows @ _grouped(block, axes)
+
+
+def _weights(coeffs: np.ndarray) -> np.ndarray:
+    """``(B, m)`` Born weights: squared moduli of ``(B, m, rest)`` coefficients summed over ``rest``."""
+    parts = np.ascontiguousarray(coeffs).view(np.float64)  # real and imaginary parts side by side
+    return np.einsum("bmr,bmr->bm", parts, parts)
+
+
+def _measure(
+    block: np.ndarray, axes: Sequence[int], rows: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample the targets of register b with uniform ``u[b]`` in the family whose conjugated
+    members are ``rows``; return the outcomes and the collapsed block of the other qutrits."""
+    coeffs = _contract(rows, block, axes)
+    probs = _weights(coeffs)
+    outcome = sample_indices(probs, u)
+    registers = np.arange(len(block))
+    kept = coeffs[registers, outcome] / np.sqrt(probs[registers, outcome])[:, None]
+    return outcome, kept.reshape((len(block),) + (3,) * (block.ndim - 1 - len(axes)))
+
+
+def _apply(rows: np.ndarray, block: np.ndarray, axis: int) -> np.ndarray:
+    """Apply shared ``(3, 3)`` or per-register ``(B, 3, 3)`` matrices to qutrit ``axis`` of every register."""
+    return np.moveaxis(_contract(rows, block, (axis,)).reshape(block.shape), 1, axis + 1)
+
+
+def _measurement(s: PureState, targets: Sequence[int], family: Sequence[PureState]) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a measurement of one register; return its coefficients and Born weights."""
+    axes = _axes(s, targets)
+    coeffs = _contract(_family_matrix(tuple(family), len(axes)), _block(s), axes)
+    return coeffs, _weights(coeffs)
 
 
 def born_distribution(s: PureState, targets: Sequence[int], family: Sequence[PureState]) -> np.ndarray:
@@ -265,8 +290,7 @@ def born_distribution(s: PureState, targets: Sequence[int], family: Sequence[Pur
     The family must be a complete orthonormal basis of the target
     subspace; the returned vector sums to 1 within ``INTERNAL_TOL``.
     """
-    _, coeffs = _measurement_coeffs(s, targets, family)
-    return _branch_probs(coeffs)
+    return _measurement(s, targets, family)[1][0]
 
 
 def sample_indices(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -297,17 +321,16 @@ def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
     return int(sample_indices(np.reshape(probs, (1, -1)), rng.random(1))[0])
 
 
-def _collapse_branch(s: PureState, labels: list[int], coeffs: np.ndarray, outcome_index: int) -> MeasurementRecord:
-    if len(labels) >= s.num_qutrits:
+def _collapse_branch(s: PureState, width: int, coeffs: np.ndarray, probs: np.ndarray, index: int) -> MeasurementRecord:
+    if width >= s.num_qutrits:
         raise EmptyRegister("at least one qutrit must survive the measurement")
-    if not 0 <= int(outcome_index) < coeffs.shape[0]:
-        raise LabelOutOfRange(f"outcome index {outcome_index} outside family of {coeffs.shape[0]}")
-    row = coeffs[int(outcome_index)]
-    prob = float(np.vdot(row, row).real)
+    k = int(index)
+    if not 0 <= k < probs.shape[1]:
+        raise LabelOutOfRange(f"outcome index {index} outside family of {probs.shape[1]}")
+    prob = float(probs[0, k])
     if prob <= ZERO_PROB_TOL:
-        raise ZeroProbabilityBranchSampled(f"branch {outcome_index} has probability {prob!r}")
-    collapsed = PureState(s.num_qutrits - len(labels), row / np.sqrt(prob))
-    return MeasurementRecord(int(outcome_index), prob, collapsed)
+        raise ZeroProbabilityBranchSampled(f"branch {index} has probability {prob!r}")
+    return MeasurementRecord(k, prob, PureState(s.num_qutrits - width, coeffs[0, k] / np.sqrt(prob)))
 
 
 def project_subsystem(
@@ -319,8 +342,7 @@ def project_subsystem(
     keep their relative order and are relabeled 1..n-t. Used directly
     when a branch is forced rather than sampled.
     """
-    labels, coeffs = _measurement_coeffs(s, targets, family)
-    return _collapse_branch(s, labels, coeffs, outcome_index)
+    return _collapse_branch(s, len(targets), *_measurement(s, targets, family), outcome_index)
 
 
 def measure_subsystem(
@@ -331,26 +353,19 @@ def measure_subsystem(
     Deterministic given the generator's stream state; the collapsed state
     has the measured qutrits removed from the register.
     """
-    labels, coeffs = _measurement_coeffs(s, targets, family)
-    return _collapse_branch(s, labels, coeffs, sample_index(_branch_probs(coeffs), rng))
+    coeffs, probs = _measurement(s, targets, family)
+    return _collapse_branch(s, len(targets), coeffs, probs, sample_indices(probs, rng.random(1))[0])
 
 
 def reduced_density(s: PureState, keep: Sequence[int]) -> DensityMatrix:
     """Partial trace down to the kept qutrits, in the order given."""
-    labels = [int(t) for t in keep]
-    if not labels:
-        raise EmptyKeepSet("keep at least one qutrit")
-    if len(set(labels)) != len(labels):
-        raise TargetsOverlap(f"duplicate labels in keep set {labels}")
-    for t in labels:
-        if not 1 <= t <= s.num_qutrits:
-            raise LabelOutOfRange(f"label {t} outside register of {s.num_qutrits} qutrit(s)")
-    mat = _split_targets(s, labels)
-    return DensityMatrix(len(labels), mat @ mat.conj().T)
+    axes = _axes(s, keep, EmptyKeepSet, LabelOutOfRange)
+    mat = _grouped(_block(s), axes)[0]
+    return DensityMatrix(len(axes), mat @ mat.conj().T)
 
 
 def haar_random_state(rng: np.random.Generator, num_qutrits: int = 1) -> PureState:
     """Haar-uniform pure state: i.i.d. complex Gaussian amplitudes, normalized."""
     dim = 3 ** int(num_qutrits)
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return PureState(int(num_qutrits), _unit(vec))
+    return PureState(int(num_qutrits), vec / np.linalg.norm(vec))

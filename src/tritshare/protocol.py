@@ -101,6 +101,19 @@ class ChannelVerdict:
     failure_rate_fourier: float
 
 
+def _validated_seed(seed: int) -> int:
+    """Every command's seed rule: a key of the 128-bit ``Philox`` stream the experiments draw from."""
+    if not 0 <= int(seed) < 2**128:
+        raise ConfigInvalid("seed must be a non-negative integer below 2**128")
+    return int(seed)
+
+
+def _check_passes(fourier: np.ndarray, trits: np.ndarray) -> np.ndarray:
+    """Per round, whether the parties' outcome trits ``(B, parties)`` kept the GHZ correlation:
+    a Fourier round passes when they sum to 0 mod 3, a computational one when they all agree."""
+    return np.where(fourier, trits.sum(axis=1) % 3 == 0, np.all(trits == trits[:, :1], axis=1))
+
+
 def _validate_config(cfg: SessionConfig) -> None:
     if not 2 <= cfg.num_agents <= MAX_AGENTS:
         raise ConfigInvalid(f"num_agents must be in 2..{MAX_AGENTS}, got {cfg.num_agents}")
@@ -108,8 +121,7 @@ def _validate_config(cfg: SessionConfig) -> None:
         raise ConfigInvalid(f"designated agent {cfg.designated} outside 1..{cfg.num_agents}")
     if cfg.secret.num_qutrits != 1:
         raise ConfigInvalid("the shared secret is a single-qutrit state")
-    if int(cfg.seed) < 0:
-        raise ConfigInvalid("seed must be a non-negative integer")
+    _validated_seed(cfg.seed)
 
 
 def run_sharing_session(
@@ -209,10 +221,7 @@ def channel_check_round(
     # Last party: the register may not end up empty, so sample directly.
     outcomes.append(sample_index(born_distribution(state, (1,), family), rng))
 
-    if basis == COMPUTATIONAL:
-        passed = len(set(outcomes)) == 1
-    else:
-        passed = sum(outcomes) % 3 == 0
+    passed = bool(_check_passes(np.array([basis == FOURIER]), np.array([outcomes]))[0])
     return CheckRecord(basis, tuple(outcomes), passed)
 
 

@@ -240,8 +240,9 @@ def test_unknown_arguments_exit_two():
         ["share", "--secret", "1,0;0,0;nan,0", "--seed", "1"],
         ["attack", "--model", "inside", "--trials", "10", "--fake", "1,0;0,0;nan,0", "--seed", "1"],
         ["attack", "--model", "inside", "--trials", "10", "--fake", "inf,0;0,0;0,0", "--seed", "1"],
+        ["share", "--seed", str(2**128)],
     ],
-    ids=["agents-zero", "out-missing-dir", "secret-nan", "fake-nan", "fake-inf"],
+    ids=["agents-zero", "out-missing-dir", "secret-nan", "fake-nan", "fake-inf", "share-seed-2**128"],
 )
 def test_bad_input_exits_two_without_traceback(argv, tmp_path):
     argv = [arg.format(missing_dir=tmp_path / "missing") for arg in argv]
@@ -258,6 +259,24 @@ def test_fake_errors_name_the_fake_state(fake):
     assert code == 2
     assert err.startswith("error: fake state")
     assert "secret" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", [["share"], ["check-channel"], ["attack", "--model", "inside", "--trials", "5"]])
+def test_every_command_takes_seeds_below_two_to_the_128(command):
+    code, out, err = run_cli([*command, "--seed", str(2**128 - 1)])
+    assert code in (0, 4), err
+    assert json.loads(out)["config"]["seed"] == 2**128 - 1
+    code, out, err = run_cli([*command, "--seed", str(2**128)])
+    assert code == 2
+    assert err == "error: seed must be a non-negative integer below 2**128\n"
+    assert out == ""
+
+
+def test_outside_trial_count_errors_name_the_trials():
+    code, out, err = run_cli(["attack", "--model", "outside", "--trials", "-5", "--seed", "1"])
+    assert code == 2
+    assert err == "error: at least one trial is required\n"
     assert out == ""
 
 

@@ -77,6 +77,20 @@ def random_secret_vec(rng):
     return v / np.linalg.norm(v)
 
 
+def targets_first(state_vec, labels, num_total):
+    """The raw vector with the labelled qutrits moved to the front, in the given order."""
+    axes = [t - 1 for t in labels]
+    order = axes + [k for k in range(num_total) if k not in axes]
+    return np.transpose(state_vec.reshape((3,) * num_total), order).reshape(-1)
+
+
+def random_family(rng, num_qutrits):
+    """A complete orthonormal family on num_qutrits qutrits: the columns of a random unitary."""
+    dim = 3**num_qutrits
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return [PureState(num_qutrits, q[:, k]) for k in range(dim)]
+
+
 # ---------------------------------------------------------------------------
 # make_state
 
@@ -312,6 +326,23 @@ def test_forced_branch_matches_dense_oracle():
         assert fidelity(record.collapsed, expected) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("targets", [(3, 1), (4, 2)])
+def test_non_adjacent_reversed_targets_match_dense_oracle(targets):
+    """DERIVED: measuring (3, 1) of a 4-qutrit state is measuring the leading
+    pair of the state whose qutrits are reordered 3, 1, 2, 4."""
+    rng = np.random.default_rng(26)
+    s = haar_random_state(rng, 4)
+    family = random_family(rng, 2)
+    moved = targets_first(s.amplitudes, targets, 4)
+    probs = born_distribution(s, targets, family)
+    for index, member in enumerate(family):
+        prob, vec = oracle_project(moved, member.amplitudes, 2, 4)
+        assert probs[index] == pytest.approx(prob, abs=1e-12)
+        record = project_subsystem(s, targets, family, index)
+        assert record.probability == pytest.approx(prob, abs=1e-12)
+        assert np.allclose(record.collapsed.amplitudes, vec / np.sqrt(prob), atol=1e-12)
+
+
 def test_remeasuring_same_family_is_idempotent():
     rng = np.random.default_rng(20)
     s = haar_random_state(rng, 3)
@@ -412,6 +443,19 @@ def test_reduced_full_keep_is_projector():
     s = haar_random_state(rng, 2)
     rho2 = reduced_density(s, (1, 2))
     assert np.allclose(rho2.entries, np.outer(s.amplitudes, s.amplitudes.conj()), atol=1e-12)
+
+
+def test_reduced_density_keeps_labels_in_the_given_order():
+    """Oracle: trace out the trailing qutrits of the reordered vector with dense kron projectors."""
+    rng = np.random.default_rng(27)
+    s = haar_random_state(rng, 4)
+    moved = targets_first(s.amplitudes, (3, 1), 4)
+    expected = np.zeros((9, 9), dtype=complex)
+    for k in range(9):
+        out = np.kron(np.eye(9), np.eye(9)[k].reshape(1, -1)) @ moved
+        expected += np.outer(out, out.conj())
+    assert np.allclose(reduced_density(s, (3, 1)).entries, expected, atol=1e-12)
+    assert not np.allclose(reduced_density(s, (1, 3)).entries, expected, atol=1e-6)
 
 
 def test_reduced_density_errors():
