@@ -14,7 +14,9 @@ Every trial consumes the same number K of uniform doubles, a multiple of
 the four doubles Philox yields per counter step, so trial ``t`` reads the
 K uniforms at counter ``t * K / 4``. Results are therefore identical for
 any block size, and trial ``t`` alone can be replayed from a generator
-advanced by ``t * K / 4``.
+advanced by ``t * K / 4``. The one-register functions are the same steps
+on a block of one: ``outside_intercept_resend`` runs the intercept step,
+``protocol.channel_check_round`` the check step.
 """
 
 from __future__ import annotations
@@ -25,22 +27,12 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .core import (
-    PureState,
-    _apply,
-    _contract,
-    _family_matrix,
-    _measure,
-    _weights,
-    born_distribution,
-    measure_subsystem,
-    sample_index,
-    sample_indices,
-    tensor,
-)
+from .core import PureState, _axes, _block, _contract, _measure, _weights, tensor
 from .errors import ConfigInvalid, LabelOutOfRange, SelfCapture
-from .operators import BellOutcome, bell_family, computational_family, ghz_state, recovery_operator, xi_family
-from .protocol import CHECK_BASES, COMPUTATIONAL, FOURIER, CheckRecord, _check_passes, _validated_seed
+from .operators import BellOutcome, bell_family, ghz_state, recovery_operator, xi_family
+from .protocol import (
+    CHECK_BASES, COMPUTATIONAL, FOURIER, CheckRecord, _basis_rows, _check_outcomes, _rows, _validated_seed
+)
 
 ALWAYS_COMPUTATIONAL = "always_computational"
 ALWAYS_FOURIER = "always_fourier"
@@ -72,11 +64,6 @@ _U_DESIGNATE, _U_BELL, _U_FIRST, _U_SECOND, _U_COMPARE = 6, 7, 8, 9, 10
 # The kernels' operator tables are built on first use, so that importing the
 # package (every CLI command does) pays neither for them nor for the BLAS
 # buffers that validating their operators allocates.
-def _rows(family: list[PureState]) -> np.ndarray:
-    """A family's conjugated member rows, validated and cached by ``core``."""
-    return _family_matrix(tuple(family), family[0].num_qutrits)
-
-
 @lru_cache(maxsize=None)
 def _recovery_table() -> np.ndarray:
     """``[n, m, L]`` is the correction for Bell outcome (n, m) and helper sum L."""
@@ -133,27 +120,15 @@ class AttackStats:
     seed: int
 
 
-def _insert_qutrit(state: PureState, label: int, qutrit: PureState) -> PureState:
-    """Re-tensor a single qutrit so that it takes the given register label."""
-    joined = tensor(state, qutrit)
-    n = joined.num_qutrits
-    psi = joined.amplitudes.reshape((3,) * n)
-    return PureState(n, np.moveaxis(psi, n - 1, label - 1).reshape(-1))
-
-
-def outside_intercept_resend(
-    state: PureState, label: int, basis: str, rng: np.random.Generator
-) -> PureState:
-    """Measure one transit qutrit in the given basis and forward the observed basis state."""
-    if not 1 <= int(label) <= state.num_qutrits:
-        raise LabelOutOfRange(f"label {label} outside register of {state.num_qutrits} qutrit(s)")
+def outside_intercept_resend(state: PureState, label: int, basis: str, rng: np.random.Generator) -> PureState:
+    """Measure one transit qutrit in the given basis and forward the observed basis state:
+    the Lüders projection onto the member that fired, renormalized. This is the check-round
+    kernel's intercept step run on one register; it draws one uniform from ``rng``."""
+    (axis,) = _axes(state, (label,), outside=LabelOutOfRange)
     if basis not in CHECK_BASES:
         raise ConfigInvalid(f"basis must be one of {CHECK_BASES}, got {basis!r}")
-    family = computational_family() if basis == COMPUTATIONAL else xi_family()
-    if state.num_qutrits == 1:
-        return family[sample_index(born_distribution(state, (1,), family), rng)]
-    record = measure_subsystem(state, (int(label),), family, rng)
-    return _insert_qutrit(record.collapsed, int(label), family[record.outcome_index])
+    resent = _intercept(_block(state), axis, _basis_rows(np.array([basis == FOURIER])), rng.random(1))
+    return PureState(state.num_qutrits, resent)
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +154,6 @@ def _block_sizes(total: int, width: int) -> Iterator[int]:
 def _fourier_flags(u: np.ndarray, random: bool, always: bool) -> np.ndarray:
     """Per-trial basis choice: Fourier on a 50/50 draw when ``random``, else everywhere or nowhere."""
     return u >= 0.5 if random else np.full(len(u), always)
-
-
-def _basis_rows(fourier: np.ndarray) -> np.ndarray:
-    """Per-trial measurement rows: the Fourier basis where flagged, else computational."""
-    return np.where(fourier[:, None, None], _rows(xi_family()), _rows(computational_family()))
 
 
 def _haar_secrets(u: np.ndarray) -> np.ndarray:
@@ -279,30 +249,30 @@ def _check_uniforms(attack: OutsideAttack | None) -> int:
     return -(-used // 4) * 4
 
 
+def _intercept(state: np.ndarray, axis: int, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The intercept step: Eve measures qutrit ``axis`` of register b with uniform ``u[b]``
+    in the basis whose conjugated members are ``rows[b]``, then resends the member she saw
+    in the same slot."""
+    outcome, kept = _measure(state, (axis,), rows, u)
+    resent = np.einsum("b...,bj->b...j", kept, rows[np.arange(len(u)), outcome].conj())
+    return np.moveaxis(resent, -1, axis + 1)
+
+
 def _check_block(
     u: np.ndarray, attack: OutsideAttack | None, check_basis_policy: str, num_parties: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Play a block of check rounds; return per round the Fourier-basis
     flag, the parties' outcome trits ``(B, num_parties)`` and the verdict."""
     fourier = _fourier_flags(u[:, 0], check_basis_policy == RANDOM_CHECK_BASIS, check_basis_policy == FOURIER)
-    ghz = ghz_state(num_parties).amplitudes.reshape((3,) * num_parties)
-    state = np.broadcast_to(ghz, (len(u),) + ghz.shape)
+    state = np.broadcast_to(_block(ghz_state(num_parties)), (len(u),) + (3,) * num_parties)
 
     targets = attack.target_qutrits if attack is not None else ()
     for i, target in enumerate(targets):
         policy = attack.measure_basis_policy
         eve = _basis_rows(_fourier_flags(u[:, 1 + 2 * i], policy == RANDOM_PER_QUTRIT, policy == ALWAYS_FOURIER))
-        outcome, kept = _measure(state, (target - 1,), eve, u[:, 2 + 2 * i])
-        # Eve resends the basis state she observed in the target's place
-        resent = np.einsum("b...,bj->b...j", kept, eve[np.arange(len(u)), outcome].conj())
-        state = np.moveaxis(resent, -1, target)
-
-    rows = _basis_rows(fourier)
-    for axis in range(num_parties):
-        state = _apply(rows, state, axis)
-    joint = sample_indices(_weights(state.reshape(len(u), -1, 1)), u[:, 1 + 2 * len(targets)])
-    trits = np.stack(np.unravel_index(joint, ghz.shape), axis=1)
-    return fourier, trits, _check_passes(fourier, trits)
+        state = _intercept(state, target - 1, eve, u[:, 2 + 2 * i])
+    trits, passed = _check_outcomes(state, fourier, u[:, 1 + 2 * len(targets)])
+    return fourier, trits, passed
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,13 @@ from .attacks import (
 )
 from .core import INPUT_NORM_TOL, PureState, haar_random_state
 from .errors import ConfigInvalid, NotNormalized, ParseError, TritshareError
-from .protocol import MAX_AGENTS, SessionConfig, run_sharing_session, verify_correlations
+from .protocol import MAX_AGENTS, SessionConfig, _validated_seed, run_sharing_session, verify_correlations
 
 #: Secrets whose squared norm is off by more than this are rejected outright.
 GROSS_NORM_TOL = 1e-3
+#: Largest ``--rounds`` / ``--trials`` a command accepts; check-channel keeps one
+#: record per round, so its records stay below about 200 MiB.
+MAX_TRIALS = 10**6
 
 _EVE_POLICIES = {
     "intercept-computational": ALWAYS_COMPUTATIONAL,
@@ -130,10 +133,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_seed(args: argparse.Namespace) -> int:
     if args.seed is not None:
-        if args.seed < 0:
-            raise ParseError("seed must be non-negative")
-        return int(args.seed)
+        return _validated_seed(args.seed)
     return int(np.random.SeedSequence().entropy)
+
+
+def _bounded(count: int, flag: str) -> None:
+    """Refuse a ``--rounds`` / ``--trials`` value above ``MAX_TRIALS``; the library takes any count."""
+    if count > MAX_TRIALS:
+        raise ConfigInvalid(f"{flag} must be at most {MAX_TRIALS}, got {count}")
 
 
 def _parse_designate(raw: str, num_agents: int, rng: np.random.Generator) -> int:
@@ -168,6 +175,7 @@ def _cmd_share(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]:
 
 def _cmd_check_channel(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]:
     seed = _resolve_seed(args)
+    _bounded(args.rounds, "--rounds")
     attack = None
     if args.eve != "none":
         attack = OutsideAttack(target_qutrits=(2,), measure_basis_policy=_EVE_POLICIES[args.eve])
@@ -180,6 +188,7 @@ def _cmd_check_channel(args: argparse.Namespace) -> tuple[dict, dict, list[str],
 
 def _cmd_attack(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]:
     seed = _resolve_seed(args)
+    _bounded(args.trials, "--trials")
     warnings: list[str] = []
     if args.model == "inside":
         setup_rng = np.random.default_rng([seed, 1])

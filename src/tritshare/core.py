@@ -14,6 +14,7 @@ Carlo kernels in ``attacks`` run it on blocks of trials.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -198,11 +199,19 @@ def fidelity(a: PureState, b: PureState) -> float:
     return float(min(1.0, abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2))
 
 
+def _integer(value: object, error: type, name: str) -> int:
+    """``value`` as an int, refused with ``error`` unless it is an integer (numpy's included)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} {value!r} is not an integer") from None
+
+
 def _axes(
     s: PureState, labels: Sequence[int], empty: type = TargetOutOfRange, outside: type = TargetOutOfRange
 ) -> list[int]:
     """Axes (from 0) of distinct qutrit labels of the register, in the given order."""
-    axes = [int(t) - 1 for t in labels]
+    axes = [_integer(t, outside, "label") - 1 for t in labels]
     if not axes:
         raise empty("at least one qutrit label is required")
     if len(set(axes)) != len(axes):
@@ -324,7 +333,7 @@ def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
 def _collapse_branch(s: PureState, width: int, coeffs: np.ndarray, probs: np.ndarray, index: int) -> MeasurementRecord:
     if width >= s.num_qutrits:
         raise EmptyRegister("at least one qutrit must survive the measurement")
-    k = int(index)
+    k = _integer(index, LabelOutOfRange, "outcome index")
     if not 0 <= k < probs.shape[1]:
         raise LabelOutOfRange(f"outcome index {index} outside family of {probs.shape[1]}")
     prob = float(probs[0, k])

@@ -16,12 +16,15 @@ import numpy as np
 
 from .core import (
     PureState,
+    _apply,
+    _block,
+    _family_matrix,
+    _weights,
     apply_single,
-    born_distribution,
     fidelity,
     measure_subsystem,
     project_subsystem,
-    sample_index,
+    sample_indices,
     tensor,
 )
 from .errors import ConfigInvalid, DimensionMismatch, EmptyInput
@@ -108,10 +111,27 @@ def _validated_seed(seed: int) -> int:
     return int(seed)
 
 
-def _check_passes(fourier: np.ndarray, trits: np.ndarray) -> np.ndarray:
-    """Per round, whether the parties' outcome trits ``(B, parties)`` kept the GHZ correlation:
-    a Fourier round passes when they sum to 0 mod 3, a computational one when they all agree."""
-    return np.where(fourier, trits.sum(axis=1) % 3 == 0, np.all(trits == trits[:, :1], axis=1))
+def _rows(family: list[PureState]) -> np.ndarray:
+    """A family's conjugated member rows, validated and cached by ``core``."""
+    return _family_matrix(tuple(family), family[0].num_qutrits)
+
+
+def _basis_rows(fourier: np.ndarray) -> np.ndarray:
+    """Per-register measurement rows: the Fourier basis where flagged, else computational."""
+    return np.where(fourier[:, None, None], _rows(xi_family()), _rows(computational_family()))
+
+
+def _check_outcomes(state: np.ndarray, fourier: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The check step on a block: every party measures in the Fourier basis where ``fourier[b]``,
+    else the computational one, and the joint outcome of register b is drawn with ``u[b]``. Returns
+    the trits ``(B, parties)`` and whether each round kept the GHZ correlation: a Fourier round
+    passes when they sum to 0 mod 3, a computational one when they all agree."""
+    rows = _basis_rows(fourier)
+    for axis in range(state.ndim - 1):
+        state = _apply(rows, state, axis)
+    joint = sample_indices(_weights(state.reshape(len(state), -1, 1)), u)
+    trits = np.stack(np.unravel_index(joint, state.shape[1:]), axis=1)
+    return trits, np.where(fourier, trits.sum(axis=1) % 3 == 0, np.all(trits == trits[:, :1], axis=1))
 
 
 def _validate_config(cfg: SessionConfig) -> None:
@@ -202,27 +222,16 @@ def channel_check_round(
     Every party measures its own qutrit in the announced basis. A
     computational round passes when all outcomes agree; a Fourier round
     passes when the outcomes sum to 0 mod 3. Both rules extend the
-    three-party check to any party count. This is the readable one-round
-    reference; ``attacks.run_check_rounds`` plays rounds in blocks, with
-    or without an outside attack.
+    three-party check to any party count. The round is a one-register call
+    of the check step that ``attacks.run_check_rounds`` runs on its blocks;
+    its joint outcome takes one uniform from ``rng``.
     """
     if basis not in CHECK_BASES:
         raise ConfigInvalid(f"check basis must be one of {CHECK_BASES}, got {basis!r}")
     if num_parties < 2:
         raise ConfigInvalid("a check round needs at least two parties")
-
-    state = ghz_state(num_parties)
-    family = computational_family() if basis == COMPUTATIONAL else xi_family()
-    outcomes: list[int] = []
-    for _ in range(num_parties - 1):
-        record = measure_subsystem(state, (1,), family, rng)
-        outcomes.append(record.outcome_index)
-        state = record.collapsed
-    # Last party: the register may not end up empty, so sample directly.
-    outcomes.append(sample_index(born_distribution(state, (1,), family), rng))
-
-    passed = bool(_check_passes(np.array([basis == FOURIER]), np.array([outcomes]))[0])
-    return CheckRecord(basis, tuple(outcomes), passed)
+    trits, passed = _check_outcomes(_block(ghz_state(num_parties)), np.array([basis == FOURIER]), rng.random(1))
+    return CheckRecord(basis, tuple(trits[0].tolist()), bool(passed[0]))
 
 
 def verify_correlations(records: Iterable[CheckRecord]) -> ChannelVerdict:

@@ -99,6 +99,40 @@ def test_intercept_label_validation():
         outside_intercept_resend(ghz_state(3), 4, COMPUTATIONAL, rng)
 
 
+def _members(basis):
+    return [basis_state([k]) for k in range(3)] if basis == COMPUTATIONAL else xi_family()
+
+
+@pytest.mark.parametrize("basis", [COMPUTATIONAL, FOURIER])
+@pytest.mark.parametrize("num_qutrits", [2, 3, 4, 5])
+def test_intercept_is_the_lueders_projection_on_every_label(num_qutrits, basis):
+    # oracle: the dense projector I x .. x |m><m| x .. x I (np.kron) onto the member
+    # that fired, applied to the state and renormalized
+    rng = np.random.default_rng(64 + num_qutrits)
+    for label in range(1, num_qutrits + 1):
+        for _ in range(3):
+            state = haar_random_state(rng, num_qutrits)
+            tampered = outside_intercept_resend(state, label, basis, rng).amplitudes
+            matches = 0
+            for member in _members(basis):
+                projector = np.kron(
+                    np.kron(np.eye(3 ** (label - 1)), np.outer(member.amplitudes, member.amplitudes.conj())),
+                    np.eye(3 ** (num_qutrits - label)),
+                )
+                projected = projector @ state.amplitudes
+                matches += np.allclose(tampered, projected / np.linalg.norm(projected), atol=1e-12)
+            assert matches == 1
+
+
+@pytest.mark.parametrize("basis", [COMPUTATIONAL, FOURIER])
+def test_intercept_on_one_qutrit_resends_a_family_member(basis):
+    rng = np.random.default_rng(69)
+    for _ in range(20):
+        tampered = outside_intercept_resend(haar_random_state(rng), 1, basis, rng)
+        overlaps = [fidelity(tampered, member) for member in _members(basis)]
+        assert max(overlaps) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_outside_attack_validation():
     with pytest.raises(ConfigInvalid):
         OutsideAttack((), ALWAYS_COMPUTATIONAL)

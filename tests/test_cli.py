@@ -1,5 +1,6 @@
 """Command-line harness tests: parsing, reports, exit codes, determinism."""
 
+import contextlib
 import io
 import json
 import re
@@ -8,9 +9,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tritshare import fidelity, parse_secret, run_command, xi_state
-from tritshare.cli import _parse_secret_checked
+from tritshare.cli import MAX_TRIALS, _parse_secret_checked
 from tritshare.errors import NotNormalized, ParseError
 from tritshare.reporting import REPORT_SCHEMA, decode_state, validate_report
 
@@ -267,9 +270,23 @@ def test_every_command_takes_seeds_below_two_to_the_128(command):
     code, out, err = run_cli([*command, "--seed", str(2**128 - 1)])
     assert code in (0, 4), err
     assert json.loads(out)["config"]["seed"] == 2**128 - 1
-    code, out, err = run_cli([*command, "--seed", str(2**128)])
+    for seed in (2**128, -1):
+        code, out, err = run_cli([*command, "--seed", str(seed)])
+        assert code == 2
+        assert err == "error: seed must be a non-negative integer below 2**128\n"
+        assert out == ""
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(["check-channel"], "--rounds"), (["attack", "--model", "inside"], "--trials"), (["attack", "--model", "outside"], "--trials")],
+)
+@pytest.mark.parametrize("count", [MAX_TRIALS + 1, 2**128])
+def test_counts_above_the_bound_exit_two(command, flag, count):
+    assert MAX_TRIALS == 10**6
+    code, out, err = run_cli([*command, flag, str(count), "--seed", "1"])
     assert code == 2
-    assert err == "error: seed must be a non-negative integer below 2**128\n"
+    assert err == f"error: {flag} must be at most {MAX_TRIALS}, got {count}\n"
     assert out == ""
 
 
@@ -278,6 +295,57 @@ def test_outside_trial_count_errors_name_the_trials():
     assert code == 2
     assert err == "error: at least one trial is required\n"
     assert out == ""
+
+
+COUNTS = st.integers(-1, 30) | st.sampled_from([MAX_TRIALS + 1, 2**128])
+SEEDS = st.integers(0, 1000) | st.sampled_from([-1, 2**128 - 1, 2**128])
+STATES = st.text(max_size=16) | st.sampled_from(
+    ["random", "zero", "genuine", "1,0;0,0;0,0", "1,0;0,0;nan,0", "0,0;0,0;0,0", "1,0;0,0", "1,0;0,0;0,0;0,0"]
+)
+DESIGNATIONS = st.text(max_size=8) | st.sampled_from(["random", "1", "2", "3"])
+BASES = st.sampled_from(["computational", "fourier", "random"])
+EVES = st.sampled_from(["none", "intercept-computational", "intercept-fourier", "intercept-random"])
+FORMATS = st.sampled_from(["json", "csv"])
+
+
+def _argv(command, required, optional):
+    """``command`` with every required option and a subset of the optional ones, values drawn."""
+    options = st.fixed_dictionaries(required, optional=optional)
+    return options.map(lambda chosen: [*command, *(text for item in chosen.items() for text in map(str, item))])
+
+
+ARGVS = st.one_of(
+    _argv(
+        ["share"],
+        {"--seed": SEEDS},
+        {"--agents": COUNTS, "--designate": DESIGNATIONS, "--secret": STATES, "--format": FORMATS},
+    ),
+    _argv(["check-channel"], {"--rounds": COUNTS, "--seed": SEEDS}, {"--basis": BASES, "--eve": EVES, "--format": FORMATS}),
+    _argv(
+        ["attack"],
+        {"--model": st.sampled_from(["inside", "outside"]), "--trials": COUNTS, "--seed": SEEDS},
+        {
+            "--comparison": st.sampled_from(["exact", "single-copy"]),
+            "--fake": STATES,
+            "--designate": DESIGNATIONS,
+            "--eve": EVES,
+            "--basis": BASES,
+            "--format": FORMATS,
+        },
+    ),
+    st.lists(st.text(max_size=12), max_size=4),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(ARGVS)
+def test_any_argv_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):  # argparse writes to sys.std*
+        code = run_command(argv, stdout=out, stderr=err)
+    assert code in (0, 2, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert "internal error" not in err.getvalue()
 
 
 def test_encoded_results_keep_the_schema_key_order():

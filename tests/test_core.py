@@ -22,11 +22,13 @@ from tritshare import (
     haar_random_state,
     make_state,
     measure_subsystem,
+    outside_intercept_resend,
     pauli_x,
     pauli_z,
     project_subsystem,
     reduced_density,
     tensor,
+    xi_family,
     xi_state,
 )
 from tritshare.core import sample_indices
@@ -471,3 +473,23 @@ def test_reduced_density_errors():
 def test_density_matrix_validation():
     with pytest.raises(Exception):
         DensityMatrix(1, np.diag([0.9, 0.2, -0.1]))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda s: born_distribution(s, (1.7,), xi_family()), TargetOutOfRange),
+        (lambda s: apply_single(pauli_x(1), 1.5, s), TargetOutOfRange),
+        (lambda s: project_subsystem(s, (2,), xi_family(), 2.9), LabelOutOfRange),
+        (lambda s: reduced_density(s, (2.0,)), LabelOutOfRange),
+        (lambda s: outside_intercept_resend(s, 1.5, "fourier", np.random.default_rng(0)), LabelOutOfRange),
+    ],
+    ids=["born-label", "apply-target", "project-outcome", "reduced-keep", "intercept-label"],
+)
+def test_non_integer_labels_and_outcomes_are_refused(call, error):
+    s = haar_random_state(np.random.default_rng(91), 2)
+    with pytest.raises(error, match="not an integer"):
+        call(s)
+    # numpy integers are integers
+    assert born_distribution(s, (np.int64(2),), xi_family()) == pytest.approx(born_distribution(s, (2,), xi_family()))
+    assert project_subsystem(s, (2,), xi_family(), np.intp(1)).outcome_index == 1

@@ -332,6 +332,25 @@ def test_check_round_generalizes_to_more_parties():
         assert channel_check_round(FOURIER, rng, num_parties=5).passed
 
 
+@pytest.mark.parametrize("basis", [COMPUTATIONAL, FOURIER])
+@pytest.mark.parametrize("num_parties", [2, 3, 4, 5, 6])
+def test_honest_round_keeps_the_ghz_correlation(num_parties, basis):
+    rng = np.random.default_rng(54 + num_parties)
+    seen = set()
+    for _ in range(60):
+        record = channel_check_round(basis, rng, num_parties=num_parties)
+        assert record.passed
+        assert record.basis == basis
+        assert len(record.outcomes) == num_parties
+        if basis == COMPUTATIONAL:
+            assert len(set(record.outcomes)) == 1
+        else:
+            assert sum(record.outcomes) % 3 == 0
+        seen.add(record.outcomes)
+    # every party's outcome is uniform, so the rounds do not repeat one outcome
+    assert len(seen) > 1
+
+
 def test_check_round_party_count_is_keyword_only():
     rng = np.random.default_rng(53)
     with pytest.raises(TypeError):
