@@ -1,5 +1,7 @@
 """Simulator and security-analysis toolkit for GHZ-channel qutrit state sharing."""
 
+import importlib
+
 from .attacks import (
     AttackStats,
     InsideAttack,
@@ -14,7 +16,6 @@ from .attacks import (
     run_outside_attack_experiment,
     start_session,
 )
-from .cli import parse_secret, run_command
 from .core import (
     DensityMatrix,
     MeasurementRecord,
@@ -61,6 +62,17 @@ from .protocol import (
 )
 
 __version__ = "0.3.2"
+
+
+def __getattr__(name: str):
+    """Load the command line on first use, so that a library import skips jsonschema.
+    ``cli`` and ``reporting`` stay reachable as attributes of the package."""
+    if name in ("parse_secret", "run_command"):
+        return getattr(importlib.import_module(".cli", __name__), name)
+    if name in ("cli", "reporting"):
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Announcement",

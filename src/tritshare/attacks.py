@@ -14,24 +14,26 @@ Every trial consumes the same number K of uniform doubles, a multiple of
 the four doubles Philox yields per counter step, so trial ``t`` reads the
 K uniforms at counter ``t * K / 4``. Results are therefore identical for
 any block size, and trial ``t`` alone can be replayed from a generator
-advanced by ``t * K / 4``. The one-register functions are the same steps
-on a block of one: ``outside_intercept_resend`` runs the intercept step,
+advanced by ``t * K / 4``. The inside kernel runs the sharing steps of
+``protocol`` (the dealer's, then the helpers') with the capture between
+them. The one-register functions are the same steps on a block of one:
+``outside_intercept_resend`` runs the intercept step,
 ``protocol.channel_check_round`` the check step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .core import PureState, _axes, _block, _contract, _measure, _weights, tensor
+from .core import PureState, _axes, _block, _integer, _measure, tensor
 from .errors import ConfigInvalid, LabelOutOfRange, SelfCapture
-from .operators import BellOutcome, bell_family, ghz_state, recovery_operator, xi_family
+from .operators import BellOutcome, ghz_state, xi_family
 from .protocol import (
-    CHECK_BASES, COMPUTATIONAL, FOURIER, CheckRecord, _basis_rows, _check_outcomes, _rows, _validated_seed
+    CHECK_BASES, COMPUTATIONAL, FOURIER, CheckRecord, _basis_rows, _check_outcomes, _deal, _help,
+    _reconstruction_fidelity, _rows, _validated_seed,
 )
 
 ALWAYS_COMPUTATIONAL = "always_computational"
@@ -61,19 +63,6 @@ _INSIDE_UNIFORMS = 12
 _U_DESIGNATE, _U_BELL, _U_FIRST, _U_SECOND, _U_COMPARE = 6, 7, 8, 9, 10
 
 
-# The kernels' operator tables are built on first use, so that importing the
-# package (every CLI command does) pays neither for them nor for the BLAS
-# buffers that validating their operators allocates.
-@lru_cache(maxsize=None)
-def _recovery_table() -> np.ndarray:
-    """``[n, m, L]`` is the correction for Bell outcome (n, m) and helper sum L."""
-    table = np.array(
-        [[[recovery_operator(BellOutcome(n, m), L).entries for L in range(3)] for m in range(3)] for n in range(3)]
-    )
-    table.setflags(write=False)
-    return table
-
-
 @dataclass(frozen=True)
 class OutsideAttack:
     """Intercept-resend on chosen transit qutrits with a per-qutrit basis policy."""
@@ -82,7 +71,7 @@ class OutsideAttack:
     measure_basis_policy: str = ALWAYS_COMPUTATIONAL
 
     def __post_init__(self) -> None:
-        targets = tuple(sorted(int(t) for t in self.target_qutrits))
+        targets = tuple(sorted(_integer(t, LabelOutOfRange, "target qutrit") for t in self.target_qutrits))
         if not targets:
             raise ConfigInvalid("an outside attack targets at least one transit qutrit")
         if len(set(targets)) != len(targets):
@@ -171,26 +160,12 @@ class _InsideBlock(NamedTuple):
     fidelity: np.ndarray  # the designated agent's reconstruction against the secret
 
 
-def _reconstruction_fidelity(
-    state: np.ndarray, secrets: np.ndarray, bell: np.ndarray, helper_sum: np.ndarray
-) -> np.ndarray:
-    """Fidelity of each trial's corrected last qutrit to its secret.
-
-    Any other qutrit (a captured one the attacker still holds) is traced
-    out: the fidelity ``<secret|R rho R^dagger|secret>`` of the last qutrit
-    under correction R is the Born weight of the row ``<secret|R`` there.
-    """
-    rows = secrets.conj()[:, None, :] @ _recovery_table()[bell // 3, bell % 3, helper_sum]
-    return np.minimum(1.0, _weights(_contract(rows, state, (state.ndim - 2,)))[:, 0])
-
-
 def _inside_block(secrets: np.ndarray, designated: np.ndarray, attack: InsideAttack, u: np.ndarray) -> _InsideBlock:
     """Play a block of tampered three-party sessions.
 
     ``secrets`` is ``(B, 3)``, ``designated`` holds agent 1 or 2 per
     trial and ``u`` the trials' ``(B, _INSIDE_UNIFORMS)`` uniforms. The
-    register's qutrits are the secret, the dealer's GHZ qutrit, agent 1's
-    and agent 2's channel qutrits. The fake, if any, is unentangled and
+    dealer's step runs once per block. The fake, if any, is unentangled and
     untouched by the dealer's measurement, so it joins the register as its
     last qutrit right after that measurement: the outcomes and states are
     the same as when it joins at capture, on a third of the amplitudes.
@@ -204,32 +179,26 @@ def _inside_block(secrets: np.ndarray, designated: np.ndarray, attack: InsideAtt
     """
     attacker = attack.dishonest_agent
     victim = 3 - attacker
-    fake = attack.fake_state
-    xi_rows = _rows(xi_family())
-    state = secrets[:, :, None, None, None] * ghz_state(3).amplitudes.reshape(3, 3, 3)
-    bell, state = _measure(state, (0, 1), _rows(bell_family()), u[:, _U_BELL])
-    if fake is not None:
-        state = state[..., None] * fake.amplitudes
-    # qutrits left: agent 1, agent 2, then the fake
+    bell, _, state = _deal(secrets, 2, u[:, _U_BELL])
+    held = [0, 1]
+    if attack.fake_state is not None:
+        # the capture: the attacker keeps the victim's qutrit, and the victim holds the fake
+        state = state[..., None] * attack.fake_state.amplitudes
+        held[victim - 1] = 2
 
     announced = np.empty(len(u), dtype=np.intp)
     captured = np.full(len(u), -1, dtype=np.intp)
     fid = np.empty(len(u))
-    wins = designated == attacker
-    if wins.any():
-        holding = 2 if fake is not None else victim - 1
-        first, kept = _measure(state[wins], (holding,), xi_rows, u[wins, _U_FIRST])
-        announced[wins] = helper_sum = first
-        if fake is not None:
-            helper_sum, kept = _measure(kept, (victim - 1,), xi_rows, u[wins, _U_SECOND])
-            captured[wins] = helper_sum
-        fid[wins] = _reconstruction_fidelity(kept, secrets[wins], bell[wins], helper_sum)
-    loses = ~wins
-    if loses.any():
-        first, kept = _measure(state[loses], (attacker - 1,), xi_rows, u[loses, _U_FIRST])
-        announced[loses] = first
-        # the victim holds the last qutrit left: the fake, or its own channel qutrit
-        fid[loses] = _reconstruction_fidelity(kept, secrets[loses], bell[loses], first)
+    for agent in set(designated.tolist()):
+        group = designated == agent
+        (helper_sum,), kept = _help(state[group], held, agent, u[group, _U_FIRST : _U_FIRST + 1])
+        announced[group] = helper_sum
+        if agent == attacker and attack.fake_state is not None:
+            # the fake was the victim's last qutrit, so the captured one is still on its own axis
+            helper_sum, _, kept = _measure(kept, (victim - 1,), _rows(xi_family()), u[group, _U_SECOND])
+            captured[group] = helper_sum
+        # the designated agent holds the last qutrit left
+        fid[group] = _reconstruction_fidelity(kept, secrets[group], bell[group], helper_sum)
     return _InsideBlock(bell, announced, captured, fid)
 
 
@@ -253,7 +222,7 @@ def _intercept(state: np.ndarray, axis: int, rows: np.ndarray, u: np.ndarray) ->
     """The intercept step: Eve measures qutrit ``axis`` of register b with uniform ``u[b]``
     in the basis whose conjugated members are ``rows[b]``, then resends the member she saw
     in the same slot."""
-    outcome, kept = _measure(state, (axis,), rows, u)
+    outcome, _, kept = _measure(state, (axis,), rows, u)
     resent = np.einsum("b...,bj->b...j", kept, rows[np.arange(len(u)), outcome].conj())
     return np.moveaxis(resent, -1, axis + 1)
 
@@ -283,6 +252,7 @@ def _check_blocks(
     rounds: int, attack: OutsideAttack | None, check_basis_policy: str, seed: int, num_parties: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Validate a run of check rounds and yield ``_check_block``'s arrays block by block."""
+    rounds = _integer(rounds, ConfigInvalid, "rounds")
     if rounds < 1:
         raise ConfigInvalid("at least one check round is required")
     if check_basis_policy not in CHECK_BASES + (RANDOM_CHECK_BASIS,):
@@ -296,7 +266,7 @@ def _check_blocks(
 
     rng = _stream(seed)
     uniforms = _check_uniforms(attack)
-    for size in _block_sizes(int(rounds), num_parties):
+    for size in _block_sizes(rounds, num_parties):
         yield _check_block(rng.random((size, uniforms)), attack, check_basis_policy, num_parties)
 
 
@@ -336,16 +306,17 @@ def run_outside_attack_experiment(
     success counters stay at zero; the figure of merit is the detection
     rate.
     """
+    trials = _integer(trials, ConfigInvalid, "trials")
     if trials < 1:
         raise ConfigInvalid("at least one trial is required")
     blocks = _check_blocks(trials, attack, check_basis_policy, seed, num_parties)
     detections = sum(int(np.count_nonzero(~passed)) for _, _, passed in blocks)
     return AttackStats(
-        trials=int(trials),
+        trials=trials,
         attacker_successes=0,
         detections=detections,
         success_rate=0.0,
-        detection_rate=detections / int(trials),
+        detection_rate=detections / trials,
         seed=int(seed),
     )
 
@@ -398,7 +369,7 @@ class InsideTrialOutcome:
 
 
 def _validate_inside_attack(attack: InsideAttack) -> None:
-    if attack.dishonest_agent not in (1, 2):
+    if _integer(attack.dishonest_agent, ConfigInvalid, "dishonest agent") not in (1, 2):
         raise ConfigInvalid("the three-party setting has agents 1 and 2")
 
 
@@ -444,6 +415,7 @@ def run_inside_attack_experiment(
     fidelity below 1 - 1e-9, ``single_copy`` flags with probability
     1 - fidelity.
     """
+    trials = _integer(trials, ConfigInvalid, "trials")
     if trials < 1:
         raise ConfigInvalid("at least one trial is required")
     if comparison_mode not in COMPARISON_MODES:
@@ -455,7 +427,7 @@ def run_inside_attack_experiment(
     rng = _stream(seed)
     successes = 0
     detections = 0
-    for size in _block_sizes(int(trials), _INSIDE_QUTRITS):
+    for size in _block_sizes(trials, _INSIDE_QUTRITS):
         u = rng.random((size, _INSIDE_UNIFORMS))
         secrets, designated = _inside_inputs(u, force_designate)
         fid = _inside_block(secrets, designated, attack, u).fidelity
@@ -468,10 +440,10 @@ def run_inside_attack_experiment(
         detections += int(np.count_nonzero(flagged))
 
     return AttackStats(
-        trials=int(trials),
+        trials=trials,
         attacker_successes=successes,
         detections=detections,
-        success_rate=successes / int(trials),
-        detection_rate=detections / int(trials),
+        success_rate=successes / trials,
+        detection_rate=detections / trials,
         seed=int(seed),
     )

@@ -138,7 +138,7 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 
 def _bounded(count: int, flag: str) -> None:
-    """Refuse a ``--rounds`` / ``--trials`` value above ``MAX_TRIALS``; the library takes any count."""
+    """Refuse a ``--rounds`` / ``--trials`` value above ``MAX_TRIALS``; the library takes any positive integer count."""
     if count > MAX_TRIALS:
         raise ConfigInvalid(f"{flag} must be at most {MAX_TRIALS}, got {count}")
 

@@ -8,8 +8,8 @@ explicit ``numpy.random.Generator``.
 
 One private batched engine (``_contract``, ``_weights``, ``_measure``,
 ``_apply``) acts on B registers held as one ``(B, 3, ..., 3)`` array. The
-``PureState`` operations validate and run it on one register; the Monte
-Carlo kernels in ``attacks`` run it on blocks of trials.
+``PureState`` operations validate and run it on one register; the steps
+in ``protocol`` and the kernels in ``attacks`` run it on blocks of trials.
 """
 
 from __future__ import annotations
@@ -269,16 +269,21 @@ def _weights(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _measure(
-    block: np.ndarray, axes: Sequence[int], rows: np.ndarray, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the targets of register b with uniform ``u[b]`` in the family whose conjugated
-    members are ``rows``; return the outcomes and the collapsed block of the other qutrits."""
+    block: np.ndarray, axes: Sequence[int], rows: np.ndarray, draw: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Measure the targets of register b in the family whose conjugated members are ``rows``,
+    sampling with uniform ``draw[b]`` or, where ``draw`` holds integers, forcing that outcome.
+    Return the outcomes, their Born weights and the collapsed block of the other qutrits."""
     coeffs = _contract(rows, block, axes)
     probs = _weights(coeffs)
-    outcome = sample_indices(probs, u)
+    forced = draw.dtype.kind in "iu"
+    outcome = draw if forced else sample_indices(probs, draw)
     registers = np.arange(len(block))
-    kept = coeffs[registers, outcome] / np.sqrt(probs[registers, outcome])[:, None]
-    return outcome, kept.reshape((len(block),) + (3,) * (block.ndim - 1 - len(axes)))
+    weight = probs[registers, outcome]
+    if forced and weight.min() <= ZERO_PROB_TOL:
+        raise ZeroProbabilityBranchSampled(f"forced branch has probability {float(weight.min())!r}")
+    kept = coeffs[registers, outcome] / np.sqrt(weight)[:, None]
+    return outcome, weight, kept.reshape((len(block),) + (3,) * (block.ndim - 1 - len(axes)))
 
 
 def _apply(rows: np.ndarray, block: np.ndarray, axis: int) -> np.ndarray:
@@ -286,11 +291,13 @@ def _apply(rows: np.ndarray, block: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(_contract(rows, block, (axis,)).reshape(block.shape), 1, axis + 1)
 
 
-def _measurement(s: PureState, targets: Sequence[int], family: Sequence[PureState]) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a measurement of one register; return its coefficients and Born weights."""
+def _measurement(s: PureState, targets: Sequence[int], family: Sequence[PureState]) -> tuple[list[int], np.ndarray]:
+    """Validate a collapsing measurement of one register; return its target axes and the family's rows."""
     axes = _axes(s, targets)
-    coeffs = _contract(_family_matrix(tuple(family), len(axes)), _block(s), axes)
-    return coeffs, _weights(coeffs)
+    rows = _family_matrix(tuple(family), len(axes))
+    if len(axes) >= s.num_qutrits:
+        raise EmptyRegister("at least one qutrit must survive the measurement")
+    return axes, rows
 
 
 def born_distribution(s: PureState, targets: Sequence[int], family: Sequence[PureState]) -> np.ndarray:
@@ -299,7 +306,8 @@ def born_distribution(s: PureState, targets: Sequence[int], family: Sequence[Pur
     The family must be a complete orthonormal basis of the target
     subspace; the returned vector sums to 1 within ``INTERNAL_TOL``.
     """
-    return _measurement(s, targets, family)[1][0]
+    axes = _axes(s, targets)
+    return _weights(_contract(_family_matrix(tuple(family), len(axes)), _block(s), axes))[0]
 
 
 def sample_indices(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -330,18 +338,6 @@ def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
     return int(sample_indices(np.reshape(probs, (1, -1)), rng.random(1))[0])
 
 
-def _collapse_branch(s: PureState, width: int, coeffs: np.ndarray, probs: np.ndarray, index: int) -> MeasurementRecord:
-    if width >= s.num_qutrits:
-        raise EmptyRegister("at least one qutrit must survive the measurement")
-    k = _integer(index, LabelOutOfRange, "outcome index")
-    if not 0 <= k < probs.shape[1]:
-        raise LabelOutOfRange(f"outcome index {index} outside family of {probs.shape[1]}")
-    prob = float(probs[0, k])
-    if prob <= ZERO_PROB_TOL:
-        raise ZeroProbabilityBranchSampled(f"branch {index} has probability {prob!r}")
-    return MeasurementRecord(k, prob, PureState(s.num_qutrits - width, coeffs[0, k] / np.sqrt(prob)))
-
-
 def project_subsystem(
     s: PureState, targets: Sequence[int], family: Sequence[PureState], outcome_index: int
 ) -> MeasurementRecord:
@@ -351,7 +347,12 @@ def project_subsystem(
     keep their relative order and are relabeled 1..n-t. Used directly
     when a branch is forced rather than sampled.
     """
-    return _collapse_branch(s, len(targets), *_measurement(s, targets, family), outcome_index)
+    axes, rows = _measurement(s, targets, family)
+    k = _integer(outcome_index, LabelOutOfRange, "outcome index")
+    if not 0 <= k < len(rows):
+        raise LabelOutOfRange(f"outcome index {outcome_index} outside family of {len(rows)}")
+    _, weight, kept = _measure(_block(s), axes, rows, np.array([k]))
+    return MeasurementRecord(k, float(weight[0]), PureState(s.num_qutrits - len(axes), kept[0]))
 
 
 def measure_subsystem(
@@ -362,8 +363,9 @@ def measure_subsystem(
     Deterministic given the generator's stream state; the collapsed state
     has the measured qutrits removed from the register.
     """
-    coeffs, probs = _measurement(s, targets, family)
-    return _collapse_branch(s, len(targets), coeffs, probs, sample_indices(probs, rng.random(1))[0])
+    axes, rows = _measurement(s, targets, family)
+    outcome, weight, kept = _measure(_block(s), axes, rows, rng.random(1))
+    return MeasurementRecord(int(outcome[0]), float(weight[0]), PureState(s.num_qutrits - len(axes), kept[0]))
 
 
 def reduced_density(s: PureState, keep: Sequence[int]) -> DensityMatrix:

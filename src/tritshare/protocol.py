@@ -1,15 +1,16 @@
 """Sharing-session choreography and GHZ channel verification.
 
-A session tensors the dealer's secret with a fresh GHZ channel, performs
-the dealer's two-qutrit measurement, records the public announcements,
-runs the helpers' Fourier measurements, and applies the designated
-agent's correction. Check rounds consume dedicated GHZ copies and feed a
-compare-and-abort verdict.
+The choreography exists once, as two block steps: the dealer's Bell
+measurement of the secret with a fresh GHZ channel (``_deal``), then the
+helpers' Fourier measurements (``_help``). Sessions run them on one
+register, the inside attack on blocks of trials. Check rounds consume
+dedicated GHZ copies and feed a compare-and-abort verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,14 +19,14 @@ from .core import (
     PureState,
     _apply,
     _block,
+    _contract,
     _family_matrix,
+    _integer,
+    _measure,
     _weights,
     apply_single,
     fidelity,
-    measure_subsystem,
-    project_subsystem,
     sample_indices,
-    tensor,
 )
 from .errors import ConfigInvalid, DimensionMismatch, EmptyInput
 from .operators import (
@@ -106,9 +107,10 @@ class ChannelVerdict:
 
 def _validated_seed(seed: int) -> int:
     """Every command's seed rule: a key of the 128-bit ``Philox`` stream the experiments draw from."""
-    if not 0 <= int(seed) < 2**128:
+    seed = _integer(seed, ConfigInvalid, "seed")
+    if not 0 <= seed < 2**128:
         raise ConfigInvalid("seed must be a non-negative integer below 2**128")
-    return int(seed)
+    return seed
 
 
 def _rows(family: list[PureState]) -> np.ndarray:
@@ -134,11 +136,62 @@ def _check_outcomes(state: np.ndarray, fourier: np.ndarray, u: np.ndarray) -> tu
     return trits, np.where(fourier, trits.sum(axis=1) % 3 == 0, np.all(trits == trits[:, :1], axis=1))
 
 
+# The correction table is built on first use, so that importing the package
+# (every CLI command does) pays neither for it nor for the BLAS buffers that
+# validating its operators allocates.
+@lru_cache(maxsize=None)
+def _recovery_table() -> np.ndarray:
+    """``[n, m, L]`` is the correction for Bell outcome (n, m) and helper sum L."""
+    table = np.array(
+        [[[recovery_operator(BellOutcome(n, m), L).entries for L in range(3)] for m in range(3)] for n in range(3)]
+    )
+    table.setflags(write=False)
+    return table
+
+
+def _deal(secrets: np.ndarray, num_agents: int, draw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dealer's step: register b holds secret ``secrets[b]`` and GHZ(N+1), and the dealer
+    Bell-measures the secret with its own channel qutrit, drawing with ``draw[b]`` as ``core._measure``
+    does. Returns the outcomes 3n + m, their Born weights and the agents' block, agent a's qutrit on axis a - 1."""
+    channel = ghz_state(num_agents + 1).amplitudes.reshape((3,) * (num_agents + 1))
+    state = secrets.reshape(secrets.shape + (1,) * (num_agents + 1)) * channel
+    return _measure(state, (0, 1), _rows(bell_family()), draw)
+
+
+def _help(state: np.ndarray, held: list[int], designated: int, draws: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The helpers' step: each agent a but ``designated``, in ascending order, Fourier-measures the
+    qutrit on axis ``held[a - 1]``, the i-th drawing with ``draws[:, i]``; a measured axis leaves the
+    block, so the held axes above it move down. Returns each helper's outcomes and the block left."""
+    rows = _rows(xi_family())
+    helpers = [a for a in range(1, len(held) + 1) if a != designated]
+    outcomes = []
+    for agent, draw in zip(helpers, draws.T):
+        axis = held[agent - 1]
+        outcome, _, state = _measure(state, (axis,), rows, draw)
+        outcomes.append(outcome)
+        held = [h - (h > axis) for h in held]
+    return outcomes, state
+
+
+def _reconstruction_fidelity(
+    state: np.ndarray, secrets: np.ndarray, bell: np.ndarray, helper_sum: np.ndarray
+) -> np.ndarray:
+    """Fidelity of each register's corrected last qutrit to its secret.
+
+    Any other qutrit (a captured one an attacker still holds) is traced
+    out: the fidelity ``<secret|R rho R^dagger|secret>`` of the last qutrit
+    under correction R is the Born weight of the row ``<secret|R`` there.
+    """
+    rows = secrets.conj()[:, None, :] @ _recovery_table()[bell // 3, bell % 3, helper_sum]
+    return np.minimum(1.0, _weights(_contract(rows, state, (state.ndim - 2,)))[:, 0])
+
+
 def _validate_config(cfg: SessionConfig) -> None:
-    if not 2 <= cfg.num_agents <= MAX_AGENTS:
-        raise ConfigInvalid(f"num_agents must be in 2..{MAX_AGENTS}, got {cfg.num_agents}")
-    if not 1 <= cfg.designated <= cfg.num_agents:
-        raise ConfigInvalid(f"designated agent {cfg.designated} outside 1..{cfg.num_agents}")
+    num_agents = _integer(cfg.num_agents, ConfigInvalid, "num_agents")
+    if not 2 <= num_agents <= MAX_AGENTS:
+        raise ConfigInvalid(f"num_agents must be in 2..{MAX_AGENTS}, got {num_agents}")
+    if not 1 <= _integer(cfg.designated, ConfigInvalid, "designated agent") <= num_agents:
+        raise ConfigInvalid(f"designated agent {cfg.designated} outside 1..{num_agents}")
     if cfg.secret.num_qutrits != 1:
         raise ConfigInvalid("the shared secret is a single-qutrit state")
     _validated_seed(cfg.seed)
@@ -156,49 +209,30 @@ def run_sharing_session(
     with fidelity 1. ``forced_bell`` / ``forced_helpers`` replace the
     corresponding sampling steps with deterministic branch projection
     (the branch's Born weight is still recorded); exhaustive sweeps use
-    this to enumerate every outcome combination.
+    this to enumerate every outcome combination. Each sampled measurement
+    draws one uniform from ``default_rng(seed)``, the dealer's first and
+    then the helpers' in ascending order; a forced step draws none.
     """
     _validate_config(cfg)
-    rng = np.random.default_rng(cfg.seed)
-
-    state = tensor(cfg.secret, ghz_state(cfg.num_agents + 1))
-    if forced_bell is not None:
-        bell_record = project_subsystem(state, (1, 2), bell_family(), forced_bell.index)
-    else:
-        bell_record = measure_subsystem(state, (1, 2), bell_family(), rng)
-    bell = BellOutcome.from_index(bell_record.outcome_index)
-    state = bell_record.collapsed
-
-    announcements = [
-        Announcement(BELL_RESULT, "alice", bell),
-        Announcement(DESIGNATION, "alice", cfg.designated),
-    ]
-
     helpers = [a for a in range(1, cfg.num_agents + 1) if a != cfg.designated]
     if forced_helpers is not None and len(forced_helpers) != len(helpers):
         raise ConfigInvalid(f"expected {len(helpers)} forced helper outcomes, got {len(forced_helpers)}")
+    rng = np.random.default_rng(cfg.seed)
+    bell_draw = rng.random(1) if forced_bell is None else np.array([forced_bell.index])
+    helper_draws = rng.random((1, len(helpers))) if forced_helpers is None else np.array([forced_helpers], int) % 3
 
-    # Agent i starts on register label i once the dealer's pair is gone.
-    # Helpers measure in ascending order, so when agent a measures only the
-    # designated agent can still sit below it: a is at label 1 or 2.
-    outcomes: list[XiOutcome] = []
-    for position, agent in enumerate(helpers):
-        label = 1 + (agent > cfg.designated)
-        if forced_helpers is not None:
-            record = project_subsystem(state, (label,), xi_family(), int(forced_helpers[position]) % 3)
-        else:
-            record = measure_subsystem(state, (label,), xi_family(), rng)
-        outcome = XiOutcome(record.outcome_index)
-        outcomes.append(outcome)
-        announcements.append(Announcement(HELPER_RESULT, f"agent_{agent}", outcome))
-        state = record.collapsed
+    bell_index, bell_weight, state = _deal(cfg.secret.amplitudes[None, :], cfg.num_agents, bell_draw)
+    outcomes, state = _help(state, list(range(cfg.num_agents)), cfg.designated, helper_draws)
+    bell = BellOutcome.from_index(int(bell_index[0]))
+    helper_outcomes = [XiOutcome(int(outcome[0])) for outcome in outcomes]
+    announcements = [Announcement(BELL_RESULT, "alice", bell), Announcement(DESIGNATION, "alice", cfg.designated)]
+    announcements += [Announcement(HELPER_RESULT, f"agent_{a}", o) for a, o in zip(helpers, helper_outcomes)]
 
-    helper_sum = HelperSum.from_outcomes(outcomes)
-    reconstructed = reconstruct(state, bell, helper_sum)
+    reconstructed = reconstruct(PureState(1, state[0]), bell, HelperSum.from_outcomes(helper_outcomes))
     return Transcript(
         config=cfg,
         announcements=tuple(announcements),
-        bell_probability=bell_record.probability,
+        bell_probability=float(bell_weight[0]),
         reconstructed=reconstructed,
         fidelity_to_secret=fidelity(reconstructed, cfg.secret),
     )

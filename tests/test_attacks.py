@@ -17,6 +17,7 @@ from tritshare import (
     InsideAttack,
     OutsideAttack,
     PureState,
+    SessionConfig,
     apply_single,
     basis_state,
     bell_family,
@@ -34,6 +35,7 @@ from tritshare import (
     run_inside_attack_experiment,
     run_inside_trial,
     run_outside_attack_experiment,
+    run_sharing_session,
     start_session,
     tensor,
     verify_correlations,
@@ -310,6 +312,38 @@ def test_inside_experiment_validation():
         run_inside_attack_experiment(10, InsideAttack(1, ghz_state(2)), EXACT, seed=0)
     with pytest.raises(ConfigInvalid):
         run_inside_attack_experiment(10, InsideAttack(3, FAKE_ZERO), EXACT, seed=0)
+
+
+def _session(num_agents=3, designated=1, seed=1):
+    return run_sharing_session(SessionConfig(num_agents, designated, FAKE_ZERO, seed))
+
+
+def _inside(trials=10, agent=1, seed=1):
+    return run_inside_attack_experiment(trials, InsideAttack(agent, FAKE_ZERO), EXACT, seed)
+
+
+# name -> (call taking the value, an integer it accepts, a non-integer it refuses, the error)
+NON_INTEGER_INPUT = {
+    "session-designated": (lambda v: _session(designated=v), 2, 1.5, ConfigInvalid),
+    "session-num-agents": (lambda v: _session(num_agents=v), 2, 2.5, ConfigInvalid),
+    "session-seed": (lambda v: _session(seed=v), 1, 1.7, ConfigInvalid),
+    "outside-target": (lambda v: OutsideAttack((v,)), 2, 2.9, LabelOutOfRange),
+    "inside-dishonest-agent": (lambda v: _inside(agent=v), 1, 1.0, ConfigInvalid),
+    "inside-seed": (lambda v: _inside(seed=v), 1, 1.9, ConfigInvalid),
+    "outside-seed": (lambda v: run_outside_attack_experiment(10, None, FOURIER, v), 1, 1.9, ConfigInvalid),
+    "check-seed": (lambda v: run_check_rounds(10, None, FOURIER, v), 1, 1.9, ConfigInvalid),
+    "inside-trials": (lambda v: _inside(trials=v), 2, 2.5, ConfigInvalid),
+    "outside-trials": (lambda v: run_outside_attack_experiment(v, None, FOURIER, 1), 2, 2.5, ConfigInvalid),
+    "check-rounds": (lambda v: run_check_rounds(v, None, FOURIER, 1), 2, 2.5, ConfigInvalid),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_INTEGER_INPUT))
+def test_non_integer_library_input_is_refused(case):
+    call, accepted, refused, error = NON_INTEGER_INPUT[case]
+    call(np.int64(accepted))  # numpy integers are integers
+    with pytest.raises(error, match="is not an integer"):
+        call(refused)
 
 
 def test_attack_stats_rates_consistent():

@@ -390,3 +390,15 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["transcript"]["fidelity_to_secret"] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_library_import_leaves_the_command_line_unloaded():
+    code = (
+        "import sys, tritshare\n"
+        "assert 'jsonschema' not in sys.modules and 'tritshare.cli' not in sys.modules\n"
+        "from tritshare import run_command\n"
+        "assert run_command(['share', '--seed', '3']) == 0\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == "share"

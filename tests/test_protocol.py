@@ -271,6 +271,32 @@ def test_transcript_determinism_bitwise():
     assert a.fidelity_to_secret == b.fidelity_to_secret
 
 
+@pytest.mark.parametrize("num_agents", [2, 3, 4, 5, 6])
+def test_session_matches_pure_state_replay(num_agents):
+    # Replay each transcript's announced outcomes on PureStates: tensor the
+    # secret with the channel, project the dealer's pair away, then project
+    # every helper's qutrit at its register label, which shifts down by one
+    # past every measured qutrit. The session's block steps must agree.
+    for designated in range(1, num_agents + 1):
+        for seed in (5, 61, 977):
+            secret = haar_random_state(np.random.default_rng([seed, designated]))
+            transcript = run_sharing_session(SessionConfig(num_agents, designated, secret, seed))
+            bell = transcript.announcements[0].payload
+            record = project_subsystem(tensor(secret, ghz_state(num_agents + 1)), (1, 2), bell_family(), bell.index)
+            state = record.collapsed
+            labels = {agent: agent for agent in range(1, num_agents + 1)}
+            helpers = transcript.announcements[2:]
+            assert [a.sender for a in helpers] == [f"agent_{a}" for a in labels if a != designated]
+            for announcement in helpers:
+                measured = labels.pop(int(announcement.sender.removeprefix("agent_")))
+                state = project_subsystem(state, (measured,), xi_family(), announcement.payload.l).collapsed
+                labels = {agent: label - (label > measured) for agent, label in labels.items()}
+            assert labels == {designated: 1}
+            replayed = reconstruct(state, bell, HelperSum.from_outcomes(a.payload for a in helpers))
+            assert abs(transcript.bell_probability - record.probability) < 1e-12
+            assert np.max(np.abs(transcript.reconstructed.amplitudes - replayed.amplitudes)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # channel checks
 
