@@ -50,10 +50,14 @@ EXACT_COMPARISON_THRESHOLD = 1.0 - 1e-9
 
 RANDOM_CHECK_BASIS = "random"
 
-#: Trials simulated together as one array. Larger blocks run a little faster
-#: but raise an experiment's peak memory, by about 0.6 MiB per doubling.
-_BLOCK = 64
-#: Widest array of an inside trial: the secret and the three-qutrit GHZ channel.
+#: Trials simulated together as one array. Smaller blocks are bound by numpy's
+#: per-call overhead; larger ones raise an experiment's peak memory. The peak RSS
+#: of 4,000-trial inside and check experiments grew by 0.4-0.5 MiB from 64 to 256
+#: trials, and by another 0.4-0.8 MiB at 512.
+_BLOCK = 256
+#: Widest array of an inside trial, in qutrits: the dealer's nine Bell coefficients
+#: on the two agents' channel qutrits, 9 x 3 x 3 amplitudes (16 B each, so 324 KiB
+#: for a block of 256 trials).
 _INSIDE_QUTRITS = 4
 
 # Columns of an inside trial's uniforms: six for the Haar secret, then the
@@ -205,7 +209,7 @@ def _inside_block(secrets: np.ndarray, designated: np.ndarray, attack: InsideAtt
 def _inside_inputs(u: np.ndarray, force_designate: int | None) -> tuple[np.ndarray, np.ndarray]:
     """Each trial's Haar secret and designated agent, drawn from its uniforms."""
     if force_designate is not None:
-        designated = np.full(len(u), int(force_designate))
+        designated = np.full(len(u), force_designate)
     else:
         designated = np.where(u[:, _U_DESIGNATE] < 0.5, 1, 2)
     return _haar_secrets(u), designated
@@ -385,6 +389,7 @@ def run_inside_trial(
     with one trial's uniforms drawn from ``rng``.
     """
     _validate_inside_attack(attack)
+    designated = _integer(designated, ConfigInvalid, "designated agent")
     if designated not in (1, 2):
         raise ConfigInvalid("designated agent must be 1 or 2")
     if secret.num_qutrits != 1:
@@ -420,8 +425,10 @@ def run_inside_attack_experiment(
         raise ConfigInvalid("at least one trial is required")
     if comparison_mode not in COMPARISON_MODES:
         raise ConfigInvalid(f"comparison mode must be one of {COMPARISON_MODES}")
-    if force_designate is not None and force_designate not in (1, 2):
-        raise ConfigInvalid("forced designation must be agent 1 or 2")
+    if force_designate is not None:
+        force_designate = _integer(force_designate, ConfigInvalid, "forced designation")
+        if force_designate not in (1, 2):
+            raise ConfigInvalid("forced designation must be agent 1 or 2")
     _validate_inside_attack(attack)
 
     rng = _stream(seed)

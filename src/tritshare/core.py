@@ -52,6 +52,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _integer(value: object, error: type, name: str) -> int:
+    """``value`` as an int, refused with ``error`` unless it is an integer (numpy's included)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} {value!r} is not an integer") from None
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class PureState:
     """Normalized pure state over a labeled register of qutrits.
@@ -64,7 +72,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        n = int(self.num_qutrits)
+        n = _integer(self.num_qutrits, LengthMismatch, "num_qutrits")
         if n < 1:
             raise LengthMismatch("a register holds at least one qutrit")
         amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1).copy()
@@ -114,7 +122,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        n = int(self.num_qutrits)
+        n = _integer(self.num_qutrits, LengthMismatch, "num_qutrits")
         if n < 1:
             raise LengthMismatch("a register holds at least one qutrit")
         dim = 3**n
@@ -151,16 +159,17 @@ def make_state(amplitudes: Sequence[complex], num_qutrits: int) -> PureState:
     ``INPUT_NORM_TOL``; smaller drift (hand-typed decimals) is absorbed by
     the exact renormalization.
     """
+    n = _integer(num_qutrits, LengthMismatch, "num_qutrits")
     amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
     if not np.all(np.isfinite(amps)):
         raise NonFiniteAmplitude("amplitudes must be finite")
-    expected = 3 ** int(num_qutrits) if int(num_qutrits) >= 1 else -1
+    expected = 3**n if n >= 1 else -1
     if amps.size != expected:
         raise LengthMismatch(f"expected {expected} amplitudes for {num_qutrits} qutrit(s), got {amps.size}")
     norm_sq = float(np.vdot(amps, amps).real)
     if abs(norm_sq - 1.0) > INPUT_NORM_TOL:
         raise NotNormalized(f"squared norm {norm_sq!r} deviates from 1 by more than {INPUT_NORM_TOL}")
-    return PureState(int(num_qutrits), amps / np.sqrt(norm_sq))
+    return PureState(n, amps / np.sqrt(norm_sq))
 
 
 def basis_index(digits: Sequence[int]) -> int:
@@ -197,14 +206,6 @@ def fidelity(a: PureState, b: PureState) -> float:
     if a.num_qutrits != b.num_qutrits:
         raise DimensionMismatch(f"states live on {a.num_qutrits} vs {b.num_qutrits} qutrits")
     return float(min(1.0, abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2))
-
-
-def _integer(value: object, error: type, name: str) -> int:
-    """``value`` as an int, refused with ``error`` unless it is an integer (numpy's included)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{name} {value!r} is not an integer") from None
 
 
 def _axes(
@@ -377,6 +378,6 @@ def reduced_density(s: PureState, keep: Sequence[int]) -> DensityMatrix:
 
 def haar_random_state(rng: np.random.Generator, num_qutrits: int = 1) -> PureState:
     """Haar-uniform pure state: i.i.d. complex Gaussian amplitudes, normalized."""
-    dim = 3 ** int(num_qutrits)
-    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return PureState(int(num_qutrits), vec / np.linalg.norm(vec))
+    n = _integer(num_qutrits, LengthMismatch, "num_qutrits")
+    vec = rng.standard_normal(3**n) + 1j * rng.standard_normal(3**n)
+    return PureState(n, vec / np.linalg.norm(vec))

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import PureState, Unitary3
+from .core import PureState, Unitary3, _integer
 from .errors import SizeOutOfRange
 
 #: Primitive cube root of unity, exp(2 pi i / 3).
@@ -71,10 +71,11 @@ class HelperSum:
         return cls(total % 3)
 
 
-@lru_cache(maxsize=None)
+# Typed, so that a float size equal to a cached integer one is still refused.
+@lru_cache(maxsize=None, typed=True)
 def ghz_state(k: int) -> PureState:
     """Equal superposition of |00...0>, |11...1>, |22...2> on k qutrits."""
-    k = int(k)
+    k = _integer(k, SizeOutOfRange, "GHZ register size")
     if not 1 <= k <= MAX_GHZ_QUTRITS:
         raise SizeOutOfRange(f"GHZ register size must be in 1..{MAX_GHZ_QUTRITS}, got {k}")
     amps = np.zeros(3**k, dtype=np.complex128)
@@ -132,7 +133,7 @@ def _computational_family(num_qutrits: int) -> tuple[PureState, ...]:
 
 def computational_family(num_qutrits: int = 1) -> list[PureState]:
     """Computational-basis kets on a register, in ascending index order."""
-    return list(_computational_family(int(num_qutrits)))
+    return list(_computational_family(_integer(num_qutrits, SizeOutOfRange, "num_qutrits")))
 
 
 @lru_cache(maxsize=None)

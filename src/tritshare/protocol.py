@@ -1,10 +1,12 @@
 """Sharing-session choreography and GHZ channel verification.
 
 The choreography exists once, as two block steps: the dealer's Bell
-measurement of the secret with a fresh GHZ channel (``_deal``), then the
-helpers' Fourier measurements (``_help``). Sessions run them on one
-register, the inside attack on blocks of trials. Check rounds consume
-dedicated GHZ copies and feed a compare-and-abort verdict.
+measurement of the secret with its qutrit of a fresh GHZ channel
+(``_deal``), then the helpers' Fourier measurements (``_help``). The
+dealer's Bell rows absorb the secret first, so the dealer measures the
+bare channel and no secret-and-channel register is built. Sessions run
+the steps on one register, the inside attack on blocks of trials. Check
+rounds consume dedicated GHZ copies and feed a compare-and-abort verdict.
 """
 
 from __future__ import annotations
@@ -149,13 +151,28 @@ def _recovery_table() -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
+def _secret_bell_rows() -> np.ndarray:
+    """``(3, 27)``: row i, reshaped to ``(9, 3)``, holds the Bell family's conjugated rows at the
+    secret's digit i, so that ``secrets @`` it gives each register's rows on the dealer's channel qutrit."""
+    rows = _rows(bell_family()).reshape(9, 3, 3).transpose(1, 0, 2).reshape(3, 27)
+    rows.setflags(write=False)
+    return rows
+
+
 def _deal(secrets: np.ndarray, num_agents: int, draw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The dealer's step: register b holds secret ``secrets[b]`` and GHZ(N+1), and the dealer
-    Bell-measures the secret with its own channel qutrit, drawing with ``draw[b]`` as ``core._measure``
-    does. Returns the outcomes 3n + m, their Born weights and the agents' block, agent a's qutrit on axis a - 1."""
-    channel = ghz_state(num_agents + 1).amplitudes.reshape((3,) * (num_agents + 1))
-    state = secrets.reshape(secrets.shape + (1,) * (num_agents + 1)) * channel
-    return _measure(state, (0, 1), _rows(bell_family()), draw)
+    """The dealer's step: the dealer Bell-measures register b's secret ``secrets[b]`` with its own
+    qutrit of a fresh GHZ(N+1) channel, drawing with ``draw[b]`` as ``core._measure`` does.
+
+    The measurement touches only the secret and that one qutrit, so each Bell row first absorbs
+    the secret, and each register's nine rows (``(B, 9, 3)`` in all) measure the first qutrit of
+    the bare channel; no secret ⊗ channel register is built. The rows form a Parseval frame (the
+    sum of r_k^dagger r_k is the identity), so the Born weights still sum to 1. Returns the
+    outcomes 3n + m, their Born weights and the agents' block, agent a's qutrit on axis a - 1.
+    """
+    rows = (secrets @ _secret_bell_rows()).reshape(len(secrets), 9, 3)
+    channel = np.broadcast_to(_block(ghz_state(num_agents + 1)), (len(secrets),) + (3,) * (num_agents + 1))
+    return _measure(channel, (0,), rows, draw)
 
 
 def _help(state: np.ndarray, held: list[int], designated: int, draws: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -219,7 +236,10 @@ def run_sharing_session(
         raise ConfigInvalid(f"expected {len(helpers)} forced helper outcomes, got {len(forced_helpers)}")
     rng = np.random.default_rng(cfg.seed)
     bell_draw = rng.random(1) if forced_bell is None else np.array([forced_bell.index])
-    helper_draws = rng.random((1, len(helpers))) if forced_helpers is None else np.array([forced_helpers], int) % 3
+    if forced_helpers is None:
+        helper_draws = rng.random((1, len(helpers)))
+    else:
+        helper_draws = np.array([[_integer(h, ConfigInvalid, "forced helper outcome") % 3 for h in forced_helpers]])
 
     bell_index, bell_weight, state = _deal(cfg.secret.amplitudes[None, :], cfg.num_agents, bell_draw)
     outcomes, state = _help(state, list(range(cfg.num_agents)), cfg.designated, helper_draws)

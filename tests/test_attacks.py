@@ -335,6 +335,17 @@ NON_INTEGER_INPUT = {
     "inside-trials": (lambda v: _inside(trials=v), 2, 2.5, ConfigInvalid),
     "outside-trials": (lambda v: run_outside_attack_experiment(v, None, FOURIER, 1), 2, 2.5, ConfigInvalid),
     "check-rounds": (lambda v: run_check_rounds(v, None, FOURIER, 1), 2, 2.5, ConfigInvalid),
+    "session-forced-helpers": (
+        lambda v: run_sharing_session(SessionConfig(3, 1, FAKE_ZERO, 1), forced_helpers=(v, 2)), 1, 1.7, ConfigInvalid,
+    ),
+    "inside-trial-designated": (
+        lambda v: run_inside_trial(FAKE_ZERO, InsideAttack(2, FAKE_ZERO), v, np.random.default_rng(0)), 1, 1.0,
+        ConfigInvalid,
+    ),
+    "inside-forced-designation": (
+        lambda v: run_inside_attack_experiment(10, InsideAttack(1, FAKE_ZERO), EXACT, 1, force_designate=v), 2, 2.0,
+        ConfigInvalid,
+    ),
 }
 
 
@@ -362,7 +373,7 @@ def _inside_configs():
         yield InsideAttack(attacker, fake), mode
 
 
-@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("block", [1, 7, 64, 256, 1000])
 def test_results_do_not_depend_on_block_size(monkeypatch, block):
     def run_all():
         inside = [run_inside_attack_experiment(150, attack, mode, seed=90) for attack, mode in _inside_configs()]

@@ -382,6 +382,46 @@ def test_schema_rejects_malformed_report():
         jsonschema.validate(bad, REPORT_SCHEMA)
 
 
+def test_report_schema_is_a_valid_2020_12_schema():
+    jsonschema.Draft202012Validator.check_schema(REPORT_SCHEMA)
+
+
+def _corrupted_reports():
+    share = json.loads(run_cli(["share", "--seed", "4"])[1])
+    attack = json.loads(run_cli(["attack", "--model", "inside", "--trials", "20", "--seed", "4"])[1])
+    check = json.loads(run_cli(["check-channel", "--rounds", "20", "--seed", "4"])[1])
+    for report, path, value in [
+        (share, ("results", "transcript", "bell_probability"), 1.5),
+        (share, ("results", "transcript", "announcements", 0, "payload"), {"n": 3, "m": 0}),
+        (share, ("results", "transcript", "reconstructed", 0), [0.5]),
+        (share, ("wall_time_ms",), -1),
+        (attack, ("results", "stats", "detections"), "none"),
+        (attack, ("results", "stats", "seed"), -4),
+        (attack, ("command",), "replay"),
+        (check, ("results", "verdict", "disturbed"), 0.0),
+        (check, ("results", "verdict"), {}),
+        (check, ("schema_version",), 2),
+    ]:
+        bad = json.loads(json.dumps(report))
+        *parents, key = path
+        target = bad
+        for step in parents:
+            target = target[step]
+        target[key] = value
+        yield bad
+    yield {**share, "extra": 1}
+    yield {key: value for key, value in attack.items() if key != "warnings"}
+
+
+def test_validate_report_raises_what_jsonschema_validate_raises():
+    for bad in _corrupted_reports():
+        with pytest.raises(jsonschema.ValidationError) as ours:
+            validate_report(bad)
+        with pytest.raises(jsonschema.ValidationError) as theirs:
+            jsonschema.validate(bad, REPORT_SCHEMA)
+        assert (ours.value.message, ours.value.path) == (theirs.value.message, theirs.value.path)
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "tritshare", "share", "--seed", "12", "--agents", "2"],

@@ -17,6 +17,7 @@ from tritshare import (
     basis_state,
     bell_family,
     born_distribution,
+    computational_family,
     fidelity,
     ghz_state,
     haar_random_state,
@@ -43,6 +44,7 @@ from tritshare.errors import (
     NotOrthonormal,
     NotUnitary,
     TargetOutOfRange,
+    SizeOutOfRange,
     TargetsOverlap,
     ZeroProbabilityBranchSampled,
 )
@@ -493,3 +495,24 @@ def test_non_integer_labels_and_outcomes_are_refused(call, error):
     # numpy integers are integers
     assert born_distribution(s, (np.int64(2),), xi_family()) == pytest.approx(born_distribution(s, (2,), xi_family()))
     assert project_subsystem(s, (2,), xi_family(), np.intp(1)).outcome_index == 1
+
+
+# name -> (call taking a size, an integer size it accepts, a non-integer one it refuses, the error)
+NON_INTEGER_SIZES = {
+    "ghz": (ghz_state, 3, 3.7, SizeOutOfRange),
+    "ghz-whole-float": (ghz_state, 3, 3.0, SizeOutOfRange),  # equal to a cached size, still refused
+    "make-state": (lambda n: make_state(np.eye(9)[0], n), 2, 2.7, LengthMismatch),
+    "pure-state": (lambda n: PureState(n, np.eye(3)[0]), 1, 1.9, LengthMismatch),
+    "density-matrix": (lambda n: DensityMatrix(n, np.eye(3) / 3), 1, 1.5, LengthMismatch),
+    "haar": (lambda n: haar_random_state(np.random.default_rng(0), n), 2, 2.5, LengthMismatch),
+    "computational-family": (computational_family, 1, 1.0, SizeOutOfRange),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_INTEGER_SIZES))
+def test_non_integer_sizes_are_refused(case):
+    call, accepted, refused, error = NON_INTEGER_SIZES[case]
+    call(accepted)
+    call(np.int64(accepted))  # numpy integers are integers
+    with pytest.raises(error, match="is not an integer"):
+        call(refused)

@@ -35,6 +35,7 @@ from tritshare import (
 )
 from tritshare.attacks import ALWAYS_COMPUTATIONAL, OutsideAttack, run_check_rounds
 from tritshare.errors import ConfigInvalid, DimensionMismatch, EmptyInput
+from tritshare.core import sample_indices
 from tritshare.protocol import (
     BELL_RESULT,
     COMPUTATIONAL,
@@ -42,6 +43,7 @@ from tritshare.protocol import (
     FOURIER,
     HELPER_RESULT,
     CheckRecord,
+    _deal,
 )
 
 SQRT3 = np.sqrt(3.0)
@@ -295,6 +297,29 @@ def test_session_matches_pure_state_replay(num_agents):
             replayed = reconstruct(state, bell, HelperSum.from_outcomes(a.payload for a in helpers))
             assert abs(transcript.bell_probability - record.probability) < 1e-12
             assert np.max(np.abs(transcript.reconstructed.amplitudes - replayed.amplitudes)) < 1e-12
+
+
+@pytest.mark.parametrize("num_agents", [2, 3, 4, 5, 6])
+def test_dealer_step_matches_the_product_register(num_agents):
+    # The dealer's step never builds secret (x) GHZ(N+1); the reference does,
+    # and projects the dealer's pair onto the Bell member the step reports.
+    rng = np.random.default_rng(70 + num_agents)
+    secrets = [haar_random_state(rng) for _ in range(9)]
+    block = np.array([s.amplitudes for s in secrets])
+    uniforms = rng.random(9)
+    draws = [np.arange(9), (4 * np.arange(9) + 7) % 9, uniforms]  # every forced outcome, twice, then sampled
+    for draw in draws:
+        outcomes, weights, state = _deal(block, num_agents, draw)
+        assert state.shape == (9,) + (3,) * num_agents
+        for b, secret in enumerate(secrets):
+            product = tensor(secret, ghz_state(num_agents + 1))
+            expected = draw[b]
+            if draw is uniforms:
+                expected = sample_indices(born_distribution(product, (1, 2), bell_family())[None, :], draw[b : b + 1])[0]
+            assert outcomes[b] == expected
+            record = project_subsystem(product, (1, 2), bell_family(), int(expected))
+            assert abs(weights[b] - record.probability) < 1e-12
+            assert np.max(np.abs(state[b].reshape(-1) - record.collapsed.amplitudes)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
