@@ -23,7 +23,7 @@ them. The one-register functions are the same steps on a block of one:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -105,7 +105,7 @@ class InsideAttack:
 class AttackStats:
     """Aggregate Monte Carlo counters with their per-trial rates."""
 
-    trials: int
+    trials: int = field(metadata={"minimum": 1})
     attacker_successes: int
     detections: int
     success_rate: float

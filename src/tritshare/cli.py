@@ -153,7 +153,7 @@ def _parse_designate(raw: str, num_agents: int, rng: np.random.Generator) -> int
     return value
 
 
-def _cmd_share(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]:
+def _cmd_share(args: argparse.Namespace) -> tuple[dict, reporting.Result, list[str], int]:
     seed = _resolve_seed(args)
     if not 2 <= args.agents <= MAX_AGENTS:
         raise ConfigInvalid(f"--agents must be in 2..{MAX_AGENTS}, got {args.agents}")
@@ -169,11 +169,10 @@ def _cmd_share(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]:
         "secret_spec": args.secret,
         "seed": seed,
     }
-    results = {"transcript": reporting.encode_transcript(transcript)}
-    return config, results, [warning] if warning else [], 0
+    return config, transcript, [warning] if warning else [], 0
 
 
-def _cmd_check_channel(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]:
+def _cmd_check_channel(args: argparse.Namespace) -> tuple[dict, reporting.Result, list[str], int]:
     seed = _resolve_seed(args)
     _bounded(args.rounds, "--rounds")
     attack = None
@@ -182,11 +181,10 @@ def _cmd_check_channel(args: argparse.Namespace) -> tuple[dict, dict, list[str],
     records = run_check_rounds(args.rounds, attack, args.basis, seed)
     verdict = verify_correlations(records)
     config = {"rounds": args.rounds, "basis": args.basis, "eve": args.eve, "parties": 3, "seed": seed}
-    results = {"verdict": reporting.encode_verdict(verdict)}
-    return config, results, [], 4 if verdict.disturbed else 0
+    return config, verdict, [], 4 if verdict.disturbed else 0
 
 
-def _cmd_attack(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]:
+def _cmd_attack(args: argparse.Namespace) -> tuple[dict, reporting.Result, list[str], int]:
     seed = _resolve_seed(args)
     _bounded(args.trials, "--trials")
     warnings: list[str] = []
@@ -226,7 +224,7 @@ def _cmd_attack(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]:
             "check_basis": args.basis,
             "seed": seed,
         }
-    return config, {"stats": reporting.encode_attack_stats(stats)}, warnings, 0
+    return config, stats, warnings, 0
 
 
 _HANDLERS = {
@@ -252,7 +250,7 @@ def run_command(argv: list[str], stdout=None, stderr=None) -> int:
 
     started = time.perf_counter()
     try:
-        config, results, warnings, code = _HANDLERS[args.command](args)
+        config, result, warnings, code = _HANDLERS[args.command](args)
     except (ParseError, NotNormalized, ConfigInvalid) as exc:
         print(f"error: {exc}", file=stderr)
         return 2
@@ -261,7 +259,7 @@ def run_command(argv: list[str], stdout=None, stderr=None) -> int:
         return 3
     wall_time_ms = int(round((time.perf_counter() - started) * 1000.0))
 
-    report = reporting.build_report(args.command, config, results, wall_time_ms, warnings)
+    report = reporting.build_report(args.command, config, result, wall_time_ms, warnings)
     try:
         reporting.validate_report(report)
     except jsonschema.ValidationError as exc:

@@ -15,12 +15,17 @@ from typing import Iterable
 import numpy as np
 
 from .core import PureState, Unitary3, _integer
-from .errors import SizeOutOfRange
+from .errors import LabelOutOfRange, SizeOutOfRange
 
 #: Primitive cube root of unity, exp(2 pi i / 3).
 OMEGA = np.exp(2j * np.pi / 3.0)
 #: Desk-scale cap on GHZ register size.
 MAX_GHZ_QUTRITS = 12
+
+
+def _trit(value: object, name: str) -> int:
+    """``value`` reduced mod 3, refused with ``LabelOutOfRange`` unless it is an integer (numpy's included)."""
+    return _integer(value, LabelOutOfRange, name) % 3
 
 
 @dataclass(frozen=True)
@@ -31,8 +36,8 @@ class BellOutcome:
     m: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", int(self.n) % 3)
-        object.__setattr__(self, "m", int(self.m) % 3)
+        object.__setattr__(self, "n", _trit(self.n, "Bell outcome n"))
+        object.__setattr__(self, "m", _trit(self.m, "Bell outcome m"))
 
     @property
     def index(self) -> int:
@@ -41,7 +46,7 @@ class BellOutcome:
 
     @classmethod
     def from_index(cls, index: int) -> BellOutcome:
-        return cls(int(index) // 3, int(index) % 3)
+        return cls(*divmod(_integer(index, LabelOutOfRange, "Bell outcome index"), 3))
 
 
 @dataclass(frozen=True)
@@ -51,7 +56,7 @@ class XiOutcome:
     l: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "l", int(self.l) % 3)
+        object.__setattr__(self, "l", _trit(self.l, "Fourier outcome l"))
 
 
 @dataclass(frozen=True)
@@ -61,14 +66,11 @@ class HelperSum:
     L: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "L", int(self.L) % 3)
+        object.__setattr__(self, "L", _trit(self.L, "helper sum L"))
 
     @classmethod
     def from_outcomes(cls, outcomes: Iterable[XiOutcome | int]) -> HelperSum:
-        total = 0
-        for outcome in outcomes:
-            total += outcome.l if isinstance(outcome, XiOutcome) else int(outcome)
-        return cls(total % 3)
+        return cls(sum(o.l if isinstance(o, XiOutcome) else _trit(o, "helper outcome") for o in outcomes))
 
 
 # Typed, so that a float size equal to a cached integer one is still refused.
@@ -95,7 +97,7 @@ def bell_state(outcome: BellOutcome | tuple[int, int]) -> PureState:
 
 def xi_state(t: XiOutcome | int) -> PureState:
     """Single-qutrit Fourier-basis member sum_k w^{tk} |k> / sqrt(3)."""
-    l = t.l if isinstance(t, XiOutcome) else int(t) % 3
+    l = t.l if isinstance(t, XiOutcome) else _trit(t, "Fourier index")
     amps = np.array([OMEGA ** (l * k) for k in range(3)], dtype=np.complex128)
     return PureState(1, amps / np.sqrt(3.0))
 
@@ -136,20 +138,20 @@ def computational_family(num_qutrits: int = 1) -> list[PureState]:
     return list(_computational_family(_integer(num_qutrits, SizeOutOfRange, "num_qutrits")))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def pauli_x(a: int = 1) -> Unitary3:
     """Cyclic shift |j> -> |(j+a) mod 3>."""
-    a = int(a) % 3
+    a = _trit(a, "shift")
     mat = np.zeros((3, 3), dtype=np.complex128)
     for j in range(3):
         mat[(j + a) % 3, j] = 1.0
     return Unitary3(mat)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def pauli_z(b: int = 1) -> Unitary3:
     """Clock phase diag(1, w^b, w^{2b}) with w = exp(2 pi i / 3)."""
-    b = int(b) % 3
+    b = _trit(b, "clock power")
     return Unitary3(np.diag([OMEGA ** (b * j) for j in range(3)]))
 
 
@@ -166,5 +168,5 @@ def recovery_operator(outcome: BellOutcome, helper_sum: HelperSum | int) -> Unit
     the clock phase cancels the accumulated measurement phases. It is the
     unique shift/clock product achieving fidelity 1 for every secret.
     """
-    L = helper_sum.L if isinstance(helper_sum, HelperSum) else int(helper_sum) % 3
+    L = helper_sum.L if isinstance(helper_sum, HelperSum) else _trit(helper_sum, "helper sum")
     return _recovery_operator(outcome.n, outcome.m, L)

@@ -11,7 +11,7 @@ rounds consume dedicated GHZ copies and feed a compare-and-abort verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -98,7 +98,7 @@ class ChannelVerdict:
     """Aggregate of check rounds; disturbed iff any round failed."""
 
     disturbed: bool
-    total_rounds: int
+    total_rounds: int = field(metadata={"minimum": 1})
     rounds_computational: int
     failures_computational: int
     failure_rate_computational: float

@@ -12,17 +12,19 @@ import dataclasses
 import io
 import json
 from functools import lru_cache
-from typing import Any, Sequence
+from typing import Any, Sequence, get_type_hints
 
 import jsonschema
 import numpy as np
 
 from .attacks import AttackStats
 from .core import PureState
-from .operators import BellOutcome, XiOutcome
 from .protocol import ChannelVerdict, Transcript
 
 SCHEMA_VERSION = 1
+
+#: What a command's run returns and its report encodes.
+Result = Transcript | ChannelVerdict | AttackStats
 
 _COMPLEX_PAIR = {
     "type": "array",
@@ -65,42 +67,31 @@ _TRANSCRIPT = {
         "fidelity_to_secret": {"type": "number", "minimum": 0, "maximum": 1},
     },
 }
-_ATTACK_STATS = {
-    "type": "object",
-    "required": ["trials", "attacker_successes", "detections", "success_rate", "detection_rate", "seed"],
-    "additionalProperties": False,
-    "properties": {
-        "trials": {"type": "integer", "minimum": 1},
-        "attacker_successes": {"type": "integer", "minimum": 0},
-        "detections": {"type": "integer", "minimum": 0},
-        "success_rate": {"type": "number", "minimum": 0, "maximum": 1},
-        "detection_rate": {"type": "number", "minimum": 0, "maximum": 1},
-        "seed": {"type": "integer", "minimum": 0},
-    },
+
+#: Schema of a result field, by its annotated type: counts, per-trial rates and flags.
+_FIELD_RULES = {
+    int: {"type": "integer", "minimum": 0},
+    float: {"type": "number", "minimum": 0, "maximum": 1},
+    bool: {"type": "boolean"},
 }
-_VERDICT = {
-    "type": "object",
-    "required": [
-        "disturbed",
-        "total_rounds",
-        "rounds_computational",
-        "failures_computational",
-        "failure_rate_computational",
-        "rounds_fourier",
-        "failures_fourier",
-        "failure_rate_fourier",
-    ],
-    "additionalProperties": False,
-    "properties": {
-        "disturbed": {"type": "boolean"},
-        "total_rounds": {"type": "integer", "minimum": 1},
-        "rounds_computational": {"type": "integer", "minimum": 0},
-        "failures_computational": {"type": "integer", "minimum": 0},
-        "failure_rate_computational": {"type": "number", "minimum": 0, "maximum": 1},
-        "rounds_fourier": {"type": "integer", "minimum": 0},
-        "failures_fourier": {"type": "integer", "minimum": 0},
-        "failure_rate_fourier": {"type": "number", "minimum": 0, "maximum": 1},
-    },
+
+
+def _result_schema(cls: type) -> dict:
+    """A result dataclass's schema: its fields in order, each by its type's rule with its metadata laid over it."""
+    hints = get_type_hints(cls)
+    properties = {}
+    for field in dataclasses.fields(cls):
+        if hints[field.name] not in _FIELD_RULES:
+            raise TypeError(f"{cls.__name__}.{field.name}: no schema rule for {hints[field.name]!r}")
+        properties[field.name] = {**_FIELD_RULES[hints[field.name]], **field.metadata}
+    return {"type": "object", "required": list(properties), "additionalProperties": False, "properties": properties}
+
+
+#: Each command's results: the one key they sit under and its schema, in report order.
+_RESULTS = {
+    "share": ("transcript", _TRANSCRIPT),
+    "check-channel": ("verdict", _result_schema(ChannelVerdict)),
+    "attack": ("stats", _result_schema(AttackStats)),
 }
 
 REPORT_SCHEMA = {
@@ -111,7 +102,7 @@ REPORT_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "schema_version": {"const": SCHEMA_VERSION},
-        "command": {"enum": ["share", "check-channel", "attack"]},
+        "command": {"enum": list(_RESULTS)},
         "config": {"type": "object"},
         "results": {"type": "object"},
         "warnings": {"type": "array", "items": {"type": "string"}},
@@ -119,44 +110,19 @@ REPORT_SCHEMA = {
     },
     "allOf": [
         {
-            "if": {"properties": {"command": {"const": "share"}}},
+            "if": {"properties": {"command": {"const": command}}},
             "then": {
                 "properties": {
                     "results": {
                         "type": "object",
-                        "required": ["transcript"],
+                        "required": [key],
                         "additionalProperties": False,
-                        "properties": {"transcript": _TRANSCRIPT},
+                        "properties": {key: schema},
                     }
                 }
             },
-        },
-        {
-            "if": {"properties": {"command": {"const": "check-channel"}}},
-            "then": {
-                "properties": {
-                    "results": {
-                        "type": "object",
-                        "required": ["verdict"],
-                        "additionalProperties": False,
-                        "properties": {"verdict": _VERDICT},
-                    }
-                }
-            },
-        },
-        {
-            "if": {"properties": {"command": {"const": "attack"}}},
-            "then": {
-                "properties": {
-                    "results": {
-                        "type": "object",
-                        "required": ["stats"],
-                        "additionalProperties": False,
-                        "properties": {"stats": _ATTACK_STATS},
-                    }
-                }
-            },
-        },
+        }
+        for command, (key, schema) in _RESULTS.items()
     ],
 }
 
@@ -173,11 +139,8 @@ def decode_state(pairs: Sequence[Sequence[float]], num_qutrits: int) -> PureStat
 
 
 def encode_payload(payload: Any) -> Any:
-    if isinstance(payload, BellOutcome):
-        return {"n": payload.n, "m": payload.m}
-    if isinstance(payload, XiOutcome):
-        return {"l": payload.l}
-    return int(payload)
+    # ``int()``, not the payload itself: a designation may be a numpy integer.
+    return dataclasses.asdict(payload) if dataclasses.is_dataclass(payload) else int(payload)
 
 
 def encode_transcript(transcript: Transcript) -> dict:
@@ -192,22 +155,15 @@ def encode_transcript(transcript: Transcript) -> dict:
     }
 
 
-def encode_attack_stats(stats: AttackStats) -> dict:
-    return dataclasses.asdict(stats)
-
-
-def encode_verdict(verdict: ChannelVerdict) -> dict:
-    return dataclasses.asdict(verdict)
-
-
-def build_report(
-    command: str, config: dict, results: dict, wall_time_ms: int, warnings: list[str]
-) -> dict:
+def build_report(command: str, config: dict, result: Result, wall_time_ms: int, warnings: list[str]) -> dict:
+    """One run's report, with its result object encoded under the command's results key."""
+    key, _ = _RESULTS[command]
+    encoded = encode_transcript(result) if command == "share" else dataclasses.asdict(result)
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "config": config,
-        "results": results,
+        "results": {key: encoded},
         "warnings": list(warnings),
         "wall_time_ms": int(wall_time_ms),
     }
@@ -233,22 +189,10 @@ def render_json(report: dict) -> str:
 
 
 def render_csv(report: dict) -> str:
-    """One flat row per attack experiment; only attack reports have a CSV form."""
+    """One flat row per attack experiment, stats in field order; only attack reports have a CSV form."""
     stats = report["results"]["stats"]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    columns = ["command", "model", "trials", "attacker_successes", "detections", "success_rate", "detection_rate", "seed"]
-    writer.writerow(columns)
-    writer.writerow(
-        [
-            report["command"],
-            report["config"].get("model", ""),
-            stats["trials"],
-            stats["attacker_successes"],
-            stats["detections"],
-            repr(stats["success_rate"]),
-            repr(stats["detection_rate"]),
-            stats["seed"],
-        ]
-    )
+    writer.writerow(["command", "model", *stats])
+    writer.writerow([report["command"], report["config"].get("model", ""), *stats.values()])
     return buf.getvalue()

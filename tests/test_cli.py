@@ -1,20 +1,23 @@
 """Command-line harness tests: parsing, reports, exit codes, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritshare import fidelity, parse_secret, run_command, xi_state
+from tritshare import AttackStats, fidelity, parse_secret, run_command, xi_state
 from tritshare.cli import MAX_TRIALS, _parse_secret_checked
 from tritshare.errors import NotNormalized, ParseError
+from tritshare import reporting
 from tritshare.reporting import REPORT_SCHEMA, decode_state, validate_report
 
 import jsonschema
@@ -181,14 +184,21 @@ def test_attack_outside_via_cli():
 
 
 def test_attack_csv_single_row():
-    code, out, _ = run_cli(["attack", "--model", "inside", "--trials", "100", "--seed", "9", "--format", "csv"])
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert len(lines) == 2
-    header = lines[0].split(",")
-    assert header == ["command", "model", "trials", "attacker_successes", "detections", "success_rate", "detection_rate", "seed"]
-    row = lines[1].split(",")
-    assert row[0] == "attack" and row[1] == "inside" and row[2] == "100"
+    columns = ["command", "model", *(field.name for field in dataclasses.fields(AttackStats))]
+    for model in ("inside", "outside"):
+        # 300 trials: rates such as 151/300 need all 17 significant digits to round-trip.
+        argv = ["attack", "--model", model, "--trials", "300", "--seed", "9"]
+        code, out, _ = run_cli(argv + ["--format", "csv"])
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert len(lines) == 2
+        header, row = (line.split(",") for line in lines)
+        assert header == columns
+        assert row[:2] == ["attack", model]
+        stats = json.loads(run_cli(argv)[1])["results"]["stats"]
+        assert list(stats) == header[2:]
+        for text, value in zip(row[2:], stats.values()):
+            assert type(value)(text) == value, (model, text, value)
 
 
 def test_csv_unsupported_for_share():
@@ -384,6 +394,23 @@ def test_schema_rejects_malformed_report():
 
 def test_report_schema_is_a_valid_2020_12_schema():
     jsonschema.Draft202012Validator.check_schema(REPORT_SCHEMA)
+
+
+def test_result_fields_need_a_schema_rule():
+    @dataclasses.dataclass
+    class Labelled:
+        label: str
+
+    with pytest.raises(TypeError, match="Labelled.label"):
+        reporting._result_schema(Labelled)
+
+
+def test_report_schema_matches_the_published_version():
+    published = json.loads((Path(__file__).parent / "data" / "report_schema_v1.json").read_text(encoding="utf-8"))
+    assert json.dumps(REPORT_SCHEMA) == json.dumps(published), (
+        "REPORT_SCHEMA differs from the published schema 1 (key order included): "
+        "bump SCHEMA_VERSION and add a snapshot for the new version"
+    )
 
 
 def _corrupted_reports():

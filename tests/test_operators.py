@@ -28,7 +28,7 @@ from tritshare import (
     xi_family,
     xi_state,
 )
-from tritshare.errors import SizeOutOfRange
+from tritshare.errors import LabelOutOfRange, SizeOutOfRange
 
 OMEGA = np.exp(2j * np.pi / 3)
 SQRT3 = np.sqrt(3.0)
@@ -40,6 +40,26 @@ def test_outcome_types_reduce_mod_three():
     assert HelperSum.from_outcomes([XiOutcome(2), 2, 2]).L == 0
     assert BellOutcome.from_index(5) == BellOutcome(1, 2)
     assert BellOutcome(1, 2).index == 5
+    assert BellOutcome(np.int64(4), np.int8(-1)) == BellOutcome(1, 2)
+    assert HelperSum.from_outcomes([np.int64(2), XiOutcome(np.uint8(1))]).L == 0
+    assert np.array_equal(pauli_x(np.int64(1)).entries, pauli_x(4).entries)
+    assert np.array_equal(pauli_z(np.int64(2)).entries, pauli_z(-1).entries)
+    # The numpy arguments above are cached now; an equal float must still be refused.
+    not_integers = [
+        lambda: BellOutcome(1.7, 2.2),
+        lambda: BellOutcome(1, 2.0),
+        lambda: BellOutcome.from_index(5.5),
+        lambda: XiOutcome(2.9),
+        lambda: HelperSum(1.5),
+        lambda: HelperSum.from_outcomes([XiOutcome(1), 1.0]),
+        lambda: xi_state(1.9),
+        lambda: recovery_operator(BellOutcome(0, 0), 1.9),
+        lambda: pauli_x(1.0),
+        lambda: pauli_z(2.0),
+    ]
+    for build in not_integers:
+        with pytest.raises(LabelOutOfRange, match="is not an integer"):
+            build()
 
 
 # ---------------------------------------------------------------------------
