@@ -10,6 +10,9 @@ reconstruction is compared against the secret.
 The experiments run blocks of trials as one ``(B, 3, ..., 3)`` amplitude
 array through ``core``'s batched engine, the one every ``PureState``
 operation runs on, and draw from one ``Philox`` stream keyed by the seed.
+A block starts from one GHZ register that all its trials share, and the
+first measurement whose rows differ between trials (the dealer's, Eve's)
+gives each trial its own.
 Every trial consumes the same number K of uniform doubles, a multiple of
 the four doubles Philox yields per counter step, so trial ``t`` reads the
 K uniforms at counter ``t * K / 4``. Results are therefore identical for
@@ -30,10 +33,10 @@ import numpy as np
 
 from .core import PureState, _axes, _block, _integer, _measure, tensor
 from .errors import ConfigInvalid, LabelOutOfRange, SelfCapture
-from .operators import BellOutcome, ghz_state, xi_family
+from .operators import BellOutcome, computational_family, ghz_state, xi_family
 from .protocol import (
-    CHECK_BASES, COMPUTATIONAL, FOURIER, CheckRecord, _basis_rows, _check_outcomes, _deal, _help,
-    _reconstruction_fidelity, _rows, _validated_seed,
+    CHECK_BASES, COMPUTATIONAL, FOURIER, CheckRecord, _check_outcomes, _deal, _help, _reconstruction_fidelity,
+    _rows, _validated_seed,
 )
 
 ALWAYS_COMPUTATIONAL = "always_computational"
@@ -222,6 +225,11 @@ def _check_uniforms(attack: OutsideAttack | None) -> int:
     return -(-used // 4) * 4
 
 
+def _basis_rows(fourier: np.ndarray) -> np.ndarray:
+    """Per-register measurement rows: the Fourier basis where flagged, else computational."""
+    return np.where(fourier[:, None, None], _rows(xi_family()), _rows(computational_family()))
+
+
 def _intercept(state: np.ndarray, axis: int, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The intercept step: Eve measures qutrit ``axis`` of register b with uniform ``u[b]``
     in the basis whose conjugated members are ``rows[b]``, then resends the member she saw
@@ -235,9 +243,13 @@ def _check_block(
     u: np.ndarray, attack: OutsideAttack | None, check_basis_policy: str, num_parties: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Play a block of check rounds; return per round the Fourier-basis
-    flag, the parties' outcome trits ``(B, num_parties)`` and the verdict."""
+    flag, the parties' outcome trits ``(B, num_parties)`` and the verdict.
+
+    The rounds share one GHZ register until the first intercept, whose
+    per-round basis gives each round its own; an honest block stays one
+    register until the check step's per-round basis choice."""
     fourier = _fourier_flags(u[:, 0], check_basis_policy == RANDOM_CHECK_BASIS, check_basis_policy == FOURIER)
-    state = np.broadcast_to(_block(ghz_state(num_parties)), (len(u),) + (3,) * num_parties)
+    state = _block(ghz_state(num_parties))
 
     targets = attack.target_qutrits if attack is not None else ()
     for i, target in enumerate(targets):
@@ -261,6 +273,7 @@ def _check_blocks(
         raise ConfigInvalid("at least one check round is required")
     if check_basis_policy not in CHECK_BASES + (RANDOM_CHECK_BASIS,):
         raise ConfigInvalid(f"unknown check basis policy {check_basis_policy!r}")
+    num_parties = _integer(num_parties, ConfigInvalid, "num_parties")
     if num_parties < 2:
         raise ConfigInvalid("a check round needs at least two parties")
     if attack is not None:

@@ -10,6 +10,10 @@ One private batched engine (``_contract``, ``_weights``, ``_measure``,
 ``_apply``) acts on B registers held as one ``(B, 3, ..., 3)`` array. The
 ``PureState`` operations validate and run it on one register; the steps
 in ``protocol`` and the kernels in ``attacks`` run it on blocks of trials.
+A step whose rows every register shares, or whose registers are all one
+state, runs as one 2-D matrix product: a block holds one register until
+the first step whose rows differ between trials, and ``_measure`` (the
+only collapse) then gives each trial its own register.
 """
 
 from __future__ import annotations
@@ -251,15 +255,35 @@ def _block(s: PureState) -> np.ndarray:
     return s.amplitudes.reshape((1,) + (3,) * s.num_qutrits)
 
 
+def _others(block: np.ndarray, axes: Sequence[int]) -> list[int]:
+    """Array axes of a block's qutrits other than the target ``axes``, in order."""
+    return [k + 1 for k in range(block.ndim - 1) if k not in axes]
+
+
 def _grouped(block: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     """``(B, 3**t, rest)`` form of a block: the t target axes lead in the given order, the others follow in theirs."""
-    others = [k for k in range(block.ndim - 1) if k not in axes]
-    order = [0] + [k + 1 for k in axes] + [k + 1 for k in others]
+    order = [0] + [k + 1 for k in axes] + _others(block, axes)
     return block.transpose(order).reshape(len(block), 3 ** len(axes), -1)
 
 
 def _contract(rows: np.ndarray, block: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """``(B, m, rest)`` coefficients of shared ``(m, 3**t)`` or per-register ``(B, m, 3**t)`` rows on the targets."""
+    """``(B, m, rest)`` coefficients of ``m`` rows on the targets of each register.
+
+    What the registers share runs as one 2-D matrix product:
+
+    - shared ``(m, 3**t)`` rows on B registers: the target axes move ahead of
+      the register axis, ``rows @ (3**t, B * rest)`` runs once and its
+      ``(B, m, rest)`` view is returned;
+    - per-register ``(B, m, 3**t)`` rows on one register:
+      ``(B * m, 3**t) @ (3**t, rest)`` runs once;
+    - per-register rows on B registers: one stacked product per register.
+    """
+    if rows.ndim == 2:
+        flat = block.transpose([k + 1 for k in axes] + [0] + _others(block, axes)).reshape(rows.shape[1], -1)
+        return (rows @ flat).reshape(len(rows), len(block), -1).transpose(1, 0, 2)
+    if len(block) == 1:
+        coeffs = rows.reshape(-1, rows.shape[2]) @ _grouped(block, axes)[0]
+        return coeffs.reshape(rows.shape[:2] + (-1,))
     return rows @ _grouped(block, axes)
 
 
@@ -274,17 +298,20 @@ def _measure(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Measure the targets of register b in the family whose conjugated members are ``rows``,
     sampling with uniform ``draw[b]`` or, where ``draw`` holds integers, forcing that outcome.
-    Return the outcomes, their Born weights and the collapsed block of the other qutrits."""
+    Return the outcomes, their Born weights and the collapsed block of the other qutrits.
+
+    The registers are those of the coefficients: a one-register block measured
+    with B per-register row sets collapses into B registers."""
     coeffs = _contract(rows, block, axes)
     probs = _weights(coeffs)
     forced = draw.dtype.kind in "iu"
     outcome = draw if forced else sample_indices(probs, draw)
-    registers = np.arange(len(block))
+    registers = np.arange(len(coeffs))
     weight = probs[registers, outcome]
     if forced and weight.min() <= ZERO_PROB_TOL:
         raise ZeroProbabilityBranchSampled(f"forced branch has probability {float(weight.min())!r}")
     kept = coeffs[registers, outcome] / np.sqrt(weight)[:, None]
-    return outcome, weight, kept.reshape((len(block),) + (3,) * (block.ndim - 1 - len(axes)))
+    return outcome, weight, kept.reshape((len(coeffs),) + (3,) * (block.ndim - 1 - len(axes)))
 
 
 def _apply(rows: np.ndarray, block: np.ndarray, axis: int) -> np.ndarray:

@@ -4,7 +4,8 @@ The choreography exists once, as two block steps: the dealer's Bell
 measurement of the secret with its qutrit of a fresh GHZ channel
 (``_deal``), then the helpers' Fourier measurements (``_help``). The
 dealer's Bell rows absorb the secret first, so the dealer measures the
-bare channel and no secret-and-channel register is built. Sessions run
+bare channel, one register that every trial shares, and no
+secret-and-channel register is built. Sessions run
 the steps on one register, the inside attack on blocks of trials. Check
 rounds consume dedicated GHZ copies and feed a compare-and-abort verdict.
 """
@@ -36,7 +37,6 @@ from .operators import (
     HelperSum,
     XiOutcome,
     bell_family,
-    computational_family,
     ghz_state,
     recovery_operator,
     xi_family,
@@ -120,19 +120,19 @@ def _rows(family: list[PureState]) -> np.ndarray:
     return _family_matrix(tuple(family), family[0].num_qutrits)
 
 
-def _basis_rows(fourier: np.ndarray) -> np.ndarray:
-    """Per-register measurement rows: the Fourier basis where flagged, else computational."""
-    return np.where(fourier[:, None, None], _rows(xi_family()), _rows(computational_family()))
-
-
 def _check_outcomes(state: np.ndarray, fourier: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The check step on a block: every party measures in the Fourier basis where ``fourier[b]``,
-    else the computational one, and the joint outcome of register b is drawn with ``u[b]``. Returns
+    else the computational one, and the joint outcome of round b is drawn with ``u[b]``. Returns
     the trits ``(B, parties)`` and whether each round kept the GHZ correlation: a Fourier round
-    passes when they sum to 0 mod 3, a computational one when they all agree."""
-    rows = _basis_rows(fourier)
+    passes when they sum to 0 mod 3, a computational one when they all agree.
+
+    ``state`` holds one register per round or one that every round shares. The shared Fourier rows
+    turn every party's qutrit of the whole block, and each round keeps the turned register where
+    it is a Fourier round: the computational family's conjugated rows are the identity."""
+    rows, turned = _rows(xi_family()), state
     for axis in range(state.ndim - 1):
-        state = _apply(rows, state, axis)
+        turned = _apply(rows, turned, axis)
+    state = np.where(fourier.reshape((-1,) + (1,) * (state.ndim - 1)), turned, state)
     joint = sample_indices(_weights(state.reshape(len(state), -1, 1)), u)
     trits = np.stack(np.unravel_index(joint, state.shape[1:]), axis=1)
     return trits, np.where(fourier, trits.sum(axis=1) % 3 == 0, np.all(trits == trits[:, :1], axis=1))
@@ -166,13 +166,14 @@ def _deal(secrets: np.ndarray, num_agents: int, draw: np.ndarray) -> tuple[np.nd
 
     The measurement touches only the secret and that one qutrit, so each Bell row first absorbs
     the secret, and each register's nine rows (``(B, 9, 3)`` in all) measure the first qutrit of
-    the bare channel; no secret ⊗ channel register is built. The rows form a Parseval frame (the
+    the bare channel; no secret ⊗ channel register is built. The channel is one register for the
+    whole block, so the step is one matrix product, and the measurement gives every trial its own
+    register of the agents' qutrits. The rows form a Parseval frame (the
     sum of r_k^dagger r_k is the identity), so the Born weights still sum to 1. Returns the
     outcomes 3n + m, their Born weights and the agents' block, agent a's qutrit on axis a - 1.
     """
     rows = (secrets @ _secret_bell_rows()).reshape(len(secrets), 9, 3)
-    channel = np.broadcast_to(_block(ghz_state(num_agents + 1)), (len(secrets),) + (3,) * (num_agents + 1))
-    return _measure(channel, (0,), rows, draw)
+    return _measure(_block(ghz_state(num_agents + 1)), (0,), rows, draw)
 
 
 def _help(state: np.ndarray, held: list[int], designated: int, draws: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -282,6 +283,7 @@ def channel_check_round(
     """
     if basis not in CHECK_BASES:
         raise ConfigInvalid(f"check basis must be one of {CHECK_BASES}, got {basis!r}")
+    num_parties = _integer(num_parties, ConfigInvalid, "num_parties")
     if num_parties < 2:
         raise ConfigInvalid("a check round needs at least two parties")
     trits, passed = _check_outcomes(_block(ghz_state(num_parties)), np.array([basis == FOURIER]), rng.random(1))

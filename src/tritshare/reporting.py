@@ -19,6 +19,7 @@ import numpy as np
 
 from .attacks import AttackStats
 from .core import PureState
+from .errors import ConfigInvalid
 from .protocol import ChannelVerdict, Transcript
 
 SCHEMA_VERSION = 1
@@ -190,6 +191,8 @@ def render_json(report: dict) -> str:
 
 def render_csv(report: dict) -> str:
     """One flat row per attack experiment, stats in field order; only attack reports have a CSV form."""
+    if report["command"] != "attack":
+        raise ConfigInvalid("only attack reports have a CSV form")
     stats = report["results"]["stats"]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

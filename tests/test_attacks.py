@@ -22,6 +22,7 @@ from tritshare import (
     basis_state,
     bell_family,
     born_distribution,
+    channel_check_round,
     fidelity,
     ghz_state,
     haar_random_state,
@@ -335,6 +336,13 @@ NON_INTEGER_INPUT = {
     "inside-trials": (lambda v: _inside(trials=v), 2, 2.5, ConfigInvalid),
     "outside-trials": (lambda v: run_outside_attack_experiment(v, None, FOURIER, 1), 2, 2.5, ConfigInvalid),
     "check-rounds": (lambda v: run_check_rounds(v, None, FOURIER, 1), 2, 2.5, ConfigInvalid),
+    "check-num-parties": (lambda v: run_check_rounds(10, None, "random", 1, num_parties=v), 3, 3.0, ConfigInvalid),
+    "outside-num-parties": (
+        lambda v: run_outside_attack_experiment(10, None, FOURIER, 1, num_parties=v), 3, 3.0, ConfigInvalid,
+    ),
+    "check-round-num-parties": (
+        lambda v: channel_check_round(FOURIER, np.random.default_rng(0), num_parties=v), 3, 3.0, ConfigInvalid,
+    ),
     "session-forced-helpers": (
         lambda v: run_sharing_session(SessionConfig(3, 1, FAKE_ZERO, 1), forced_helpers=(v, 2)), 1, 1.7, ConfigInvalid,
     ),

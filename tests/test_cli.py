@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from tritshare import AttackStats, fidelity, parse_secret, run_command, xi_state
 from tritshare.cli import MAX_TRIALS, _parse_secret_checked
-from tritshare.errors import NotNormalized, ParseError
+from tritshare.errors import ConfigInvalid, NotNormalized, ParseError
 from tritshare import reporting
 from tritshare.reporting import REPORT_SCHEMA, decode_state, validate_report
 
@@ -205,6 +205,14 @@ def test_csv_unsupported_for_share():
     code, _, err = run_cli(["share", "--seed", "1", "--format", "csv"])
     assert code == 2
     assert "CSV" in err or "csv" in err
+
+
+def test_render_csv_refuses_a_non_attack_report():
+    for argv in (["share", "--seed", "1"], ["check-channel", "--rounds", "10", "--seed", "1"]):
+        report = json.loads(run_cli(argv)[1])
+        validate_report(report)
+        with pytest.raises(ConfigInvalid, match="only attack reports have a CSV form"):
+            reporting.render_csv(report)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from tritshare import (
     xi_family,
     xi_state,
 )
-from tritshare.core import sample_indices
+from tritshare.core import _contract, _grouped, _measure, sample_indices
 from tritshare.errors import (
     DimensionMismatch,
     EmptyKeepSet,
@@ -418,6 +418,66 @@ def test_sampled_distribution_matches_born_within_one_percent():
     for _ in range(trials):
         counts[measure_subsystem(s, (1,), family, rng).outcome_index] += 1
     assert np.max(np.abs(counts / trials - probs)) < 0.01
+
+
+# ---------------------------------------------------------------------------
+# the batched engine's forms
+
+# (qutrits, target axes): one target, or two in reversed order, non-adjacent from three qutrits on
+ENGINE_TARGETS = [
+    (n, axes) for n in range(2, 6) for axes in ((n - 1,), (0,), (n - 1, 0)) + (((n - 1, 1),) if n >= 4 else ())
+]
+
+
+def _random_block(rng, registers, n):
+    shape = (registers,) + (3,) * n
+    block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return block / np.linalg.norm(block.reshape(registers, -1), axis=1).reshape((-1,) + (1,) * n)
+
+
+def _random_bases(rng, count, dim):
+    """``(count, dim, dim)`` conjugated members of random orthonormal bases, one basis per register."""
+    q, _ = np.linalg.qr(rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim)))
+    return np.swapaxes(q, -1, -2).conj()
+
+
+@pytest.mark.parametrize("n, axes", ENGINE_TARGETS)
+def test_every_contract_form_matches_the_per_register_product(n, axes):
+    rng = np.random.default_rng(100 * n + sum(axes))
+    registers, width = 5, 3 ** len(axes)
+    block = _random_block(rng, registers, n)
+    single = block[:1]
+    per_register = rng.standard_normal((registers, 4, width)) + 1j * rng.standard_normal((registers, 4, width))
+    shared = per_register[0]
+
+    def reference(rows, blk):
+        return np.stack([rows[b] @ _grouped(blk, axes)[b % len(blk)] for b in range(registers)])
+
+    forms = {
+        "shared rows, B registers": (shared, block, np.broadcast_to(shared, per_register.shape)),
+        "per-register rows, one register": (per_register, single, per_register),
+        "per-register rows, B registers": (per_register, block, per_register),
+    }
+    for name, (rows, blk, rows_per_register) in forms.items():
+        coeffs = _contract(rows, blk, axes)
+        assert coeffs.shape == (registers, 4, 3 ** (n - len(axes))), name
+        np.testing.assert_allclose(coeffs, reference(rows_per_register, blk), rtol=0, atol=1e-13, err_msg=name)
+
+
+@pytest.mark.parametrize("n, axes", ENGINE_TARGETS)
+def test_measuring_one_register_with_per_register_rows_matches_its_broadcast_copy(n, axes):
+    rng = np.random.default_rng(200 * n + sum(axes))
+    registers = 6
+    single = _random_block(rng, 1, n)
+    copies = np.broadcast_to(single, (registers,) + single.shape[1:])
+    rows = _random_bases(rng, registers, 3 ** len(axes))
+    for draw in (rng.random(registers), rng.integers(0, 3 ** len(axes), registers)):
+        outcome, weight, kept = _measure(single, axes, rows, draw)
+        outcome_ref, weight_ref, kept_ref = _measure(copies, axes, rows, draw)
+        assert np.array_equal(outcome, outcome_ref)
+        assert kept.shape == kept_ref.shape == (registers,) + (3,) * (n - len(axes))
+        np.testing.assert_allclose(weight, weight_ref, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(kept, kept_ref, rtol=0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

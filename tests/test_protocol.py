@@ -33,9 +33,9 @@ from tritshare import (
     verify_correlations,
     xi_family,
 )
-from tritshare.attacks import ALWAYS_COMPUTATIONAL, OutsideAttack, run_check_rounds
+from tritshare.attacks import ALWAYS_COMPUTATIONAL, OutsideAttack, _basis_rows, run_check_rounds
 from tritshare.errors import ConfigInvalid, DimensionMismatch, EmptyInput
-from tritshare.core import sample_indices
+from tritshare.core import _apply, _block, _weights, sample_indices
 from tritshare.protocol import (
     BELL_RESULT,
     COMPUTATIONAL,
@@ -43,6 +43,7 @@ from tritshare.protocol import (
     FOURIER,
     HELPER_RESULT,
     CheckRecord,
+    _check_outcomes,
     _deal,
 )
 
@@ -400,6 +401,38 @@ def test_honest_round_keeps_the_ghz_correlation(num_parties, basis):
         seen.add(record.outcomes)
     # every party's outcome is uniform, so the rounds do not repeat one outcome
     assert len(seen) > 1
+
+
+def _reference_check_outcomes(state, fourier, u):
+    """The check step as every round's own basis rows applied on each party's axis of its own register."""
+    state = np.broadcast_to(state, (len(fourier),) + state.shape[1:])
+    rows = _basis_rows(fourier)
+    for axis in range(state.ndim - 1):
+        state = _apply(rows, state, axis)
+    joint = sample_indices(_weights(state.reshape(len(state), -1, 1)), u)
+    trits = np.stack(np.unravel_index(joint, state.shape[1:]), axis=1)
+    return trits, np.where(fourier, trits.sum(axis=1) % 3 == 0, np.all(trits == trits[:, :1], axis=1))
+
+
+@pytest.mark.parametrize("num_parties", [2, 3, 4, 5, 6])
+def test_check_step_matches_per_round_basis_rows(num_parties):
+    rng = np.random.default_rng(60 + num_parties)
+    rounds = 64
+    shape = (rounds,) + (3,) * num_parties
+    haar = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    haar /= np.linalg.norm(haar.reshape(rounds, -1), axis=1).reshape((-1,) + (1,) * num_parties)
+    inputs = {
+        "shared GHZ register": _block(ghz_state(num_parties)),
+        "shared Haar register": haar[:1],
+        "a Haar register per round": haar,
+    }
+    for fourier in (rng.random(rounds) < 0.5, np.zeros(rounds, bool), np.ones(rounds, bool)):
+        u = rng.random(rounds)
+        for name, state in inputs.items():
+            trits, passed = _check_outcomes(state, fourier, u)
+            trits_ref, passed_ref = _reference_check_outcomes(state, fourier, u)
+            assert np.array_equal(trits, trits_ref), name
+            assert np.array_equal(passed, passed_ref), name
 
 
 def test_check_round_party_count_is_keyword_only():
