@@ -172,7 +172,8 @@ def _inside_block(secrets: np.ndarray, designated: np.ndarray, attack: InsideAtt
 
     ``secrets`` is ``(B, 3)``, ``designated`` holds agent 1 or 2 per
     trial and ``u`` the trials' ``(B, _INSIDE_UNIFORMS)`` uniforms. The
-    dealer's step runs once per block. The fake, if any, is unentangled and
+    dealer's step, the helpers' step and the fidelity step each run once
+    per block, whatever the designations. The fake, if any, is unentangled and
     untouched by the dealer's measurement, so it joins the register as its
     last qutrit right after that measurement: the outcomes and states are
     the same as when it joins at capture, on a third of the amplitudes.
@@ -182,7 +183,10 @@ def _inside_block(secrets: np.ndarray, designated: np.ndarray, attack: InsideAtt
     Fourier-measures the captured qutrit instead and recovers the secret
     on their own. Otherwise the attacker plays helper on their genuine
     qutrit and the victim reconstructs on whatever they hold, which is
-    what the dealer's comparison sees.
+    what the dealer's comparison sees. The captured qutrit is measured in
+    every register, and its outcome kept where the attacker is designated:
+    the victim's fake is unentangled from it, so their reconstruction is
+    the same either way.
     """
     attacker = attack.dishonest_agent
     victim = 3 - attacker
@@ -193,19 +197,16 @@ def _inside_block(secrets: np.ndarray, designated: np.ndarray, attack: InsideAtt
         state = state[..., None] * attack.fake_state.amplitudes
         held[victim - 1] = 2
 
-    announced = np.empty(len(u), dtype=np.intp)
+    (announced,), state = _help(state, held, designated, u[:, _U_FIRST : _U_FIRST + 1])
     captured = np.full(len(u), -1, dtype=np.intp)
-    fid = np.empty(len(u))
-    for agent in set(designated.tolist()):
-        group = designated == agent
-        (helper_sum,), kept = _help(state[group], held, agent, u[group, _U_FIRST : _U_FIRST + 1])
-        announced[group] = helper_sum
-        if agent == attacker and attack.fake_state is not None:
-            # the fake was the victim's last qutrit, so the captured one is still on its own axis
-            helper_sum, _, kept = _measure(kept, (victim - 1,), _rows(xi_family()), u[group, _U_SECOND])
-            captured[group] = helper_sum
-        # the designated agent holds the last qutrit left
-        fid[group] = _reconstruction_fidelity(kept, secrets[group], bell[group], helper_sum)
+    helper_sum = announced
+    if attack.fake_state is not None:
+        # the captured qutrit, which no agent holds, leads the designated agent's
+        outcome, _, state = _measure(state, (0,), _rows(xi_family()), u[:, _U_SECOND])
+        theft = designated == attacker
+        captured = np.where(theft, outcome, -1)
+        helper_sum = np.where(theft, outcome, announced)
+    fid = _reconstruction_fidelity(state, secrets, bell, helper_sum)
     return _InsideBlock(bell, announced, captured, fid)
 
 

@@ -289,7 +289,7 @@ def _contract(rows: np.ndarray, block: np.ndarray, axes: Sequence[int]) -> np.nd
 
 def _weights(coeffs: np.ndarray) -> np.ndarray:
     """``(B, m)`` Born weights: squared moduli of ``(B, m, rest)`` coefficients summed over ``rest``."""
-    parts = np.ascontiguousarray(coeffs).view(np.float64)  # real and imaginary parts side by side
+    parts = coeffs.view(np.float64)  # real and imaginary parts side by side; every form's last axis is contiguous
     return np.einsum("bmr,bmr->bm", parts, parts)
 
 
@@ -338,16 +338,32 @@ def born_distribution(s: PureState, targets: Sequence[int], family: Sequence[Pur
     return _weights(_contract(_family_matrix(tuple(family), len(axes)), _block(s), axes))[0]
 
 
+#: Widest row whose cumulative sums come from one real matrix product with ``_upper_ones``;
+#: wider rows take ``np.cumsum``, which is faster from between 81 and 243 outcomes on and
+#: needs no ``(n, n)`` matrix (a 3**11-outcome row would need 250 GB).
+_PRODUCT_CUMSUM_WIDTH = 81
+
+
+@lru_cache(maxsize=None)
+def _upper_ones(n: int) -> np.ndarray:
+    """``(n, n)`` upper-triangular ones: ``probs @`` it gives each row's cumulative sums."""
+    return _freeze(np.triu(np.ones((n, n))))
+
+
 def sample_indices(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Row-wise inverse-CDF draws over ascending outcome index.
 
     Row ``b`` of ``probs`` is one Born distribution and ``u[b]`` in [0, 1)
     its uniform. Zero-probability entries contribute no cumulative gap and
     can never be selected; a uniform beyond a row's rounded total falls to
-    its last positive entry.
+    its last positive entry. Rows of up to ``_PRODUCT_CUMSUM_WIDTH`` outcomes
+    take their cumulative sums from one real matrix product, which stays fast
+    right after a complex one where ``np.cumsum`` slows down several-fold;
+    its sums may differ from a sequential sum in the last bit.
     """
     n = probs.shape[1]
-    k = np.sum(np.cumsum(probs, axis=1) <= u[:, None], axis=1)
+    cumulative = probs @ _upper_ones(n) if n <= _PRODUCT_CUMSUM_WIDTH else np.cumsum(probs, axis=1)
+    k = np.sum(cumulative <= u[:, None], axis=1)
     if k.max() >= n:
         positive = probs > ZERO_PROB_TOL
         overflow = k >= n

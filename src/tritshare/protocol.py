@@ -128,12 +128,15 @@ def _check_outcomes(state: np.ndarray, fourier: np.ndarray, u: np.ndarray) -> tu
 
     ``state`` holds one register per round or one that every round shares. The shared Fourier rows
     turn every party's qutrit of the whole block, and each round keeps the turned register where
-    it is a Fourier round: the computational family's conjugated rows are the identity."""
-    rows, turned = _rows(xi_family()), state
-    for axis in range(state.ndim - 1):
-        turned = _apply(rows, turned, axis)
-    state = np.where(fourier.reshape((-1,) + (1,) * (state.ndim - 1)), turned, state)
-    joint = sample_indices(_weights(state.reshape(len(state), -1, 1)), u)
+    it is a Fourier round: the computational family's conjugated rows are the identity. A block
+    without a Fourier round skips the turn, and one of Fourier rounds only keeps every turned one."""
+    if fourier.any():
+        rows, turned = _rows(xi_family()), state
+        for axis in range(state.ndim - 1):
+            turned = _apply(rows, turned, axis)
+        state = turned if fourier.all() else np.where(fourier.reshape((-1,) + (1,) * (state.ndim - 1)), turned, state)
+    probs = _weights(state.reshape(len(state), -1, 1))
+    joint = sample_indices(np.broadcast_to(probs, (len(u), probs.shape[1])), u)
     trits = np.stack(np.unravel_index(joint, state.shape[1:]), axis=1)
     return trits, np.where(fourier, trits.sum(axis=1) % 3 == 0, np.all(trits == trits[:, :1], axis=1))
 
@@ -176,18 +179,39 @@ def _deal(secrets: np.ndarray, num_agents: int, draw: np.ndarray) -> tuple[np.nd
     return _measure(_block(ghz_state(num_agents + 1)), (0,), rows, draw)
 
 
-def _help(state: np.ndarray, held: list[int], designated: int, draws: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """The helpers' step: each agent a but ``designated``, in ascending order, Fourier-measures the
-    qutrit on axis ``held[a - 1]``, the i-th drawing with ``draws[:, i]``; a measured axis leaves the
-    block, so the held axes above it move down. Returns each helper's outcomes and the block left."""
+def _help(
+    state: np.ndarray, held: list[int], designated: np.ndarray, draws: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The helpers' step: in register b every agent but ``designated[b]``, in ascending order,
+    Fourier-measures the qutrit they hold, the i-th drawing with ``draws[:, i]``. Agent a holds the
+    qutrit on axis ``held[a - 1]``; an axis that no agent holds is another qutrit (a captured one).
+
+    Each register's qutrits are first put in one order: the helpers' in ascending agent order, then
+    any other qutrit, then the designated agent's. Every helper then measures axis 0 in turn, and
+    one step serves registers with different designations; the block is copied only when their
+    designations differ. Returns each helper's outcomes, the i-th helper's of every register in
+    the i-th array, and the block left: any other qutrit, then the designated agent's last."""
+    others = [k + 1 for k in range(state.ndim - 1) if k not in held]
+
+    def order(agent: int) -> list[int]:
+        helpers = [h + 1 for a, h in enumerate(held, 1) if a != agent]
+        return [0] + helpers + others + [held[agent - 1] + 1]
+
+    first = int(designated[0])
+    if np.all(designated == first):
+        state = state.transpose(order(first))
+    else:
+        ordered = np.empty_like(state)
+        for agent in range(1, len(held) + 1):
+            group = designated == agent
+            if group.any():
+                ordered[group] = state[group].transpose(order(agent))
+        state = ordered
     rows = _rows(xi_family())
-    helpers = [a for a in range(1, len(held) + 1) if a != designated]
     outcomes = []
-    for agent, draw in zip(helpers, draws.T):
-        axis = held[agent - 1]
-        outcome, _, state = _measure(state, (axis,), rows, draw)
+    for draw in draws.T:
+        outcome, _, state = _measure(state, (0,), rows, draw)
         outcomes.append(outcome)
-        held = [h - (h > axis) for h in held]
     return outcomes, state
 
 
@@ -243,7 +267,7 @@ def run_sharing_session(
         helper_draws = np.array([[_integer(h, ConfigInvalid, "forced helper outcome") % 3 for h in forced_helpers]])
 
     bell_index, bell_weight, state = _deal(cfg.secret.amplitudes[None, :], cfg.num_agents, bell_draw)
-    outcomes, state = _help(state, list(range(cfg.num_agents)), cfg.designated, helper_draws)
+    outcomes, state = _help(state, list(range(cfg.num_agents)), np.array([cfg.designated]), helper_draws)
     bell = BellOutcome.from_index(int(bell_index[0]))
     helper_outcomes = [XiOutcome(int(outcome[0])) for outcome in outcomes]
     announcements = [Announcement(BELL_RESULT, "alice", bell), Announcement(DESIGNATION, "alice", cfg.designated)]

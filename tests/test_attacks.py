@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import tritshare.attacks as attacks
+import tritshare.protocol as protocol
 from tritshare import (
     BellOutcome,
     InsideAttack,
@@ -47,6 +48,8 @@ from tritshare.errors import ConfigInvalid, LabelOutOfRange, SelfCapture
 from tritshare.protocol import COMPUTATIONAL, FOURIER
 
 FAKE_ZERO = basis_state([0])
+#: A fake off the computational axes, so that a wrong correction shows in the victim's fidelity.
+FAKE_HAAR = haar_random_state(np.random.default_rng(5))
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +201,18 @@ def test_outside_detections_are_the_failed_check_rounds(attack, policy, num_part
     stats = run_outside_attack_experiment(300, attack, policy, seed=70, num_parties=num_parties)
     records = run_check_rounds(300, attack, policy, seed=70, num_parties=num_parties)
     assert stats.detections == sum(1 for record in records if not record.passed)
+
+
+@pytest.mark.parametrize("num_parties", [2, 3, 4, 5, 6])
+def test_computational_check_rounds_turn_no_qutrit(num_parties, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a block without Fourier rounds applied the Fourier rows")
+
+    monkeypatch.setattr(protocol, "_apply", refuse)
+    for attack in (None, OutsideAttack(tuple(range(2, num_parties + 1)), "random_per_qutrit")):
+        records = run_check_rounds(300, attack, COMPUTATIONAL, seed=71, num_parties=num_parties)
+        assert {record.basis for record in records} == {COMPUTATIONAL}
+        assert attack is not None or all(record.passed for record in records)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +392,7 @@ def test_attack_stats_rates_consistent():
 
 
 def _inside_configs():
-    for fake, mode, attacker in itertools.product((FAKE_ZERO, None), (EXACT, SINGLE_COPY), (1, 2)):
+    for fake, mode, attacker in itertools.product((FAKE_ZERO, None, FAKE_HAAR), (EXACT, SINGLE_COPY), (1, 2)):
         yield InsideAttack(attacker, fake), mode
 
 

@@ -32,7 +32,8 @@ from tritshare import (
     xi_family,
     xi_state,
 )
-from tritshare.core import _contract, _grouped, _measure, sample_indices
+import tritshare.core as core
+from tritshare.core import _contract, _grouped, _measure, _weights, sample_indices
 from tritshare.errors import (
     DimensionMismatch,
     EmptyKeepSet,
@@ -400,6 +401,32 @@ def test_sample_indices_matches_the_scalar_rule_row_by_row():
     assert np.all(probs[np.arange(200), k] > 0)
 
 
+@pytest.mark.parametrize("width", [3, 9, 27, 81, 243, 729])
+def test_sample_indices_matches_a_sequential_cumulative_sum(width, monkeypatch):
+    built = []
+    upper_ones = core._upper_ones
+
+    def recording(n):
+        built.append(n)
+        return upper_ones(n)
+
+    monkeypatch.setattr(core, "_upper_ones", recording)
+    rng = np.random.default_rng(width)
+    rows = 300
+    probs = rng.random((rows, width)) * (rng.random((rows, width)) < 0.5)
+    probs[:, 0] += 0.01  # every row keeps a positive entry
+    probs[:50, width // 2 + 1 :] = 0.0  # rows whose last positive entry is not their last
+    probs /= probs.sum(axis=1, keepdims=True)
+    probs[:100] *= 1.0 - 1e-12  # totals rounding below the largest uniforms
+    u = rng.random(rows)
+    u[:100:2] = np.nextafter(1.0, 0.0)
+    u[1:100:2] = 1.0 - 1e-13
+    k = sample_indices(probs, u)
+    assert list(k) == [_scalar_inverse_cdf(p, x) for p, x in zip(probs, u)]
+    assert np.all(probs[np.arange(rows), k] > 0)
+    assert built == ([width] if width <= 81 else [])
+
+
 def test_sample_indices_skips_zero_branches_and_refuses_empty_rows():
     probs = np.array([[0.5, 0.0, 0.5], [0.3, 0.7 - 1e-12, 0.0]])
     assert list(sample_indices(probs, np.array([0.5, 0.9999999999999]))) == [2, 1]
@@ -462,6 +489,7 @@ def test_every_contract_form_matches_the_per_register_product(n, axes):
         coeffs = _contract(rows, blk, axes)
         assert coeffs.shape == (registers, 4, 3 ** (n - len(axes))), name
         np.testing.assert_allclose(coeffs, reference(rows_per_register, blk), rtol=0, atol=1e-13, err_msg=name)
+        np.testing.assert_allclose(_weights(coeffs), np.sum(np.abs(coeffs) ** 2, -1), rtol=1e-13, err_msg=name)
 
 
 @pytest.mark.parametrize("n, axes", ENGINE_TARGETS)

@@ -35,7 +35,7 @@ from tritshare import (
 )
 from tritshare.attacks import ALWAYS_COMPUTATIONAL, OutsideAttack, _basis_rows, run_check_rounds
 from tritshare.errors import ConfigInvalid, DimensionMismatch, EmptyInput
-from tritshare.core import _apply, _block, _weights, sample_indices
+from tritshare.core import _apply, _block, _measure, _weights, sample_indices
 from tritshare.protocol import (
     BELL_RESULT,
     COMPUTATIONAL,
@@ -45,6 +45,8 @@ from tritshare.protocol import (
     CheckRecord,
     _check_outcomes,
     _deal,
+    _help,
+    _rows,
 )
 
 SQRT3 = np.sqrt(3.0)
@@ -321,6 +323,42 @@ def test_dealer_step_matches_the_product_register(num_agents):
             record = project_subsystem(product, (1, 2), bell_family(), int(expected))
             assert abs(weights[b] - record.probability) < 1e-12
             assert np.max(np.abs(state[b].reshape(-1) - record.collapsed.amplitudes)) < 1e-12
+
+
+def _help_by_relabeling(state, held, designated, draws):
+    """Reference helpers' step for one designation: each helper measures the axis it holds in
+    place, the held axes above it move down, and the designated agent's axis then moves last."""
+    outcomes = []
+    for agent, draw in zip([a for a in range(1, len(held) + 1) if a != designated], draws.T):
+        axis = held[agent - 1]
+        outcome, _, state = _measure(state, (axis,), _rows(xi_family()), draw)
+        outcomes.append(outcome)
+        held = [h - (h > axis) for h in held]
+    return outcomes, np.moveaxis(state, held[designated - 1] + 1, -1)
+
+
+@pytest.mark.parametrize("num_agents, extra", [(n, e) for n in range(2, 6) for e in (0, 1)])
+def test_helpers_step_serves_mixed_designations_at_once(num_agents, extra):
+    # extra: a qutrit that no agent holds, as a captured one
+    rng = np.random.default_rng(80 + 2 * num_agents + extra)
+    registers, n = 40, num_agents + extra
+    shape = (registers,) + (3,) * n
+    block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    block /= np.linalg.norm(block.reshape(registers, -1), axis=1).reshape((-1,) + (1,) * n)
+    held = [int(k) for k in rng.permutation(n)[:num_agents]]
+    designated = rng.integers(1, num_agents + 1, registers)
+    draws = rng.random((registers, num_agents - 1))
+    outcomes, kept = _help(block, held, designated, draws)
+    assert len(outcomes) == num_agents - 1
+    assert kept.shape == (registers,) + (3,) * (extra + 1)
+    for agent in range(1, num_agents + 1):
+        group = designated == agent
+        assert group.any()
+        per_group = _help(block[group], held, designated[group], draws[group])
+        for ref_outcomes, ref_kept in (per_group, _help_by_relabeling(block[group], held, agent, draws[group])):
+            for outcome, ref_outcome in zip(outcomes, ref_outcomes):
+                assert np.array_equal(outcome[group], ref_outcome)
+            np.testing.assert_allclose(kept[group], ref_kept, rtol=0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
