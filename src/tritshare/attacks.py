@@ -18,8 +18,10 @@ the four doubles Philox yields per counter step, so trial ``t`` reads the
 K uniforms at counter ``t * K / 4``. Results are therefore identical for
 any block size, and trial ``t`` alone can be replayed from a generator
 advanced by ``t * K / 4``. The inside kernel runs the sharing steps of
-``protocol`` (the dealer's, then the helpers') with the capture between
-them. The one-register functions are the same steps on a block of one:
+``protocol`` (the dealer's, then the helpers') on the dealt register. The
+fake is an unentangled qutrit, so it never joins the register: the victim
+measures it, or reconstructs on it, alone. The one-register functions are
+the same steps on a block of one:
 ``outside_intercept_resend`` runs the intercept step,
 ``protocol.channel_check_round`` the check step.
 """
@@ -31,7 +33,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .core import PureState, _axes, _block, _integer, _measure, tensor
+from .core import PureState, _axes, _block, _integer, _measure, sample_indices, tensor
 from .errors import ConfigInvalid, LabelOutOfRange, SelfCapture
 from .operators import BellOutcome, computational_family, ghz_state, xi_family
 from .protocol import (
@@ -100,8 +102,10 @@ class InsideAttack:
     fake_state: PureState | None
 
     def __post_init__(self) -> None:
-        if self.fake_state is not None and self.fake_state.num_qutrits != 1:
-            raise ConfigInvalid("the fake qutrit is a single-qutrit state")
+        if self.fake_state is not None and (
+            not isinstance(self.fake_state, PureState) or self.fake_state.num_qutrits != 1
+        ):
+            raise ConfigInvalid("the fake qutrit is a single-qutrit PureState or None")
 
 
 @dataclass(frozen=True)
@@ -173,41 +177,32 @@ def _inside_block(secrets: np.ndarray, designated: np.ndarray, attack: InsideAtt
     ``secrets`` is ``(B, 3)``, ``designated`` holds agent 1 or 2 per
     trial and ``u`` the trials' ``(B, _INSIDE_UNIFORMS)`` uniforms. The
     dealer's step, the helpers' step and the fidelity step each run once
-    per block, whatever the designations. The fake, if any, is unentangled and
-    untouched by the dealer's measurement, so it joins the register as its
-    last qutrit right after that measurement: the outcomes and states are
-    the same as when it joins at capture, on a third of the amplitudes.
+    per block, whatever the designations.
 
-    When the dishonest agent is designated, the victim's announcement
-    comes off the fake qutrit and is ignored: the attacker privately
-    Fourier-measures the captured qutrit instead and recovers the secret
-    on their own. Otherwise the attacker plays helper on their genuine
-    qutrit and the victim reconstructs on whatever they hold, which is
-    what the dealer's comparison sees. The captured qutrit is measured in
-    every register, and its outcome kept where the attacker is designated:
-    the victim's fake is unentangled from it, so their reconstruction is
-    the same either way.
+    After the capture the attacker holds both qutrits of the dealt
+    register, and the victim holds the fake, an unentangled qutrit that
+    never joins the register. The two dealt qutrits are alike (see
+    ``protocol._help``), so one measurement at axis 0 serves both cases.
+    Where the attacker is designated, it is their private Fourier
+    measurement of the captured qutrit: they recover the secret on their
+    own and ignore the victim's announcement, which comes off the fake.
+    Elsewhere it is the attacker's helper measurement of their own qutrit,
+    and the victim reconstructs on the fake, which is what the dealer's
+    comparison sees.
     """
-    attacker = attack.dishonest_agent
-    victim = 3 - attacker
     bell, _, state = _deal(secrets, 2, u[:, _U_BELL])
-    held = [0, 1]
-    if attack.fake_state is not None:
-        # the capture: the attacker keeps the victim's qutrit, and the victim holds the fake
-        state = state[..., None] * attack.fake_state.amplitudes
-        held[victim - 1] = 2
+    if attack.fake_state is None:
+        (announced,), kept = _help(state, u[:, _U_FIRST : _U_FIRST + 1])
+        captured = np.full(len(u), -1, dtype=np.intp)
+        return _InsideBlock(bell, announced, captured, _reconstruction_fidelity(kept, secrets, bell, announced))
 
-    (announced,), state = _help(state, held, designated, u[:, _U_FIRST : _U_FIRST + 1])
-    captured = np.full(len(u), -1, dtype=np.intp)
-    helper_sum = announced
-    if attack.fake_state is not None:
-        # the captured qutrit, which no agent holds, leads the designated agent's
-        outcome, _, state = _measure(state, (0,), _rows(xi_family()), u[:, _U_SECOND])
-        theft = designated == attacker
-        captured = np.where(theft, outcome, -1)
-        helper_sum = np.where(theft, outcome, announced)
-    fid = _reconstruction_fidelity(state, secrets, bell, helper_sum)
-    return _InsideBlock(bell, announced, captured, fid)
+    theft = designated == attack.dishonest_agent
+    (outcome,), kept = _help(state, np.where(theft, u[:, _U_SECOND], u[:, _U_FIRST])[:, None])
+    fake = attack.fake_state.amplitudes
+    fake_weights = np.broadcast_to(np.abs(_rows(xi_family()) @ fake) ** 2, (len(u), 3))
+    announced = np.where(theft, sample_indices(fake_weights, u[:, _U_FIRST]), outcome)
+    fid = _reconstruction_fidelity(np.where(theft[:, None], kept, fake), secrets, bell, outcome)
+    return _InsideBlock(bell, announced, np.where(theft, outcome, -1), fid)
 
 
 def _inside_inputs(u: np.ndarray, force_designate: int | None) -> tuple[np.ndarray, np.ndarray]:

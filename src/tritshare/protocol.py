@@ -5,8 +5,10 @@ measurement of the secret with its qutrit of a fresh GHZ channel
 (``_deal``), then the helpers' Fourier measurements (``_help``). The
 dealer's Bell rows absorb the secret first, so the dealer measures the
 bare channel, one register that every trial shares, and no
-secret-and-channel register is built. Sessions run
-the steps on one register, the inside attack on blocks of trials. Check
+secret-and-channel register is built. The dealt register is symmetric
+under every permutation of the agents' qutrits, so the helpers measure
+its qutrits in turn and nobody tracks who holds which. Sessions run the
+steps on one register, the inside attack on blocks of trials. Check
 rounds consume dedicated GHZ copies and feed a compare-and-abort verdict.
 """
 
@@ -179,34 +181,15 @@ def _deal(secrets: np.ndarray, num_agents: int, draw: np.ndarray) -> tuple[np.nd
     return _measure(_block(ghz_state(num_agents + 1)), (0,), rows, draw)
 
 
-def _help(
-    state: np.ndarray, held: list[int], designated: np.ndarray, draws: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """The helpers' step: in register b every agent but ``designated[b]``, in ascending order,
-    Fourier-measures the qutrit they hold, the i-th drawing with ``draws[:, i]``. Agent a holds the
-    qutrit on axis ``held[a - 1]``; an axis that no agent holds is another qutrit (a captured one).
+def _help(state: np.ndarray, draws: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The helpers' step: the i-th helper Fourier-measures qutrit 0 of register b with
+    ``draws[b, i]``. Returns each helper's outcomes, the i-th helper's of every register in the
+    i-th array, and the block of the qutrits left.
 
-    Each register's qutrits are first put in one order: the helpers' in ascending agent order, then
-    any other qutrit, then the designated agent's. Every helper then measures axis 0 in turn, and
-    one step serves registers with different designations; the block is copied only when their
-    designations differ. Returns each helper's outcomes, the i-th helper's of every register in
-    the i-th array, and the block left: any other qutrit, then the designated agent's last."""
-    others = [k + 1 for k in range(state.ndim - 1) if k not in held]
-
-    def order(agent: int) -> list[int]:
-        helpers = [h + 1 for a, h in enumerate(held, 1) if a != agent]
-        return [0] + helpers + others + [held[agent - 1] + 1]
-
-    first = int(designated[0])
-    if np.all(designated == first):
-        state = state.transpose(order(first))
-    else:
-        ordered = np.empty_like(state)
-        for agent in range(1, len(held) + 1):
-            group = designated == agent
-            if group.any():
-                ordered[group] = state[group].transpose(order(agent))
-        state = ordered
+    Which agent holds which qutrit does not matter: the dealt register lies in the span of the
+    |kk...k>, so it is symmetric, bit for bit, under every permutation of its qutrits, and each
+    helper's measurement keeps it so. Every helper can therefore measure axis 0, whoever helps,
+    in any order, and the reconstructing agent holds whatever qutrit is left."""
     rows = _rows(xi_family())
     outcomes = []
     for draw in draws.T:
@@ -216,16 +199,12 @@ def _help(
 
 
 def _reconstruction_fidelity(
-    state: np.ndarray, secrets: np.ndarray, bell: np.ndarray, helper_sum: np.ndarray
+    qutrits: np.ndarray, secrets: np.ndarray, bell: np.ndarray, helper_sum: np.ndarray
 ) -> np.ndarray:
-    """Fidelity of each register's corrected last qutrit to its secret.
-
-    Any other qutrit (a captured one an attacker still holds) is traced
-    out: the fidelity ``<secret|R rho R^dagger|secret>`` of the last qutrit
-    under correction R is the Born weight of the row ``<secret|R`` there.
-    """
+    """Fidelity ``|<secret|R|q>|^2`` of each register's reconstructing qutrit ``q`` (``(B, 3)``)
+    to its secret under the correction R that the Bell outcome and the helper sum select."""
     rows = secrets.conj()[:, None, :] @ _recovery_table()[bell // 3, bell % 3, helper_sum]
-    return np.minimum(1.0, _weights(_contract(rows, state, (state.ndim - 2,)))[:, 0])
+    return np.minimum(1.0, _weights(_contract(rows, qutrits, (0,)))[:, 0])
 
 
 def _validate_config(cfg: SessionConfig) -> None:
@@ -267,7 +246,7 @@ def run_sharing_session(
         helper_draws = np.array([[_integer(h, ConfigInvalid, "forced helper outcome") % 3 for h in forced_helpers]])
 
     bell_index, bell_weight, state = _deal(cfg.secret.amplitudes[None, :], cfg.num_agents, bell_draw)
-    outcomes, state = _help(state, list(range(cfg.num_agents)), np.array([cfg.designated]), helper_draws)
+    outcomes, state = _help(state, helper_draws)
     bell = BellOutcome.from_index(int(bell_index[0]))
     helper_outcomes = [XiOutcome(int(outcome[0])) for outcome in outcomes]
     announcements = [Announcement(BELL_RESULT, "alice", bell), Announcement(DESIGNATION, "alice", cfg.designated)]

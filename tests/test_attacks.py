@@ -380,6 +380,12 @@ def test_non_integer_library_input_is_refused(case):
         call(refused)
 
 
+@pytest.mark.parametrize("fake", ["zero", np.array([1, 0, 0]), ghz_state(2)], ids=["name", "array", "two-qutrit"])
+def test_inside_attack_refuses_a_fake_that_is_not_a_single_qutrit_state(fake):
+    with pytest.raises(ConfigInvalid, match="fake qutrit"):
+        InsideAttack(1, fake)
+
+
 def test_attack_stats_rates_consistent():
     stats = run_inside_attack_experiment(500, InsideAttack(1, FAKE_ZERO), EXACT, seed=81)
     assert stats.success_rate == stats.attacker_successes / stats.trials

@@ -337,28 +337,41 @@ def _help_by_relabeling(state, held, designated, draws):
     return outcomes, np.moveaxis(state, held[designated - 1] + 1, -1)
 
 
-@pytest.mark.parametrize("num_agents, extra", [(n, e) for n in range(2, 6) for e in (0, 1)])
-def test_helpers_step_serves_mixed_designations_at_once(num_agents, extra):
-    # extra: a qutrit that no agent holds, as a captured one
-    rng = np.random.default_rng(80 + 2 * num_agents + extra)
-    registers, n = 40, num_agents + extra
-    shape = (registers,) + (3,) * n
-    block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    block /= np.linalg.norm(block.reshape(registers, -1), axis=1).reshape((-1,) + (1,) * n)
-    held = [int(k) for k in rng.permutation(n)[:num_agents]]
-    designated = rng.integers(1, num_agents + 1, registers)
-    draws = rng.random((registers, num_agents - 1))
-    outcomes, kept = _help(block, held, designated, draws)
-    assert len(outcomes) == num_agents - 1
-    assert kept.shape == (registers,) + (3,) * (extra + 1)
-    for agent in range(1, num_agents + 1):
-        group = designated == agent
-        assert group.any()
-        per_group = _help(block[group], held, designated[group], draws[group])
-        for ref_outcomes, ref_kept in (per_group, _help_by_relabeling(block[group], held, agent, draws[group])):
-            for outcome, ref_outcome in zip(outcomes, ref_outcomes):
-                assert np.array_equal(outcome[group], ref_outcome)
-            np.testing.assert_allclose(kept[group], ref_kept, rtol=0, atol=1e-13)
+def _dealt_blocks(num_agents, seed):
+    """Dealt registers of nine Haar secrets: every forced Bell outcome once, then sampled outcomes."""
+    rng = np.random.default_rng(seed)
+    secrets = np.array([haar_random_state(rng).amplitudes for _ in range(9)])
+    for draw in (np.arange(9), rng.random(9)):
+        yield _deal(secrets, num_agents, draw)[2], rng.random((9, num_agents - 1))
+
+
+def _is_symmetric(block):
+    return all(
+        np.array_equal(block, block.transpose((0,) + tuple(k + 1 for k in perm)))
+        for perm in itertools.permutations(range(block.ndim - 1))
+    )
+
+
+@pytest.mark.parametrize("num_agents", [2, 3, 4, 5, 6])
+def test_dealt_register_stays_symmetric_under_every_qutrit_permutation(num_agents):
+    # the premise of _help: no helper needs to know which qutrit is theirs
+    for state, draws in _dealt_blocks(num_agents, 80 + num_agents):
+        assert _is_symmetric(state)
+        for draw in draws.T:
+            _, _, state = _measure(state, (0,), _rows(xi_family()), draw)
+            assert _is_symmetric(state)
+
+
+@pytest.mark.parametrize("num_agents", [2, 3, 4, 5, 6])
+def test_helpers_step_matches_each_agent_measuring_their_own_qutrit(num_agents):
+    for state, draws in _dealt_blocks(num_agents, 90 + num_agents):
+        outcomes, kept = _help(state, draws)
+        assert kept.shape == (9, 3)
+        for designated in range(1, num_agents + 1):
+            ref_outcomes, ref_kept = _help_by_relabeling(state, list(range(num_agents)), designated, draws)
+            for outcome, ref_outcome in zip(outcomes, ref_outcomes, strict=True):
+                assert np.array_equal(outcome, ref_outcome)
+            assert np.array_equal(kept, ref_kept)
 
 
 # ---------------------------------------------------------------------------
