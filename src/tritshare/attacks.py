@@ -35,10 +35,10 @@ import numpy as np
 
 from .core import PureState, _axes, _block, _integer, _measure, sample_indices, tensor
 from .errors import ConfigInvalid, LabelOutOfRange, SelfCapture
-from .operators import BellOutcome, computational_family, ghz_state, xi_family
+from .operators import _COMPUTATIONAL_ROWS, _XI_ROWS, BellOutcome, ghz_state
 from .protocol import (
     CHECK_BASES, COMPUTATIONAL, FOURIER, CheckRecord, _check_outcomes, _deal, _help, _reconstruction_fidelity,
-    _rows, _validated_seed,
+    _validated_parties, _validated_seed,
 )
 
 ALWAYS_COMPUTATIONAL = "always_computational"
@@ -199,7 +199,7 @@ def _inside_block(secrets: np.ndarray, designated: np.ndarray, attack: InsideAtt
     theft = designated == attack.dishonest_agent
     (outcome,), kept = _help(state, np.where(theft, u[:, _U_SECOND], u[:, _U_FIRST])[:, None])
     fake = attack.fake_state.amplitudes
-    fake_weights = np.broadcast_to(np.abs(_rows(xi_family()) @ fake) ** 2, (len(u), 3))
+    fake_weights = np.broadcast_to(np.abs(_XI_ROWS @ fake) ** 2, (len(u), 3))
     announced = np.where(theft, sample_indices(fake_weights, u[:, _U_FIRST]), outcome)
     fid = _reconstruction_fidelity(np.where(theft[:, None], kept, fake), secrets, bell, outcome)
     return _InsideBlock(bell, announced, np.where(theft, outcome, -1), fid)
@@ -223,7 +223,7 @@ def _check_uniforms(attack: OutsideAttack | None) -> int:
 
 def _basis_rows(fourier: np.ndarray) -> np.ndarray:
     """Per-register measurement rows: the Fourier basis where flagged, else computational."""
-    return np.where(fourier[:, None, None], _rows(xi_family()), _rows(computational_family()))
+    return np.where(fourier[:, None, None], _XI_ROWS, _COMPUTATIONAL_ROWS)
 
 
 def _intercept(state: np.ndarray, axis: int, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -269,9 +269,7 @@ def _check_blocks(
         raise ConfigInvalid("at least one check round is required")
     if check_basis_policy not in CHECK_BASES + (RANDOM_CHECK_BASIS,):
         raise ConfigInvalid(f"unknown check basis policy {check_basis_policy!r}")
-    num_parties = _integer(num_parties, ConfigInvalid, "num_parties")
-    if num_parties < 2:
-        raise ConfigInvalid("a check round needs at least two parties")
+    num_parties = _validated_parties(num_parties)
     if attack is not None:
         for target in attack.target_qutrits:
             if not 2 <= target <= num_parties:

@@ -180,9 +180,10 @@ def basis_index(digits: Sequence[int]) -> int:
     """Amplitude index of the computational ket with the given per-qutrit digits (label 1 first)."""
     idx = 0
     for d in digits:
-        if int(d) not in (0, 1, 2):
+        d = _integer(d, LabelOutOfRange, "qutrit digit")
+        if d not in (0, 1, 2):
             raise LabelOutOfRange(f"qutrit digit must be 0, 1 or 2, got {d}")
-        idx = idx * 3 + int(d)
+        idx = idx * 3 + d
     return idx
 
 
@@ -227,12 +228,11 @@ def _axes(
     return axes
 
 
-# Families are keyed by their members, which hash by identity (``PureState``
-# defines no equality), so a cached entry pins the very states it was built from.
-@lru_cache(maxsize=64)
-def _family_matrix(family: tuple[PureState, ...], width: int) -> np.ndarray:
-    """A measurement family as conjugated member rows, checked for completeness and
-    orthonormality: a row contracted with the targets gives that member's coefficient."""
+def _family_matrix(family: Sequence[PureState], width: int) -> np.ndarray:
+    """A caller's measurement family as conjugated member rows: a row contracted with the
+    targets gives that member's coefficient. The family is outside input, so every call
+    checks it for completeness and orthonormality; nothing is cached. The protocol's fixed
+    bases do not come through here: ``operators`` holds their rows as constants."""
     dim = 3**width
     for member in family:
         if member.num_qutrits != width:

@@ -3,7 +3,9 @@
 GHZ channel states, the nine-member generalized Bell basis on two
 qutrits, the single-qutrit Fourier (xi) basis, the shift/clock Pauli
 operators, and the recovery unitary the designated agent applies for any
-combination of public announcements.
+combination of public announcements. The protocol's three fixed
+measurement bases are read-only arrays built at import; the engine steps
+read their rows directly.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import PureState, Unitary3, _integer
+from .core import PureState, Unitary3, _freeze, _integer
 from .errors import LabelOutOfRange, SizeOutOfRange
 
 #: Primitive cube root of unity, exp(2 pi i / 3).
@@ -86,59 +88,60 @@ def ghz_state(k: int) -> PureState:
     return PureState(k, amps)
 
 
+def _bell_amplitudes() -> np.ndarray:
+    """Row 3n + m: the Bell member sum_j w^{jn} |j>|(j+m) mod 3> / sqrt(3)."""
+    amps = np.zeros((9, 9), dtype=np.complex128)
+    for n in range(3):
+        for m in range(3):
+            for j in range(3):
+                amps[3 * n + m, 3 * j + (j + m) % 3] = OMEGA ** (j * n)
+    return _freeze(amps / np.sqrt(3.0))
+
+
+def _xi_amplitudes() -> np.ndarray:
+    """Row l: the Fourier member sum_k w^{lk} |k> / sqrt(3)."""
+    amps = np.array([[OMEGA ** (l * k) for k in range(3)] for l in range(3)], dtype=np.complex128)
+    return _freeze(amps / np.sqrt(3.0))
+
+
+# The three fixed bases of the protocol, built once at import without a matrix
+# product. ``_*_ROWS`` hold the members' conjugated amplitudes, the rows the
+# engine measures with: ``core._family_matrix`` of the public family, bit for bit.
+_BELL_AMPLITUDES = _bell_amplitudes()
+_XI_AMPLITUDES = _xi_amplitudes()
+_BELL_ROWS = _freeze(_BELL_AMPLITUDES.conj())
+_XI_ROWS = _freeze(_XI_AMPLITUDES.conj())
+_COMPUTATIONAL_ROWS = _freeze(np.eye(3, dtype=np.complex128).conj())
+
+
 def bell_state(outcome: BellOutcome | tuple[int, int]) -> PureState:
     """Two-qutrit basis member sum_j w^{jn} |j>|(j+m) mod 3> / sqrt(3)."""
     o = outcome if isinstance(outcome, BellOutcome) else BellOutcome(*outcome)
-    amps = np.zeros(9, dtype=np.complex128)
-    for j in range(3):
-        amps[3 * j + (j + o.m) % 3] = OMEGA ** (j * o.n)
-    return PureState(2, amps / np.sqrt(3.0))
+    return PureState(2, _BELL_AMPLITUDES[o.index])
 
 
 def xi_state(t: XiOutcome | int) -> PureState:
     """Single-qutrit Fourier-basis member sum_k w^{tk} |k> / sqrt(3)."""
     l = t.l if isinstance(t, XiOutcome) else _trit(t, "Fourier index")
-    amps = np.array([OMEGA ** (l * k) for k in range(3)], dtype=np.complex128)
-    return PureState(1, amps / np.sqrt(3.0))
-
-
-@lru_cache(maxsize=None)
-def _bell_family() -> tuple[PureState, ...]:
-    return tuple(bell_state(BellOutcome.from_index(i)) for i in range(9))
+    return PureState(1, _XI_AMPLITUDES[l])
 
 
 def bell_family() -> list[PureState]:
     """All nine Bell outcomes, ordered by index 3n + m."""
-    return list(_bell_family())
-
-
-@lru_cache(maxsize=None)
-def _xi_family() -> tuple[PureState, ...]:
-    return tuple(xi_state(l) for l in range(3))
+    return [PureState(2, amps) for amps in _BELL_AMPLITUDES]
 
 
 def xi_family() -> list[PureState]:
     """The three Fourier-basis states, ordered by phase index."""
-    return list(_xi_family())
-
-
-@lru_cache(maxsize=None)
-def _computational_family(num_qutrits: int) -> tuple[PureState, ...]:
-    dim = 3**num_qutrits
-    members = []
-    for i in range(dim):
-        amps = np.zeros(dim, dtype=np.complex128)
-        amps[i] = 1.0
-        members.append(PureState(num_qutrits, amps))
-    return tuple(members)
+    return [PureState(1, amps) for amps in _XI_AMPLITUDES]
 
 
 def computational_family(num_qutrits: int = 1) -> list[PureState]:
     """Computational-basis kets on a register, in ascending index order."""
-    return list(_computational_family(_integer(num_qutrits, SizeOutOfRange, "num_qutrits")))
+    n = _integer(num_qutrits, SizeOutOfRange, "num_qutrits")
+    return [PureState(n, amps) for amps in np.eye(3**n, dtype=np.complex128)]
 
 
-@lru_cache(maxsize=None, typed=True)
 def pauli_x(a: int = 1) -> Unitary3:
     """Cyclic shift |j> -> |(j+a) mod 3>."""
     a = _trit(a, "shift")
@@ -148,7 +151,6 @@ def pauli_x(a: int = 1) -> Unitary3:
     return Unitary3(mat)
 
 
-@lru_cache(maxsize=None, typed=True)
 def pauli_z(b: int = 1) -> Unitary3:
     """Clock phase diag(1, w^b, w^{2b}) with w = exp(2 pi i / 3)."""
     b = _trit(b, "clock power")

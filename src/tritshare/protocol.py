@@ -25,7 +25,7 @@ from .core import (
     _apply,
     _block,
     _contract,
-    _family_matrix,
+    _freeze,
     _integer,
     _measure,
     _weights,
@@ -35,13 +35,14 @@ from .core import (
 )
 from .errors import ConfigInvalid, DimensionMismatch, EmptyInput
 from .operators import (
+    _BELL_ROWS,
+    _XI_ROWS,
+    MAX_GHZ_QUTRITS,
     BellOutcome,
     HelperSum,
     XiOutcome,
-    bell_family,
     ghz_state,
     recovery_operator,
-    xi_family,
 )
 
 COMPUTATIONAL = "computational"
@@ -117,9 +118,12 @@ def _validated_seed(seed: int) -> int:
     return seed
 
 
-def _rows(family: list[PureState]) -> np.ndarray:
-    """A family's conjugated member rows, validated and cached by ``core``."""
-    return _family_matrix(tuple(family), family[0].num_qutrits)
+def _validated_parties(num_parties: int) -> int:
+    """A check round's party count: one GHZ register of 2..``MAX_GHZ_QUTRITS`` qutrits."""
+    num_parties = _integer(num_parties, ConfigInvalid, "num_parties")
+    if not 2 <= num_parties <= MAX_GHZ_QUTRITS:
+        raise ConfigInvalid(f"a check round needs 2..{MAX_GHZ_QUTRITS} parties, got {num_parties}")
+    return num_parties
 
 
 def _check_outcomes(state: np.ndarray, fourier: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,9 +137,9 @@ def _check_outcomes(state: np.ndarray, fourier: np.ndarray, u: np.ndarray) -> tu
     it is a Fourier round: the computational family's conjugated rows are the identity. A block
     without a Fourier round skips the turn, and one of Fourier rounds only keeps every turned one."""
     if fourier.any():
-        rows, turned = _rows(xi_family()), state
+        turned = state
         for axis in range(state.ndim - 1):
-            turned = _apply(rows, turned, axis)
+            turned = _apply(_XI_ROWS, turned, axis)
         state = turned if fourier.all() else np.where(fourier.reshape((-1,) + (1,) * (state.ndim - 1)), turned, state)
     probs = _weights(state.reshape(len(state), -1, 1))
     joint = sample_indices(np.broadcast_to(probs, (len(u), probs.shape[1])), u)
@@ -156,13 +160,9 @@ def _recovery_table() -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=None)
-def _secret_bell_rows() -> np.ndarray:
-    """``(3, 27)``: row i, reshaped to ``(9, 3)``, holds the Bell family's conjugated rows at the
-    secret's digit i, so that ``secrets @`` it gives each register's rows on the dealer's channel qutrit."""
-    rows = _rows(bell_family()).reshape(9, 3, 3).transpose(1, 0, 2).reshape(3, 27)
-    rows.setflags(write=False)
-    return rows
+#: ``(3, 27)``: row i, reshaped to ``(9, 3)``, holds the Bell family's conjugated rows at the
+#: secret's digit i, so that ``secrets @`` it gives each register's rows on the dealer's channel qutrit.
+_SECRET_BELL_ROWS = _freeze(_BELL_ROWS.reshape(9, 3, 3).transpose(1, 0, 2).reshape(3, 27))
 
 
 def _deal(secrets: np.ndarray, num_agents: int, draw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -177,7 +177,7 @@ def _deal(secrets: np.ndarray, num_agents: int, draw: np.ndarray) -> tuple[np.nd
     sum of r_k^dagger r_k is the identity), so the Born weights still sum to 1. Returns the
     outcomes 3n + m, their Born weights and the agents' block, agent a's qutrit on axis a - 1.
     """
-    rows = (secrets @ _secret_bell_rows()).reshape(len(secrets), 9, 3)
+    rows = (secrets @ _SECRET_BELL_ROWS).reshape(len(secrets), 9, 3)
     return _measure(_block(ghz_state(num_agents + 1)), (0,), rows, draw)
 
 
@@ -190,10 +190,9 @@ def _help(state: np.ndarray, draws: np.ndarray) -> tuple[list[np.ndarray], np.nd
     |kk...k>, so it is symmetric, bit for bit, under every permutation of its qutrits, and each
     helper's measurement keeps it so. Every helper can therefore measure axis 0, whoever helps,
     in any order, and the reconstructing agent holds whatever qutrit is left."""
-    rows = _rows(xi_family())
     outcomes = []
     for draw in draws.T:
-        outcome, _, state = _measure(state, (0,), rows, draw)
+        outcome, _, state = _measure(state, (0,), _XI_ROWS, draw)
         outcomes.append(outcome)
     return outcomes, state
 
@@ -286,10 +285,8 @@ def channel_check_round(
     """
     if basis not in CHECK_BASES:
         raise ConfigInvalid(f"check basis must be one of {CHECK_BASES}, got {basis!r}")
-    num_parties = _integer(num_parties, ConfigInvalid, "num_parties")
-    if num_parties < 2:
-        raise ConfigInvalid("a check round needs at least two parties")
-    trits, passed = _check_outcomes(_block(ghz_state(num_parties)), np.array([basis == FOURIER]), rng.random(1))
+    channel = _block(ghz_state(_validated_parties(num_parties)))
+    trits, passed = _check_outcomes(channel, np.array([basis == FOURIER]), rng.random(1))
     return CheckRecord(basis, tuple(trits[0].tolist()), bool(passed[0]))
 
 

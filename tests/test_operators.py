@@ -15,8 +15,11 @@ from tritshare import (
     HelperSum,
     XiOutcome,
     apply_single,
+    basis_index,
+    basis_state,
     bell_family,
     bell_state,
+    computational_family,
     fidelity,
     ghz_state,
     haar_random_state,
@@ -28,7 +31,16 @@ from tritshare import (
     xi_family,
     xi_state,
 )
+from tritshare.core import _family_matrix
 from tritshare.errors import LabelOutOfRange, SizeOutOfRange
+from tritshare.operators import (
+    _BELL_AMPLITUDES,
+    _BELL_ROWS,
+    _COMPUTATIONAL_ROWS,
+    _XI_AMPLITUDES,
+    _XI_ROWS,
+)
+from tritshare.protocol import _SECRET_BELL_ROWS
 
 OMEGA = np.exp(2j * np.pi / 3)
 SQRT3 = np.sqrt(3.0)
@@ -44,7 +56,8 @@ def test_outcome_types_reduce_mod_three():
     assert HelperSum.from_outcomes([np.int64(2), XiOutcome(np.uint8(1))]).L == 0
     assert np.array_equal(pauli_x(np.int64(1)).entries, pauli_x(4).entries)
     assert np.array_equal(pauli_z(np.int64(2)).entries, pauli_z(-1).entries)
-    # The numpy arguments above are cached now; an equal float must still be refused.
+    assert basis_index([np.int64(1), np.uint8(0)]) == 3
+    # The numpy integers above are accepted; an equal float must still be refused.
     not_integers = [
         lambda: BellOutcome(1.7, 2.2),
         lambda: BellOutcome(1, 2.0),
@@ -56,6 +69,10 @@ def test_outcome_types_reduce_mod_three():
         lambda: recovery_operator(BellOutcome(0, 0), 1.9),
         lambda: pauli_x(1.0),
         lambda: pauli_z(2.0),
+        lambda: basis_index([1.5, 0]),
+        lambda: basis_index(["1"]),
+        lambda: basis_index([np.float64(2.0)]),
+        lambda: basis_state([2.7]),
     ]
     for build in not_integers:
         with pytest.raises(LabelOutOfRange, match="is not an integer"):
@@ -142,6 +159,36 @@ def test_xi_family_is_fourier_matrix():
     dft = np.array([[OMEGA ** (j * k) for k in range(3)] for j in range(3)]) / SQRT3
     assert np.allclose(mat, dft, atol=1e-14)
     assert np.max(np.abs(mat.conj().T @ mat - np.eye(3))) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the engine's constant rows
+
+
+@pytest.mark.parametrize(
+    "rows, family, width",
+    [(_BELL_ROWS, bell_family, 2), (_XI_ROWS, xi_family, 1), (_COMPUTATIONAL_ROWS, computational_family, 1)],
+    ids=["bell", "fourier", "computational"],
+)
+def test_engine_rows_are_the_validated_public_family_bit_for_bit(rows, family, width):
+    # the public family passes the caller-facing check, and its rows are the engine's constant
+    expected = _family_matrix(tuple(family()), width)
+    assert rows.dtype == expected.dtype and rows.shape == expected.shape
+    assert rows.tobytes() == expected.tobytes()
+
+
+def test_fixed_basis_constants_are_read_only():
+    for const in (_BELL_AMPLITUDES, _XI_AMPLITUDES, _BELL_ROWS, _XI_ROWS, _COMPUTATIONAL_ROWS, _SECRET_BELL_ROWS):
+        assert not const.flags.writeable
+
+
+def test_secret_bell_rows_regroup_the_bell_rows():
+    # row i, as (9, 3), is every Bell member's conjugated row at the secret's digit i
+    assert _SECRET_BELL_ROWS.shape == (3, 27)
+    for i in range(3):
+        for k in range(9):
+            regrouped = _SECRET_BELL_ROWS[i].reshape(9, 3)[k]
+            assert regrouped.tobytes() == _BELL_ROWS[k].reshape(3, 3)[i].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,13 @@ from tritshare import (
     verify_correlations,
     xi_family,
 )
-from tritshare.attacks import ALWAYS_COMPUTATIONAL, OutsideAttack, _basis_rows, run_check_rounds
+from tritshare.attacks import (
+    ALWAYS_COMPUTATIONAL,
+    OutsideAttack,
+    _basis_rows,
+    run_check_rounds,
+    run_outside_attack_experiment,
+)
 from tritshare.errors import ConfigInvalid, DimensionMismatch, EmptyInput
 from tritshare.core import _apply, _block, _measure, _weights, sample_indices
 from tritshare.protocol import (
@@ -46,8 +52,8 @@ from tritshare.protocol import (
     _check_outcomes,
     _deal,
     _help,
-    _rows,
 )
+from tritshare.operators import _XI_ROWS
 
 SQRT3 = np.sqrt(3.0)
 
@@ -331,7 +337,7 @@ def _help_by_relabeling(state, held, designated, draws):
     outcomes = []
     for agent, draw in zip([a for a in range(1, len(held) + 1) if a != designated], draws.T):
         axis = held[agent - 1]
-        outcome, _, state = _measure(state, (axis,), _rows(xi_family()), draw)
+        outcome, _, state = _measure(state, (axis,), _XI_ROWS, draw)
         outcomes.append(outcome)
         held = [h - (h > axis) for h in held]
     return outcomes, np.moveaxis(state, held[designated - 1] + 1, -1)
@@ -358,7 +364,7 @@ def test_dealt_register_stays_symmetric_under_every_qutrit_permutation(num_agent
     for state, draws in _dealt_blocks(num_agents, 80 + num_agents):
         assert _is_symmetric(state)
         for draw in draws.T:
-            _, _, state = _measure(state, (0,), _rows(xi_family()), draw)
+            _, _, state = _measure(state, (0,), _XI_ROWS, draw)
             assert _is_symmetric(state)
 
 
@@ -426,6 +432,21 @@ def test_intercept_fourier_failure_probability_two_thirds():
     records = run_check_rounds(3000, OutsideAttack((2,), ALWAYS_COMPUTATIONAL), FOURIER, seed=48)
     fails = sum(1 for record in records if not record.passed)
     assert fails / 3000 == pytest.approx(2 / 3, abs=0.03)
+
+
+@pytest.mark.parametrize("num_parties", [1, 13])
+def test_check_rounds_refuse_party_counts_outside_the_ghz_range(num_parties):
+    with pytest.raises(ConfigInvalid, match=r"needs 2\.\.12 parties"):
+        channel_check_round(COMPUTATIONAL, np.random.default_rng(0), num_parties=num_parties)
+    with pytest.raises(ConfigInvalid, match=r"needs 2\.\.12 parties"):
+        run_check_rounds(5, None, "random", seed=0, num_parties=num_parties)
+    with pytest.raises(ConfigInvalid, match=r"needs 2\.\.12 parties"):
+        run_outside_attack_experiment(5, None, "random", seed=0, num_parties=num_parties)
+
+
+def test_check_rounds_accept_the_largest_ghz_register():
+    assert channel_check_round(COMPUTATIONAL, np.random.default_rng(0), num_parties=12).passed
+    assert len(run_check_rounds(1, None, COMPUTATIONAL, seed=0, num_parties=12)[0].outcomes) == 12
 
 
 def test_check_round_generalizes_to_more_parties():
