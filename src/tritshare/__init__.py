@@ -61,11 +61,11 @@ from .protocol import (
     verify_correlations,
 )
 
-__version__ = "0.3.6"
+__version__ = "0.3.7"
 
 
 def __getattr__(name: str):
-    """Load the command line on first use, so that a library import skips jsonschema.
+    """Load the command line and its reports on first use, so that a library import skips them.
     ``cli`` and ``reporting`` stay reachable as attributes of the package."""
     if name in ("parse_secret", "run_command"):
         return getattr(importlib.import_module(".cli", __name__), name)

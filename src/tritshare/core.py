@@ -85,7 +85,7 @@ class PureState:
         if not np.all(np.isfinite(amps)):
             raise NonFiniteAmplitude("amplitudes must be finite")
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > ORTHONORMAL_TOL:
+        if not abs(norm_sq - 1.0) <= ORTHONORMAL_TOL:  # a NaN norm (finite amplitudes that overflow) fails too
             raise NotNormalized(f"squared norm {norm_sq!r} is not 1 within {ORTHONORMAL_TOL}")
         object.__setattr__(self, "num_qutrits", n)
         object.__setattr__(self, "amplitudes", _freeze(amps))
@@ -110,7 +110,7 @@ class Unitary3:
             raise LengthMismatch("a single-qutrit operator is 3x3")
         if not np.all(np.isfinite(mat)):
             raise NonFiniteAmplitude("operator entries must be finite")
-        if np.max(np.abs(mat @ mat.conj().T - np.eye(3))) > ORTHONORMAL_TOL:
+        if not np.max(np.abs(mat @ mat.conj().T - np.eye(3))) <= ORTHONORMAL_TOL:
             raise NotUnitary("U U-dagger deviates from the identity")
         object.__setattr__(self, "entries", _freeze(mat))
 
@@ -133,11 +133,13 @@ class DensityMatrix:
         mat = np.asarray(self.entries, dtype=np.complex128).copy()
         if mat.shape != (dim, dim):
             raise LengthMismatch(f"expected a {dim}x{dim} matrix, got {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > ORTHONORMAL_TOL:
+        if not np.all(np.isfinite(mat)):
+            raise NonFiniteAmplitude("matrix entries must be finite")
+        if not np.max(np.abs(mat - mat.conj().T)) <= ORTHONORMAL_TOL:
             raise InvalidDensityMatrix("matrix is not Hermitian")
-        if abs(float(np.trace(mat).real) - 1.0) > ORTHONORMAL_TOL:
+        if not abs(float(np.trace(mat).real) - 1.0) <= ORTHONORMAL_TOL:
             raise InvalidDensityMatrix("trace is not 1")
-        if float(np.min(np.linalg.eigvalsh(mat))) < -ORTHONORMAL_TOL:
+        if not float(np.min(np.linalg.eigvalsh(mat))) >= -ORTHONORMAL_TOL:
             raise InvalidDensityMatrix("matrix has a negative eigenvalue")
         object.__setattr__(self, "num_qutrits", n)
         object.__setattr__(self, "entries", _freeze(mat))
@@ -171,7 +173,7 @@ def make_state(amplitudes: Sequence[complex], num_qutrits: int) -> PureState:
     if amps.size != expected:
         raise LengthMismatch(f"expected {expected} amplitudes for {num_qutrits} qutrit(s), got {amps.size}")
     norm_sq = float(np.vdot(amps, amps).real)
-    if abs(norm_sq - 1.0) > INPUT_NORM_TOL:
+    if not abs(norm_sq - 1.0) <= INPUT_NORM_TOL:
         raise NotNormalized(f"squared norm {norm_sq!r} deviates from 1 by more than {INPUT_NORM_TOL}")
     return PureState(n, amps / np.sqrt(norm_sq))
 
@@ -241,7 +243,7 @@ def _family_matrix(family: Sequence[PureState], width: int) -> np.ndarray:
     if mat.shape[0] != dim:
         raise NotOrthonormal(f"family of {mat.shape[0]} states cannot be complete on dimension {dim}")
     gram = mat @ mat.conj().T
-    if np.max(np.abs(gram - np.eye(dim))) > ORTHONORMAL_TOL:
+    if not np.max(np.abs(gram - np.eye(dim))) <= ORTHONORMAL_TOL:
         raise NotOrthonormal("family Gram matrix deviates from the identity")
     return _freeze(mat)
 
@@ -422,5 +424,7 @@ def reduced_density(s: PureState, keep: Sequence[int]) -> DensityMatrix:
 def haar_random_state(rng: np.random.Generator, num_qutrits: int = 1) -> PureState:
     """Haar-uniform pure state: i.i.d. complex Gaussian amplitudes, normalized."""
     n = _integer(num_qutrits, LengthMismatch, "num_qutrits")
+    if n < 1:
+        raise LengthMismatch("a register holds at least one qutrit")
     vec = rng.standard_normal(3**n) + 1j * rng.standard_normal(3**n)
     return PureState(n, vec / np.linalg.norm(vec))

@@ -23,6 +23,9 @@ from .errors import LabelOutOfRange, SizeOutOfRange
 OMEGA = np.exp(2j * np.pi / 3.0)
 #: Desk-scale cap on GHZ register size.
 MAX_GHZ_QUTRITS = 12
+#: Cap on a computational family's register: 3**6 members of 3**6 amplitudes
+#: are 8.5 MiB, the size of the largest GHZ register.
+MAX_FAMILY_QUTRITS = 6
 
 
 def _trit(value: object, name: str) -> int:
@@ -137,8 +140,10 @@ def xi_family() -> list[PureState]:
 
 
 def computational_family(num_qutrits: int = 1) -> list[PureState]:
-    """Computational-basis kets on a register, in ascending index order."""
+    """Computational-basis kets on a register of 1..``MAX_FAMILY_QUTRITS`` qutrits, in ascending index order."""
     n = _integer(num_qutrits, SizeOutOfRange, "num_qutrits")
+    if not 1 <= n <= MAX_FAMILY_QUTRITS:
+        raise SizeOutOfRange(f"num_qutrits must be in 1..{MAX_FAMILY_QUTRITS}, got {n}")
     return [PureState(n, amps) for amps in np.eye(3**n, dtype=np.complex128)]
 
 

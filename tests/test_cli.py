@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from tritshare import reporting
 from tritshare.reporting import REPORT_SCHEMA, decode_state, validate_report
 
 import jsonschema
+from golden import CLI_COMMANDS
 
 
 def run_cli(argv):
@@ -262,8 +264,20 @@ def test_unknown_arguments_exit_two():
         ["attack", "--model", "inside", "--trials", "10", "--fake", "1,0;0,0;nan,0", "--seed", "1"],
         ["attack", "--model", "inside", "--trials", "10", "--fake", "inf,0;0,0;0,0", "--seed", "1"],
         ["share", "--seed", str(2**128)],
+        # finite components whose squared norm overflows to NaN
+        ["share", "--secret", "1e308,1e308;0,0;0,0", "--seed", "1"],
+        ["attack", "--model", "inside", "--trials", "10", "--fake", "1e308,1e308;0,0;0,0", "--seed", "1"],
     ],
-    ids=["agents-zero", "out-missing-dir", "secret-nan", "fake-nan", "fake-inf", "share-seed-2**128"],
+    ids=[
+        "agents-zero",
+        "out-missing-dir",
+        "secret-nan",
+        "fake-nan",
+        "fake-inf",
+        "share-seed-2**128",
+        "secret-overflow",
+        "fake-overflow",
+    ],
 )
 def test_bad_input_exits_two_without_traceback(argv, tmp_path):
     argv = [arg.format(missing_dir=tmp_path / "missing") for arg in argv]
@@ -318,7 +332,17 @@ def test_outside_trial_count_errors_name_the_trials():
 COUNTS = st.integers(-1, 30) | st.sampled_from([MAX_TRIALS + 1, 2**128])
 SEEDS = st.integers(0, 1000) | st.sampled_from([-1, 2**128 - 1, 2**128])
 STATES = st.text(max_size=16) | st.sampled_from(
-    ["random", "zero", "genuine", "1,0;0,0;0,0", "1,0;0,0;nan,0", "0,0;0,0;0,0", "1,0;0,0", "1,0;0,0;0,0;0,0"]
+    [
+        "random",
+        "zero",
+        "genuine",
+        "1,0;0,0;0,0",
+        "1,0;0,0;nan,0",
+        "1e308,1e308;0,0;0,0",
+        "0,0;0,0;0,0",
+        "1,0;0,0",
+        "1,0;0,0;0,0;0,0",
+    ]
 )
 DESIGNATIONS = st.text(max_size=8) | st.sampled_from(["random", "1", "2", "3"])
 BASES = st.sampled_from(["computational", "fourier", "random"])
@@ -469,11 +493,218 @@ def test_console_entry_point_runs():
 
 def test_library_import_leaves_the_command_line_unloaded():
     code = (
-        "import sys, tritshare\n"
+        "import io, sys, tritshare\n"
         "assert 'jsonschema' not in sys.modules and 'tritshare.cli' not in sys.modules\n"
         "from tritshare import run_command\n"
         "assert run_command(['share', '--seed', '3']) == 0\n"
+        "for argv in [\n"
+        "    ['check-channel', '--rounds', '50', '--seed', '3'],\n"
+        "    ['check-channel', '--rounds', '50', '--eve', 'intercept-fourier', '--seed', '3'],\n"
+        "    *(['attack', '--model', m, '--trials', '50', '--seed', '3', '--format', f]\n"
+        "      for m in ('inside', 'outside') for f in ('json', 'csv')),\n"
+        "]:\n"
+        "    assert run_command(argv, stdout=io.StringIO()) in (0, 4), argv\n"
+        "# a valid report never needs jsonschema\n"
+        "assert 'jsonschema' not in sys.modules\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["command"] == "share"
+
+
+# ---------------------------------------------------------------------------
+# the conformance check that spares a valid report jsonschema
+
+#: The command forms that CI's console-script step runs, apart from the CSV ``share`` refusal.
+CI_COMMANDS = (
+    "share --agents 3 --seed 7",
+    "share --secret 1,0;0,0;0,0 --seed 3",
+    "check-channel --rounds 10 --seed 1",
+    "check-channel --rounds 1000 --basis random --eve intercept-computational --seed 3",
+    "attack --model inside --trials 200 --seed 5",
+    "attack --model outside --trials 200 --format csv --seed 5",
+    "attack --model inside --trials 200 --format csv --seed 5",
+    "attack --model inside --trials 200 --designate 1 --seed 5",
+    "attack --model inside --trials 200 --designate 2 --fake genuine --seed 5",
+    "attack --model inside --trials 200 --fake random --comparison single-copy --seed 5",
+    "check-channel --rounds 200 --eve intercept-random --seed 5",
+    "check-channel --rounds 200 --basis fourier --seed 5",
+    "check-channel --rounds 200 --basis computational --eve intercept-fourier --seed 5",
+    "attack --model inside --trials 50 --seed 1",
+)
+
+
+def _fast_check(report):
+    """The conformance check's verdict alone; a value or keyword it cannot judge counts as a refusal."""
+    try:
+        return reporting._conforms(report, REPORT_SCHEMA)
+    except reporting._Unsupported:
+        return False
+
+
+def _schema_keywords(schema):
+    """Every keyword that ``schema`` and its subschemas use."""
+    if isinstance(schema, bool):
+        return set()
+    found = set(schema)
+    for keyword, value in schema.items():
+        if keyword == "properties":
+            subschemas = list(value.values())
+        elif keyword in ("prefixItems", "oneOf", "allOf"):
+            subschemas = value
+        elif keyword in ("additionalProperties", "items", "if", "then"):
+            subschemas = [value]
+        else:
+            continue
+        for sub in subschemas:
+            found |= _schema_keywords(sub)
+    return found
+
+
+def test_report_schema_uses_only_keywords_the_check_implements():
+    implemented = {
+        "$schema", "title", "type", "const", "enum", "required", "properties", "additionalProperties",
+        "items", "prefixItems", "minItems", "minimum", "maximum", "oneOf", "allOf", "if", "then",
+    }  # fmt: skip
+    assert _schema_keywords(REPORT_SCHEMA) <= implemented
+
+
+@pytest.mark.parametrize(
+    "instance, schema",
+    [
+        ({}, {"patternProperties": {"x": True}}),
+        (1, {"if": True, "then": True, "else": False}),
+        (1, {"type": ["integer", "null"]}),
+        (1, {"type": "null"}),
+        (np.int64(1), {"type": "integer"}),
+        ((1, 2), {"type": "array"}),
+    ],
+    ids=["unknown-keyword", "else", "type-list", "type-null", "numpy-integer", "tuple"],
+)
+def test_conformance_check_fails_closed(instance, schema):
+    with pytest.raises(reporting._Unsupported):
+        reporting._conforms(instance, schema)
+
+
+@pytest.mark.parametrize(
+    "instance, schema, verdict",
+    [
+        # 2020-12 equality and types: a bool is neither a number nor equal to one
+        (True, {"const": 1}, False),
+        (1, {"enum": [True, False]}, False),
+        (1.0, {"enum": [0, 1, 2]}, True),
+        (True, {"type": "integer"}, False),
+        (False, {"type": "number"}, False),
+        (3.0, {"type": "integer"}, True),
+        (3.5, {"type": "integer"}, False),
+        ([1, [2.0]], {"const": [1.0, [2]]}, True),
+        ([1], {"const": [1, 2]}, False),
+        ({"a": True}, {"const": {"a": 1}}, False),
+        # one case per keyword that REPORT_SCHEMA uses
+        ({"a": 1}, {"required": ["a", "b"]}, False),
+        ({"a": "x"}, {"properties": {"a": {"type": "integer"}}}, False),
+        ({"a": 1, "b": 2}, {"properties": {"a": True}, "additionalProperties": False}, False),
+        ([1, "x"], {"prefixItems": [{"type": "number"}, {"type": "number"}]}, False),
+        ([1, 2, 3], {"prefixItems": [True, True], "items": False}, False),
+        ([1, 2], {"prefixItems": [True, True], "items": False}, True),
+        ([1, "x"], {"items": {"type": "number"}}, False),
+        ([1], {"minItems": 2}, False),
+        (-0.5, {"minimum": 0}, False),
+        (1.5, {"maximum": 1}, False),
+        ("x", {"minimum": 0, "maximum": 1}, True),
+        (1, {"oneOf": [{"type": "integer"}, {"type": "number"}]}, False),
+        (1.5, {"oneOf": [{"type": "integer"}, {"type": "number"}]}, True),
+        (1, {"allOf": [{"type": "integer"}, {"minimum": 2}]}, False),
+        (1, {"if": {"type": "integer"}, "then": {"minimum": 2}}, False),
+        (1.5, {"if": {"type": "integer"}, "then": {"minimum": 2}}, True),
+    ],
+)
+def test_conformance_check_matches_jsonschema_keyword_by_keyword(instance, schema, verdict):
+    assert reporting._conforms(instance, schema) is verdict
+    assert jsonschema.Draft202012Validator(schema).is_valid(instance) is verdict
+
+
+def test_conformance_check_accepts_every_report_the_command_line_emits(monkeypatch):
+    build_report, built = reporting.build_report, []
+
+    def recording_build_report(*args):
+        built.append(build_report(*args))
+        return built[-1]
+
+    monkeypatch.setattr(reporting, "build_report", recording_build_report)
+    forms = [line.split() for line in CI_COMMANDS] + [list(argv) for argv in CLI_COMMANDS]
+    for argv in forms:
+        code, _, err = run_cli(argv)
+        assert code in (0, 4), (argv, err)
+    assert len(built) == len(forms)
+    for argv, report in zip(forms, built):
+        assert _fast_check(report), argv
+
+
+def test_conformance_check_refuses_every_corrupted_report():
+    for bad in _corrupted_reports():
+        assert not _fast_check(bad)
+
+
+@lru_cache(maxsize=None)
+def _valid_report_texts():
+    return tuple(
+        run_cli(argv)[1]
+        for argv in (
+            ["share", "--agents", "3", "--seed", "6"],
+            ["check-channel", "--rounds", "30", "--seed", "6"],
+            ["check-channel", "--rounds", "30", "--eve", "intercept-random", "--seed", "6"],
+            ["attack", "--model", "inside", "--trials", "30", "--seed", "6"],
+            ["attack", "--model", "outside", "--trials", "30", "--seed", "6"],
+        )
+    )
+
+
+def _members(node, path=()):
+    """(path, value) of ``node`` and of everything inside it, except inside ``config``, which
+    the schema requires only to be an object."""
+    yield path, node
+    if isinstance(node, (dict, list)) and path != ("config",):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _members(value, (*path, key))
+
+
+REPLACEMENTS = st.sampled_from([None, True, False, 0, 1, 1.0, 2.0, -1, 1.5, "x", "attack", "share", [], {}])
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(st.data())
+def test_conformance_check_agrees_with_jsonschema_on_mutated_reports(data):
+    report = json.loads(data.draw(st.sampled_from(_valid_report_texts())))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path, node = data.draw(st.sampled_from(list(_members(report))))
+        action = data.draw(st.sampled_from(["swap", "drop", "add"]))
+        if action == "swap" and path:
+            *parents, key = path
+            target = report
+            for step in parents:
+                target = target[step]
+            target[key] = data.draw(REPLACEMENTS)
+        elif action == "drop" and isinstance(node, (dict, list)) and node:
+            key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            del node[key]
+        elif action == "add" and isinstance(node, dict):
+            node[data.draw(st.sampled_from(["extra", "n", "l", "kind"]))] = data.draw(REPLACEMENTS)
+        elif action == "add" and isinstance(node, list):
+            node.append(data.draw(REPLACEMENTS))
+    # Sound: the check never accepts a report that jsonschema rejects. On JSON values it
+    # is also complete, so the two verdicts agree.
+    assert _fast_check(report) == jsonschema.Draft202012Validator(REPORT_SCHEMA).is_valid(report)
+
+
+def test_a_report_that_violates_the_schema_exits_three(monkeypatch):
+    build_report = reporting.build_report
+
+    def negative_timing(command, config, result, wall_time_ms, warnings):
+        return build_report(command, config, result, -1, warnings)
+
+    monkeypatch.setattr(reporting, "build_report", negative_timing)
+    code, out, err = run_cli(["share", "--seed", "1"])
+    assert code == 3
+    assert err == "internal error: report violates schema: -1 is less than the minimum of 0\n"
+    assert out == ""

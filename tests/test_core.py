@@ -34,6 +34,7 @@ from tritshare import (
 )
 import tritshare.core as core
 from tritshare.core import _contract, _grouped, _measure, _weights, sample_indices
+from tritshare.operators import MAX_FAMILY_QUTRITS, MAX_GHZ_QUTRITS
 from tritshare.errors import (
     DimensionMismatch,
     EmptyKeepSet,
@@ -115,6 +116,16 @@ def test_make_state_rejects_unnormalized():
     # squared norm 0.36 + 0.64 + 0.01 = 1.01
     with pytest.raises(NotNormalized):
         make_state([0.6, 0.8j, 0.1], 1)
+
+
+def test_overflowing_norm_is_not_normalized():
+    # Finite amplitudes whose squared norm overflows to NaN: a tolerance test must not pass NaN.
+    amps = np.array([1e308 + 1e308j, 0, 0])
+    assert np.isnan(np.vdot(amps, amps))
+    with pytest.raises(NotNormalized):
+        PureState(1, amps)
+    with pytest.raises(NotNormalized):
+        make_state(amps, 1)
 
 
 def test_make_state_renormalizes_small_drift():
@@ -565,6 +576,15 @@ def test_density_matrix_validation():
         DensityMatrix(1, np.diag([0.9, 0.2, -0.1]))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(np.nan, 0)])
+def test_density_matrix_refuses_non_finite_entries(entry):
+    # NaN fails no ``>`` tolerance test, so the Hermitian and trace checks alone would pass it.
+    mat = np.eye(3, dtype=complex) / 3
+    mat[0, 1] = mat[1, 0] = entry
+    with pytest.raises(NonFiniteAmplitude):
+        DensityMatrix(1, mat)
+
+
 @pytest.mark.parametrize(
     "call, error",
     [
@@ -585,22 +605,26 @@ def test_non_integer_labels_and_outcomes_are_refused(call, error):
     assert project_subsystem(s, (2,), xi_family(), np.intp(1)).outcome_index == 1
 
 
-# name -> (call taking a size, an integer size it accepts, a non-integer one it refuses, the error)
+# name -> (call taking a size, an integer size it accepts, a non-integer one it refuses, the error,
+#          integer sizes out of range that it refuses with the same error)
 NON_INTEGER_SIZES = {
-    "ghz": (ghz_state, 3, 3.7, SizeOutOfRange),
-    "ghz-whole-float": (ghz_state, 3, 3.0, SizeOutOfRange),  # equal to a cached size, still refused
-    "make-state": (lambda n: make_state(np.eye(9)[0], n), 2, 2.7, LengthMismatch),
-    "pure-state": (lambda n: PureState(n, np.eye(3)[0]), 1, 1.9, LengthMismatch),
-    "density-matrix": (lambda n: DensityMatrix(n, np.eye(3) / 3), 1, 1.5, LengthMismatch),
-    "haar": (lambda n: haar_random_state(np.random.default_rng(0), n), 2, 2.5, LengthMismatch),
-    "computational-family": (computational_family, 1, 1.0, SizeOutOfRange),
+    "ghz": (ghz_state, 3, 3.7, SizeOutOfRange, (0, -1, MAX_GHZ_QUTRITS + 1)),
+    "ghz-whole-float": (ghz_state, 3, 3.0, SizeOutOfRange, ()),  # equal to a cached size, still refused
+    "make-state": (lambda n: make_state(np.eye(9)[0], n), 2, 2.7, LengthMismatch, (0, -1)),
+    "pure-state": (lambda n: PureState(n, np.eye(3)[0]), 1, 1.9, LengthMismatch, (0, -1)),
+    "density-matrix": (lambda n: DensityMatrix(n, np.eye(3) / 3), 1, 1.5, LengthMismatch, (0, -1)),
+    "haar": (lambda n: haar_random_state(np.random.default_rng(0), n), 2, 2.5, LengthMismatch, (0, -1)),
+    "computational-family": (computational_family, 1, 1.0, SizeOutOfRange, (0, -1, MAX_FAMILY_QUTRITS + 1)),
 }
 
 
 @pytest.mark.parametrize("case", list(NON_INTEGER_SIZES))
 def test_non_integer_sizes_are_refused(case):
-    call, accepted, refused, error = NON_INTEGER_SIZES[case]
+    call, accepted, refused, error, out_of_range = NON_INTEGER_SIZES[case]
     call(accepted)
     call(np.int64(accepted))  # numpy integers are integers
     with pytest.raises(error, match="is not an integer"):
         call(refused)
+    for size in out_of_range:
+        with pytest.raises(error):
+            call(size)
