@@ -14,6 +14,14 @@ A step whose rows every register shares, or whose registers are all one
 state, runs as one 2-D matrix product: a block holds one register until
 the first step whose rows differ between trials, and ``_measure`` (the
 only collapse) then gives each trial its own register.
+
+``_measure`` has two routes. The contraction route contracts every row
+with every register. The density route (``_measure_by_density``) is
+gated on what the input shows: one register wider than
+``_DENSITY_MEASURE_WIDTH`` amplitudes, measured with more rows than its
+targets' dimension. It draws from the targets' reduced density and
+contracts only each register's drawn row. In the package that is the
+dealer's nine Bell rows on a GHZ channel of 8 or more qutrits.
 """
 
 from __future__ import annotations
@@ -49,6 +57,8 @@ ORTHONORMAL_TOL = 1e-9
 INTERNAL_TOL = 1e-12
 #: Born weights at or below this are treated as exactly zero branches.
 ZERO_PROB_TOL = 1e-24
+#: Largest register the package builds; ``operators.MAX_GHZ_QUTRITS`` is this cap.
+_MAX_QUTRITS = 12
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -166,12 +176,13 @@ def make_state(amplitudes: Sequence[complex], num_qutrits: int) -> PureState:
     the exact renormalization.
     """
     n = _integer(num_qutrits, LengthMismatch, "num_qutrits")
+    if n < 1:
+        raise LengthMismatch("a register holds at least one qutrit")
     amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
     if not np.all(np.isfinite(amps)):
         raise NonFiniteAmplitude("amplitudes must be finite")
-    expected = 3**n if n >= 1 else -1
-    if amps.size != expected:
-        raise LengthMismatch(f"expected {expected} amplitudes for {num_qutrits} qutrit(s), got {amps.size}")
+    if amps.size != 3**n:
+        raise LengthMismatch(f"expected {3**n} amplitudes for {n} qutrit(s), got {amps.size}")
     norm_sq = float(np.vdot(amps, amps).real)
     if not abs(norm_sq - 1.0) <= INPUT_NORM_TOL:
         raise NotNormalized(f"squared norm {norm_sq!r} deviates from 1 by more than {INPUT_NORM_TOL}")
@@ -295,6 +306,14 @@ def _weights(coeffs: np.ndarray) -> np.ndarray:
     return np.einsum("bmr,bmr->bm", parts, parts)
 
 
+#: Widest register, in amplitudes, that ``_measure`` still measures by contracting every row
+#: when a one-register block meets more rows than its targets' dimension. A wider one goes
+#: through the targets' reduced density. On the dealer's nine rows (2 cores, numpy 2.4) the
+#: density route took 0.80x the contraction's time at 6,561 amplitudes and 0.29x at 177,147,
+#: but 1.14x at 2,187 and up to 2x on smaller registers, where its fixed cost dominates.
+_DENSITY_MEASURE_WIDTH = 3**7
+
+
 def _measure(
     block: np.ndarray, axes: Sequence[int], rows: np.ndarray, draw: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -303,7 +322,17 @@ def _measure(
     Return the outcomes, their Born weights and the collapsed block of the other qutrits.
 
     The registers are those of the coefficients: a one-register block measured
-    with B per-register row sets collapses into B registers."""
+    with B per-register row sets collapses into B registers.
+
+    Two routes give the same outcomes, and weights and amplitudes equal to rounding:
+
+    - contraction: every row meets every register (``_contract``), the weights are the
+      coefficients' squared norms, and the drawn row's coefficients are kept;
+    - density (``_measure_by_density``): taken when the block is one register wider than
+      ``_DENSITY_MEASURE_WIDTH`` amplitudes and the rows outnumber the targets' dimension,
+      as the dealer's nine Bell rows do on a channel of eight or more qutrits."""
+    if len(block) == 1 and rows.shape[-2] > 3 ** len(axes) and block.size > _DENSITY_MEASURE_WIDTH:
+        return _measure_by_density(block, axes, rows, draw)
     coeffs = _contract(rows, block, axes)
     probs = _weights(coeffs)
     forced = draw.dtype.kind in "iu"
@@ -314,6 +343,35 @@ def _measure(
         raise ZeroProbabilityBranchSampled(f"forced branch has probability {float(weight.min())!r}")
     kept = coeffs[registers, outcome] / np.sqrt(weight)[:, None]
     return outcome, weight, kept.reshape((len(coeffs),) + (3,) * (block.ndim - 1 - len(axes)))
+
+
+def _measure_by_density(
+    block: np.ndarray, axes: Sequence[int], rows: np.ndarray, draw: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_measure`` on one register ``g`` (``(3**t, rest)`` grouped) through the targets'
+    reduced density ``M = g g^dagger``: every row's Born weight is ``r M r^dagger``, a few
+    flops, and only each register's drawn row is contracted with ``g``. M comes from pairwise
+    ``np.vdot`` of g's rows, several times faster than ``g @ g.conj().T`` on wide registers.
+
+    The weights from M only drive the draw. The recorded weight, the zero-branch refusal and
+    the normalization come from the kept coefficients' squared norm, as on the contraction
+    route, so a forced branch is refused at the same ``ZERO_PROB_TOL``."""
+    g = _grouped(block, axes)[0]
+    dim = len(g)
+    density = np.empty((dim, dim), dtype=np.complex128)
+    for i in range(dim):
+        for j in range(i, dim):
+            density[i, j] = np.vdot(g[j], g[i])
+            density[j, i] = np.conj(density[i, j])
+    rows = rows.reshape((-1,) + rows.shape[-2:])
+    probs = np.einsum("bki,bki->bk", rows @ density, rows.conj()).real
+    outcome = draw if draw.dtype.kind in "iu" else sample_indices(probs, draw)
+    kept = rows[np.arange(len(rows)), outcome] @ g
+    weight = _weights(kept[:, None, :])[:, 0]
+    if weight.min() <= ZERO_PROB_TOL:
+        raise ZeroProbabilityBranchSampled(f"drawn branch has probability {float(weight.min())!r}")
+    kept.view(np.float64)[...] *= (1.0 / np.sqrt(weight))[:, None]  # a real multiply: complex / real is far slower
+    return outcome, weight, kept.reshape((len(kept),) + (3,) * (block.ndim - 1 - len(axes)))
 
 
 def _apply(rows: np.ndarray, block: np.ndarray, axis: int) -> np.ndarray:
@@ -424,7 +482,7 @@ def reduced_density(s: PureState, keep: Sequence[int]) -> DensityMatrix:
 def haar_random_state(rng: np.random.Generator, num_qutrits: int = 1) -> PureState:
     """Haar-uniform pure state: i.i.d. complex Gaussian amplitudes, normalized."""
     n = _integer(num_qutrits, LengthMismatch, "num_qutrits")
-    if n < 1:
-        raise LengthMismatch("a register holds at least one qutrit")
+    if not 1 <= n <= _MAX_QUTRITS:
+        raise LengthMismatch(f"a random register holds 1..{_MAX_QUTRITS} qutrits, got {n}")
     vec = rng.standard_normal(3**n) + 1j * rng.standard_normal(3**n)
     return PureState(n, vec / np.linalg.norm(vec))

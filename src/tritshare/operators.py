@@ -16,13 +16,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import PureState, Unitary3, _freeze, _integer
+from .core import _MAX_QUTRITS, PureState, Unitary3, _freeze, _integer
 from .errors import LabelOutOfRange, SizeOutOfRange
 
 #: Primitive cube root of unity, exp(2 pi i / 3).
 OMEGA = np.exp(2j * np.pi / 3.0)
-#: Desk-scale cap on GHZ register size.
-MAX_GHZ_QUTRITS = 12
+#: Desk-scale cap on GHZ register size, the largest register the package builds.
+MAX_GHZ_QUTRITS = _MAX_QUTRITS
 #: Cap on a computational family's register: 3**6 members of 3**6 amplitudes
 #: are 8.5 MiB, the size of the largest GHZ register.
 MAX_FAMILY_QUTRITS = 6

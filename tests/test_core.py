@@ -33,7 +33,7 @@ from tritshare import (
     xi_state,
 )
 import tritshare.core as core
-from tritshare.core import _contract, _grouped, _measure, _weights, sample_indices
+from tritshare.core import _contract, _grouped, _measure, _measure_by_density as by_density, _weights, sample_indices
 from tritshare.operators import MAX_FAMILY_QUTRITS, MAX_GHZ_QUTRITS
 from tritshare.errors import (
     DimensionMismatch,
@@ -139,8 +139,9 @@ def test_make_state_input_errors():
         make_state([1, 0], 1)
     with pytest.raises(NonFiniteAmplitude):
         make_state([np.nan, 0, 0], 1)
-    with pytest.raises(LengthMismatch):
-        make_state([1, 0, 0], 0)
+    for size in (0, -1):
+        with pytest.raises(LengthMismatch, match="a register holds at least one qutrit"):
+            make_state([1, 0, 0], size)
 
 
 def test_pure_state_is_immutable():
@@ -394,6 +395,54 @@ def test_zero_probability_branch_is_refused():
         project_subsystem(basis_state([0, 0]), (1,), family, 2)
 
 
+#: Nine rows on one qutrit that form a Parseval frame: each computational row three times, over sqrt 3.
+_TRIPLED_ROWS = np.tile(np.eye(3, dtype=np.complex128), (3, 1))[None] / SQRT3
+
+
+@pytest.mark.parametrize("num_qutrits", [2, 8])  # below and above _DENSITY_MEASURE_WIDTH
+def test_forced_branch_refusal_keeps_its_tolerance_on_both_routes(num_qutrits, monkeypatch):
+    # |0...0> + b |10...0>: rows 1, 4 and 7 find weight b^2 / 3, rows 2, 5 and 8 none.
+    routed = []
+
+    def recording(*args):
+        routed.append(args)
+        return by_density(*args)
+
+    monkeypatch.setattr(core, "_measure_by_density", recording)
+    for b, refused in ((1e-11, False), (1e-13, True), (0.0, True)):
+        amps = np.zeros(3**num_qutrits, dtype=np.complex128)
+        amps[0], amps[3 ** (num_qutrits - 1)] = 1.0, b
+        block = (amps / np.linalg.norm(amps)).reshape((1,) + (3,) * num_qutrits)
+        for k in (1, 2, 4, 7):
+            if refused or k == 2:
+                with pytest.raises(ZeroProbabilityBranchSampled):
+                    _measure(block, (0,), _TRIPLED_ROWS, np.array([k]))
+            else:
+                _, weight, kept = _measure(block, (0,), _TRIPLED_ROWS, np.array([k]))
+                assert abs(weight[0] - b**2 / 3) < 1e-12 * b**2
+                assert abs(kept.reshape(-1)[0] - 1) < 1e-12
+    assert bool(routed) == (3**num_qutrits > core._DENSITY_MEASURE_WIDTH)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_density_route_matches_the_contraction(seed, monkeypatch):
+    # A wide Haar register measured with nine random Parseval rows per register: both
+    # routes draw the same outcomes and agree on weights and kept amplitudes.
+    rng = np.random.default_rng(seed)
+    block = haar_random_state(rng, 8).amplitudes.reshape((1,) + (3,) * 8)
+    frames = [np.linalg.qr(rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3)))[0] for _ in range(5)]
+    rows = np.array(frames)
+    axes = (int(rng.integers(8)),)
+    for draw in (rng.random(5), rng.integers(9, size=5)):
+        dense = _measure(block, axes, rows, draw)
+        monkeypatch.setattr(core, "_DENSITY_MEASURE_WIDTH", block.size)
+        contracted = _measure(block, axes, rows, draw)
+        monkeypatch.undo()
+        assert np.array_equal(dense[0], contracted[0])
+        assert np.max(np.abs(dense[1] - contracted[1])) < 1e-12
+        assert np.max(np.abs(dense[2] - contracted[2])) < 1e-12
+
+
 def _scalar_inverse_cdf(probs, u):
     """Reference rule: first cumulative weight above u, else the last positive entry."""
     k = int(np.searchsorted(np.cumsum(probs), u, side="right"))
@@ -613,7 +662,9 @@ NON_INTEGER_SIZES = {
     "make-state": (lambda n: make_state(np.eye(9)[0], n), 2, 2.7, LengthMismatch, (0, -1)),
     "pure-state": (lambda n: PureState(n, np.eye(3)[0]), 1, 1.9, LengthMismatch, (0, -1)),
     "density-matrix": (lambda n: DensityMatrix(n, np.eye(3) / 3), 1, 1.5, LengthMismatch, (0, -1)),
-    "haar": (lambda n: haar_random_state(np.random.default_rng(0), n), 2, 2.5, LengthMismatch, (0, -1)),
+    "haar": (
+        lambda n: haar_random_state(np.random.default_rng(0), n), 2, 2.5, LengthMismatch, (0, -1, MAX_GHZ_QUTRITS + 1)
+    ),
     "computational-family": (computational_family, 1, 1.0, SizeOutOfRange, (0, -1, MAX_FAMILY_QUTRITS + 1)),
 }
 

@@ -6,6 +6,7 @@ factors) and serve as the oracle for the collapse identities.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,13 +42,15 @@ from tritshare.attacks import (
     run_outside_attack_experiment,
 )
 from tritshare.errors import ConfigInvalid, DimensionMismatch, EmptyInput
-from tritshare.core import _apply, _block, _measure, _weights, sample_indices
+import tritshare.core as core
+from tritshare.core import _apply, _block, _measure, _measure_by_density as by_density, _weights, sample_indices
 from tritshare.protocol import (
     BELL_RESULT,
     COMPUTATIONAL,
     DESIGNATION,
     FOURIER,
     HELPER_RESULT,
+    MAX_AGENTS,
     CheckRecord,
     _check_outcomes,
     _deal,
@@ -308,10 +311,18 @@ def test_session_matches_pure_state_replay(num_agents):
             assert np.max(np.abs(transcript.reconstructed.amplitudes - replayed.amplitudes)) < 1e-12
 
 
-@pytest.mark.parametrize("num_agents", [2, 3, 4, 5, 6])
-def test_dealer_step_matches_the_product_register(num_agents):
+@pytest.mark.parametrize("num_agents", range(2, MAX_AGENTS + 1))
+def test_dealer_step_matches_the_product_register(num_agents, monkeypatch):
     # The dealer's step never builds secret (x) GHZ(N+1); the reference does,
     # and projects the dealer's pair onto the Bell member the step reports.
+    # Channels wider than the gate are measured through their reduced density.
+    routed = []
+
+    def recording(*args):
+        routed.append(args)
+        return by_density(*args)
+
+    monkeypatch.setattr(core, "_measure_by_density", recording)
     rng = np.random.default_rng(70 + num_agents)
     secrets = [haar_random_state(rng) for _ in range(9)]
     block = np.array([s.amplitudes for s in secrets])
@@ -329,6 +340,21 @@ def test_dealer_step_matches_the_product_register(num_agents):
             record = project_subsystem(product, (1, 2), bell_family(), int(expected))
             assert abs(weights[b] - record.probability) < 1e-12
             assert np.max(np.abs(state[b].reshape(-1) - record.collapsed.amplitudes)) < 1e-12
+    assert len(routed) == (len(draws) if num_agents >= 7 else 0)  # N >= 7: at least 3^8 amplitudes
+
+
+def test_wide_session_allocates_little():
+    # A session at N = 10 keeps no nine-row coefficient array of the 3^11-amplitude channel
+    # (8.5 MiB): the dealer contracts only the drawn row, one 3^10-amplitude register.
+    cfg = SessionConfig(MAX_AGENTS, 4, haar_random_state(np.random.default_rng(3)), 11)
+    run_sharing_session(cfg)  # builds and caches the channel
+    tracemalloc.start()
+    try:
+        run_sharing_session(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def _help_by_relabeling(state, held, designated, draws):
