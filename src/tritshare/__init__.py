@@ -61,7 +61,7 @@ from .protocol import (
     verify_correlations,
 )
 
-__version__ = "0.3.8"
+__version__ = "0.3.9"
 
 
 def __getattr__(name: str):

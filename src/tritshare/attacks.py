@@ -12,7 +12,10 @@ array through ``core``'s batched engine, the one every ``PureState``
 operation runs on, and draw from one ``Philox`` stream keyed by the seed.
 A block starts from one GHZ register that all its trials share, and the
 first measurement whose rows differ between trials (the dealer's, Eve's)
-gives each trial its own.
+gives each trial its own. Every register stays C-contiguous: Eve resends
+the member she saw with one broadcast multiply into its slot, and the
+check step reads the block as flat ``(R, 3**n)`` registers, turning only
+the Fourier rounds.
 Every trial consumes the same number K of uniform doubles, a multiple of
 the four doubles Philox yields per counter step, so trial ``t`` reads the
 K uniforms at counter ``t * K / 4``. Results are therefore identical for
@@ -231,8 +234,9 @@ def _intercept(state: np.ndarray, axis: int, rows: np.ndarray, u: np.ndarray) ->
     in the basis whose conjugated members are ``rows[b]``, then resends the member she saw
     in the same slot."""
     outcome, _, kept = _measure(state, (axis,), rows, u)
-    resent = np.einsum("b...,bj->b...j", kept, rows[np.arange(len(u)), outcome].conj())
-    return np.moveaxis(resent, -1, axis + 1)
+    member = rows[np.arange(len(u)), outcome].conj()
+    resent = kept.reshape(len(u), 3**axis, 1, -1) * member[:, None, :, None]
+    return resent.reshape((len(u),) + (3,) * (state.ndim - 1))
 
 
 def _check_block(

@@ -6,10 +6,12 @@ exactly as their subscripts. Values are immutable once built; operations
 return fresh normalized states and consume randomness only through an
 explicit ``numpy.random.Generator``.
 
-One private batched engine (``_contract``, ``_weights``, ``_measure``,
-``_apply``) acts on B registers held as one ``(B, 3, ..., 3)`` array. The
+One private batched engine (``_contract``, ``_weights``, ``_measure``)
+acts on B registers held as one ``(B, 3, ..., 3)`` array. The
 ``PureState`` operations validate and run it on one register; the steps
 in ``protocol`` and the kernels in ``attacks`` run it on blocks of trials.
+``_apply`` serves only ``apply_single``: the check kernel turns its
+Fourier rounds on flat registers of its own.
 A step whose rows every register shares, or whose registers are all one
 state, runs as one 2-D matrix product: a block holds one register until
 the first step whose rows differ between trials, and ``_measure`` (the

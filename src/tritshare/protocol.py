@@ -22,7 +22,6 @@ import numpy as np
 
 from .core import (
     PureState,
-    _apply,
     _block,
     _contract,
     _freeze,
@@ -132,19 +131,26 @@ def _check_outcomes(state: np.ndarray, fourier: np.ndarray, u: np.ndarray) -> tu
     the trits ``(B, parties)`` and whether each round kept the GHZ correlation: a Fourier round
     passes when they sum to 0 mod 3, a computational one when they all agree.
 
-    ``state`` holds one register per round or one that every round shares. The shared Fourier rows
-    turn every party's qutrit of the whole block, and each round keeps the turned register where
-    it is a Fourier round: the computational family's conjugated rows are the identity. A block
-    without a Fourier round skips the turn, and one of Fourier rounds only keeps every turned one."""
+    ``state`` holds one register per round or one that every round shares, read as flat
+    ``(R, 3**n)`` amplitudes. Every round takes the Born weights of its raw register, which are
+    its computational ones. Only the Fourier rounds' registers are turned, or the one shared
+    register once: one product per party turns the last qutrit, ``(R * 3**(n-1), 3) @ rows.T``,
+    and rotates it to the front, so n turns leave the qutrits in order. Their weights overwrite
+    the Fourier rounds' rows. The trits are the base-3 digits of the drawn joint index, and the
+    digits all agree exactly at the multiples of ``(3**n - 1) // 2``, the index of |11...1>."""
+    n = state.ndim - 1
+    flat = state.reshape(len(state), -1)
+    probs = np.empty((len(u), flat.shape[1]))
+    probs[:] = flat.real**2 + flat.imag**2
     if fourier.any():
-        turned = state
-        for axis in range(state.ndim - 1):
-            turned = _apply(_XI_ROWS, turned, axis)
-        state = turned if fourier.all() else np.where(fourier.reshape((-1,) + (1,) * (state.ndim - 1)), turned, state)
-    probs = _weights(state.reshape(len(state), -1, 1))
-    joint = sample_indices(np.broadcast_to(probs, (len(u), probs.shape[1])), u)
-    trits = np.stack(np.unravel_index(joint, state.shape[1:]), axis=1)
-    return trits, np.where(fourier, trits.sum(axis=1) % 3 == 0, np.all(trits == trits[:, :1], axis=1))
+        turned = flat if len(flat) == 1 else flat[fourier]
+        for _ in range(n):
+            turned = (turned.reshape(-1, 3) @ _XI_ROWS.T).reshape(len(turned), -1, 3).transpose(0, 2, 1)
+            turned = turned.reshape(len(turned), -1)
+        probs[fourier] = turned.real**2 + turned.imag**2
+    joint = sample_indices(probs, u)
+    trits = joint[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3
+    return trits, np.where(fourier, trits.sum(axis=1) % 3 == 0, joint % ((3**n - 1) // 2) == 0)
 
 
 # The correction table is built on first use, so that importing the package

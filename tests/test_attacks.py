@@ -205,10 +205,11 @@ def test_outside_detections_are_the_failed_check_rounds(attack, policy, num_part
 
 @pytest.mark.parametrize("num_parties", [2, 3, 4, 5, 6])
 def test_computational_check_rounds_turn_no_qutrit(num_parties, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a block without Fourier rounds applied the Fourier rows")
+    class Refuse:
+        def __getattr__(self, name):
+            raise AssertionError("a block without Fourier rounds read the Fourier rows")
 
-    monkeypatch.setattr(protocol, "_apply", refuse)
+    monkeypatch.setattr(protocol, "_XI_ROWS", Refuse())
     for attack in (None, OutsideAttack(tuple(range(2, num_parties + 1)), "random_per_qutrit")):
         records = run_check_rounds(300, attack, COMPUTATIONAL, seed=71, num_parties=num_parties)
         assert {record.basis for record in records} == {COMPUTATIONAL}

@@ -38,6 +38,7 @@ from tritshare.attacks import (
     ALWAYS_COMPUTATIONAL,
     OutsideAttack,
     _basis_rows,
+    _intercept,
     run_check_rounds,
     run_outside_attack_experiment,
 )
@@ -256,6 +257,26 @@ def test_agent_subset_average_is_classical_ghz_mixture():
                 assert np.max(np.abs(total - np.eye(3) / 3)) < 1e-12
             else:
                 assert np.max(np.abs(total - expected2)) < 1e-12
+
+
+@pytest.mark.parametrize("num_agents", [2, 3])
+def test_agent_marginal_given_the_bell_outcome_is_the_shifted_populations(num_agents):
+    """Once the Bell outcome (n, m) is public, one agent's qutrit holds the secret's computational
+    populations shifted by m and no coherence; only the average over the nine outcomes is I/3."""
+    rng = np.random.default_rng(44 + num_agents)
+    for _ in range(5):
+        secret = random_secret(rng)
+        populations = np.abs(secret.amplitudes) ** 2
+        joint = tensor(secret, ghz_state(num_agents + 1))
+        for agent_label in range(1, num_agents + 1):
+            total = np.zeros((3, 3), dtype=complex)
+            for bell_index in range(9):
+                record = project_subsystem(joint, (1, 2), bell_family(), bell_index)
+                marginal = reduced_density(record.collapsed, (agent_label,)).entries
+                shift = BellOutcome.from_index(bell_index).m
+                assert np.max(np.abs(marginal - np.diag(populations[(np.arange(3) - shift) % 3]))) < 1e-12
+                total += record.probability * marginal
+            assert np.max(np.abs(total - np.eye(3) / 3)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -519,10 +540,17 @@ def test_check_step_matches_per_round_basis_rows(num_parties):
     shape = (rounds,) + (3,) * num_parties
     haar = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     haar /= np.linalg.norm(haar.reshape(rounds, -1), axis=1).reshape((-1,) + (1,) * num_parties)
+    ghz = _block(ghz_state(num_parties))
+    intercepted = _intercept(ghz, 1, _basis_rows(rng.random(rounds) < 0.5), rng.random(rounds))
     inputs = {
-        "shared GHZ register": _block(ghz_state(num_parties)),
+        "shared GHZ register": ghz,
         "shared Haar register": haar[:1],
         "a Haar register per round": haar,
+        "one intercept on the shared GHZ register": intercepted,
+        "two intercepts on it": _intercept(
+            intercepted, num_parties - 1, _basis_rows(rng.random(rounds) < 0.5), rng.random(rounds)
+        ),
+        "a transposed view of the Haar registers": haar.transpose((0,) + tuple(range(num_parties, 0, -1))),
     }
     for fourier in (rng.random(rounds) < 0.5, np.zeros(rounds, bool), np.ones(rounds, bool)):
         u = rng.random(rounds)
@@ -531,6 +559,29 @@ def test_check_step_matches_per_round_basis_rows(num_parties):
             trits_ref, passed_ref = _reference_check_outcomes(state, fourier, u)
             assert np.array_equal(trits, trits_ref), name
             assert np.array_equal(passed, passed_ref), name
+
+
+@pytest.mark.parametrize("num_parties", range(2, 9))
+def test_check_trits_and_verdicts_at_every_joint_index(num_parties):
+    """Each joint index, drawn in either basis, reads as its base-3 digits, and its verdict follows
+    the all-equal rule in the computational basis and the sum-mod-3 rule in the Fourier one. The
+    register is a product of a qutrit unbiased to both bases, so every index has weight 3**-n and
+    the uniform at its midpoint draws it."""
+    unbiased = np.array([1, 1, np.exp(2j * np.pi / 3)]) / np.sqrt(3)
+    assert np.max(np.abs(np.abs(_XI_ROWS @ unbiased) ** 2 - 1 / 3)) < 1e-15
+    register = unbiased
+    for _ in range(num_parties - 1):
+        register = np.kron(register, unbiased)
+    block = register.reshape((1,) + (3,) * num_parties)
+    size = 3**num_parties
+    for start in range(0, size, 243):  # a draw holds a (rounds, 3**n) weight array
+        joint = np.tile(np.arange(start, min(start + 243, size)), 2)
+        fourier = np.arange(len(joint)) >= len(joint) // 2
+        trits, passed = _check_outcomes(block, fourier, (joint + 0.5) / size)
+        digits = np.stack(np.unravel_index(joint, (3,) * num_parties), axis=1)
+        assert np.array_equal(trits, digits)
+        agree = np.all(digits == digits[:, :1], axis=1)
+        assert np.array_equal(passed, np.where(fourier, digits.sum(axis=1) % 3 == 0, agree))
 
 
 def test_check_round_party_count_is_keyword_only():
