@@ -18,6 +18,7 @@ from .attacks import (
 )
 from .core import (
     DensityMatrix,
+    MeasurementFamily,
     MeasurementRecord,
     PureState,
     Unitary3,
@@ -61,7 +62,7 @@ from .protocol import (
     verify_correlations,
 )
 
-__version__ = "0.3.9"
+__version__ = "0.3.10"
 
 
 def __getattr__(name: str):
@@ -85,6 +86,7 @@ __all__ = [
     "InsideAttack",
     "InsideTrialOutcome",
     "LiveSession",
+    "MeasurementFamily",
     "MeasurementRecord",
     "OMEGA",
     "OutsideAttack",

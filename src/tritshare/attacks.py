@@ -36,7 +36,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .core import PureState, _axes, _block, _integer, _measure, sample_indices, tensor
+from .core import PureState, _axes, _block, _integer, _measure, _trusted_state, sample_indices, tensor
 from .errors import ConfigInvalid, LabelOutOfRange, SelfCapture
 from .operators import _COMPUTATIONAL_ROWS, _XI_ROWS, BellOutcome, ghz_state
 from .protocol import (
@@ -131,7 +131,7 @@ def outside_intercept_resend(state: PureState, label: int, basis: str, rng: np.r
     if basis not in CHECK_BASES:
         raise ConfigInvalid(f"basis must be one of {CHECK_BASES}, got {basis!r}")
     resent = _intercept(_block(state), axis, _basis_rows(np.array([basis == FOURIER])), rng.random(1))
-    return PureState(state.num_qutrits, resent)
+    return _trusted_state(state.num_qutrits, resent)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 GHZ channel states, the nine-member generalized Bell basis on two
 qutrits, the single-qutrit Fourier (xi) basis, the shift/clock Pauli
 operators, and the recovery unitary the designated agent applies for any
-combination of public announcements. The protocol's three fixed
-measurement bases are read-only arrays built at import; the engine steps
-read their rows directly.
+combination of public announcements. The Bell and Fourier bases are
+``MeasurementFamily`` constants built at import; the engine steps read
+their rows directly.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import _MAX_QUTRITS, PureState, Unitary3, _freeze, _integer
+from .core import _MAX_QUTRITS, MeasurementFamily, PureState, Unitary3, _freeze, _integer, _trusted_family, _trusted_state
 from .errors import LabelOutOfRange, SizeOutOfRange
 
 #: Primitive cube root of unity, exp(2 pi i / 3).
@@ -107,44 +107,53 @@ def _xi_amplitudes() -> np.ndarray:
     return _freeze(amps / np.sqrt(3.0))
 
 
-# The three fixed bases of the protocol, built once at import without a matrix
-# product. ``_*_ROWS`` hold the members' conjugated amplitudes, the rows the
-# engine measures with: ``core._family_matrix`` of the public family, bit for bit.
+def _fixed_family(num_qutrits: int, amplitudes: np.ndarray) -> MeasurementFamily:
+    """A fixed basis of the protocol as a family: its members' amplitudes are read-only rows of
+    ``amplitudes`` and its rows their conjugates, built without a matrix product. Tests pin
+    them to the full check of ``core._family_matrix``, bit for bit."""
+    return _trusted_family(tuple(_trusted_state(num_qutrits, a) for a in amplitudes), _freeze(amplitudes.conj()))
+
+
+# The protocol's fixed bases, built once at import. ``_*_ROWS`` hold the members'
+# conjugated amplitudes, the rows the engine measures with.
 _BELL_AMPLITUDES = _bell_amplitudes()
 _XI_AMPLITUDES = _xi_amplitudes()
-_BELL_ROWS = _freeze(_BELL_AMPLITUDES.conj())
-_XI_ROWS = _freeze(_XI_AMPLITUDES.conj())
+_BELL_FAMILY = _fixed_family(2, _BELL_AMPLITUDES)
+_XI_FAMILY = _fixed_family(1, _XI_AMPLITUDES)
+_BELL_ROWS = _BELL_FAMILY.rows
+_XI_ROWS = _XI_FAMILY.rows
 _COMPUTATIONAL_ROWS = _freeze(np.eye(3, dtype=np.complex128).conj())
 
 
 def bell_state(outcome: BellOutcome | tuple[int, int]) -> PureState:
     """Two-qutrit basis member sum_j w^{jn} |j>|(j+m) mod 3> / sqrt(3)."""
     o = outcome if isinstance(outcome, BellOutcome) else BellOutcome(*outcome)
-    return PureState(2, _BELL_AMPLITUDES[o.index])
+    return _BELL_FAMILY[o.index]
 
 
 def xi_state(t: XiOutcome | int) -> PureState:
     """Single-qutrit Fourier-basis member sum_k w^{tk} |k> / sqrt(3)."""
     l = t.l if isinstance(t, XiOutcome) else _trit(t, "Fourier index")
-    return PureState(1, _XI_AMPLITUDES[l])
+    return _XI_FAMILY[l]
 
 
-def bell_family() -> list[PureState]:
+def bell_family() -> MeasurementFamily:
     """All nine Bell outcomes, ordered by index 3n + m."""
-    return [PureState(2, amps) for amps in _BELL_AMPLITUDES]
+    return _BELL_FAMILY
 
 
-def xi_family() -> list[PureState]:
+def xi_family() -> MeasurementFamily:
     """The three Fourier-basis states, ordered by phase index."""
-    return [PureState(1, amps) for amps in _XI_AMPLITUDES]
+    return _XI_FAMILY
 
 
-def computational_family(num_qutrits: int = 1) -> list[PureState]:
-    """Computational-basis kets on a register of 1..``MAX_FAMILY_QUTRITS`` qutrits, in ascending index order."""
+def computational_family(num_qutrits: int = 1) -> MeasurementFamily:
+    """Computational-basis kets on a register of 1..``MAX_FAMILY_QUTRITS`` qutrits, in ascending
+    index order. Built on each call: at 6 qutrits its rows alone are 8.5 MiB."""
     n = _integer(num_qutrits, SizeOutOfRange, "num_qutrits")
     if not 1 <= n <= MAX_FAMILY_QUTRITS:
         raise SizeOutOfRange(f"num_qutrits must be in 1..{MAX_FAMILY_QUTRITS}, got {n}")
-    return [PureState(n, amps) for amps in np.eye(3**n, dtype=np.complex128)]
+    return _fixed_family(n, _freeze(np.eye(3**n, dtype=np.complex128)))
 
 
 def pauli_x(a: int = 1) -> Unitary3:

@@ -27,6 +27,7 @@ from .core import (
     _freeze,
     _integer,
     _measure,
+    _trusted_state,
     _weights,
     apply_single,
     fidelity,
@@ -237,7 +238,9 @@ def run_sharing_session(
     (the branch's Born weight is still recorded); exhaustive sweeps use
     this to enumerate every outcome combination. Each sampled measurement
     draws one uniform from ``default_rng(seed)``, the dealer's first and
-    then the helpers' in ascending order; a forced step draws none.
+    then the helpers' in ascending order; a forced step draws none. The
+    reconstructing qutrit is corrected with the recovery table the inside
+    kernel uses, the operator that ``reconstruct`` applies.
     """
     _validate_config(cfg)
     helpers = [a for a in range(1, cfg.num_agents + 1) if a != cfg.designated]
@@ -257,7 +260,8 @@ def run_sharing_session(
     announcements = [Announcement(BELL_RESULT, "alice", bell), Announcement(DESIGNATION, "alice", cfg.designated)]
     announcements += [Announcement(HELPER_RESULT, f"agent_{a}", o) for a, o in zip(helpers, helper_outcomes)]
 
-    reconstructed = reconstruct(PureState(1, state[0]), bell, HelperSum.from_outcomes(helper_outcomes))
+    correction = _recovery_table()[bell.n, bell.m, HelperSum.from_outcomes(helper_outcomes).L]
+    reconstructed = _trusted_state(1, correction @ state[0])
     return Transcript(
         config=cfg,
         announcements=tuple(announcements),

@@ -10,6 +10,7 @@ import pytest
 
 from tritshare import (
     DensityMatrix,
+    MeasurementFamily,
     PureState,
     Unitary3,
     apply_single,
@@ -33,7 +34,16 @@ from tritshare import (
     xi_state,
 )
 import tritshare.core as core
-from tritshare.core import _contract, _grouped, _measure, _measure_by_density as by_density, _weights, sample_indices
+from tritshare.core import (
+    INTERNAL_TOL,
+    _contract,
+    _family_matrix,
+    _grouped,
+    _measure,
+    _measure_by_density as by_density,
+    _weights,
+    sample_indices,
+)
 from tritshare.operators import MAX_FAMILY_QUTRITS, MAX_GHZ_QUTRITS
 from tritshare.errors import (
     DimensionMismatch,
@@ -319,6 +329,53 @@ def test_born_validation_errors():
         born_distribution(s, (1,), skewed)
 
 
+@pytest.mark.parametrize("family", [bell_family(), xi_family(), computational_family(2)], ids=["bell", "xi", "comp2"])
+def test_a_returned_family_cannot_be_mutated(family):
+    rows = family.rows.tobytes()
+    with pytest.raises(TypeError):
+        family[0] = family[1]
+    with pytest.raises(AttributeError):
+        family.rows = np.eye(len(family), dtype=complex)
+    with pytest.raises(AttributeError):
+        del family.rows
+    with pytest.raises(ValueError):
+        family.rows[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        family[0].amplitudes[0] = 0.0
+    assert family.rows.tobytes() == rows
+    # the members still are the family the rows describe
+    assert np.array_equal(np.array([m.amplitudes for m in family]).conj(), family.rows)
+
+
+def test_fixed_families_are_constants_and_computational_ones_pass_the_full_check():
+    assert bell_family() is bell_family() and xi_family() is xi_family()
+    assert isinstance(bell_family(), MeasurementFamily) and isinstance(xi_family(), MeasurementFamily)
+    for n in range(1, 4):
+        family = computational_family(n)
+        assert family.rows.tobytes() == _family_matrix(tuple(family), n).tobytes()
+
+
+def test_a_hand_built_family_that_is_not_orthonormal_is_refused():
+    s = haar_random_state(np.random.default_rng(31), 2)
+    family = [basis_state([k]) for k in range(3)]
+    skewed = [family[0], family[1], make_state([1 / SQRT3, 1 / SQRT3, 1 / SQRT3], 1)]
+    for refused in (skewed, family[:2]):
+        with pytest.raises(NotOrthonormal):
+            MeasurementFamily(refused)
+        with pytest.raises(NotOrthonormal):
+            project_subsystem(s, (1,), refused, 0)
+    with pytest.raises(NotOrthonormal):
+        MeasurementFamily([])
+    with pytest.raises(DimensionMismatch):
+        MeasurementFamily(family[:2] + [basis_state([0, 0])])
+    # a hand-built family passes once, and is then measured with as built, on targets of its width
+    built = MeasurementFamily(random_family(np.random.default_rng(32), 1))
+    assert built.rows.tobytes() == _family_matrix(list(built), 1).tobytes()
+    assert born_distribution(s, (2,), built).sum() == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(DimensionMismatch):
+        born_distribution(s, (1, 2), built)
+
+
 # ---------------------------------------------------------------------------
 # measure_subsystem / project_subsystem
 
@@ -505,6 +562,32 @@ def test_sampled_distribution_matches_born_within_one_percent():
     for _ in range(trials):
         counts[measure_subsystem(s, (1,), family, rng).outcome_index] += 1
     assert np.max(np.abs(counts / trials - probs)) < 0.01
+
+
+@pytest.mark.parametrize("num_qutrits", range(1, 7))
+def test_engine_results_are_frozen_normalized_and_fresh(num_qutrits):
+    # what the engine builds skips PureState's checks, so pin what those checks would have given
+    rng = np.random.default_rng(600 + num_qutrits)
+    s = haar_random_state(rng, num_qutrits)
+    u = Unitary3(np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0])
+    built = [(apply_single(u, t, s), (s,)) for t in range(1, num_qutrits + 1)]
+    for k in range(1, num_qutrits):
+        a, b = haar_random_state(rng, k), haar_random_state(rng, num_qutrits - k)
+        built.append((tensor(a, b), (a, b)))
+    # one target at either end, then two in reversed order, wherever a qutrit survives
+    targets = [t for t in ((1,), (num_qutrits,), (num_qutrits, 1)) if len(set(t)) == len(t) < num_qutrits]
+    for labels in targets:
+        for family in (xi_family() if len(labels) == 1 else bell_family(), random_family(rng, len(labels))):
+            for record in (measure_subsystem(s, labels, family, rng), project_subsystem(s, labels, family, 1)):
+                built.append((record.collapsed, (s,) + tuple(family)))
+    for state, inputs in built:
+        amps = state.amplitudes
+        assert amps.dtype == np.complex128 and amps.shape == (3**state.num_qutrits,)
+        assert not amps.flags.writeable and (amps.base is None or not amps.base.flags.writeable)
+        with pytest.raises(ValueError):
+            amps[0] = 0.0
+        assert abs(np.vdot(amps, amps).real - 1.0) <= INTERNAL_TOL
+        assert not any(np.shares_memory(amps, given.amplitudes) for given in inputs)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from tritshare import (
     SessionConfig,
     XiOutcome,
     basis_index,
+    basis_state,
     bell_family,
     born_distribution,
     channel_check_round,
@@ -33,6 +34,7 @@ from tritshare import (
     tensor,
     verify_correlations,
     xi_family,
+    xi_state,
 )
 from tritshare.attacks import (
     ALWAYS_COMPUTATIONAL,
@@ -279,6 +281,78 @@ def test_agent_marginal_given_the_bell_outcome_is_the_shifted_populations(num_ag
             assert np.max(np.abs(total - np.eye(3) / 3)) < 1e-12
 
 
+def public_branches(secret, num_agents, designated):
+    """Every branch of a session's public transcript, stage by stage, on the public API: stage 0
+    follows the Bell announcement and stage k the k-th helper's. Yields ``(stage, m, weight, state,
+    labels)``: the Bell outcome's m, the Born weight of the announcements so far, the register of
+    the qutrits not yet measured and each of their holders' labels in it."""
+    helpers = [a for a in range(1, num_agents + 1) if a != designated]
+
+    def after(stage, m, weight, state, labels):
+        yield stage, m, weight, state, labels
+        if stage < len(helpers):
+            measured = labels[helpers[stage]]
+            left = {a: label - (label > measured) for a, label in labels.items() if label != measured}
+            for l in range(3):
+                record = project_subsystem(state, (measured,), xi_family(), l)
+                yield from after(stage + 1, m, weight * record.probability, record.collapsed, left)
+
+    joint = tensor(secret, ghz_state(num_agents + 1))
+    for index in range(9):
+        record = project_subsystem(joint, (1, 2), bell_family(), index)
+        agents = {a: a for a in range(1, num_agents + 1)}
+        yield from after(0, BellOutcome.from_index(index).m, record.probability, record.collapsed, agents)
+
+
+def coalitions(holders):
+    """Every non-empty set of the given agents, as sorted tuples."""
+    return [c for k in range(1, len(holders) + 1) for c in itertools.combinations(sorted(holders), k)]
+
+
+def ghz_diagonal(populations, size):
+    """``sum_t populations[t] |t...t><t...t|`` on ``size`` qutrits."""
+    rho = np.zeros((3**size, 3**size), dtype=complex)
+    for t in range(3):
+        index = basis_index([t] * size)
+        rho[index, index] = populations[t]
+    return rho
+
+
+@pytest.mark.parametrize("num_agents", [2, 3, 4])
+def test_coalition_average_over_the_public_outcomes_does_not_depend_on_the_secret(num_agents):
+    """At every stage of the public transcript, the Born-weighted average over the announcements so
+    far leaves every set of agents' unmeasured qutrits in the classical GHZ mixture, whatever the secret."""
+    rng = np.random.default_rng(90 + num_agents)
+    for secret in (basis_state([0]), xi_state(1), random_secret(rng), random_secret(rng)):
+        for designated in range(1, num_agents + 1):
+            totals = {}
+            for stage, _, weight, state, labels in public_branches(secret, num_agents, designated):
+                for coalition in coalitions(labels):
+                    rho = reduced_density(state, [labels[a] for a in coalition]).entries
+                    totals[stage, coalition] = totals.get((stage, coalition), 0) + weight * rho
+            assert len(totals) == sum(2 ** (num_agents - k) - 1 for k in range(num_agents))
+            for (_, coalition), total in totals.items():
+                expected = ghz_diagonal(np.full(3, 1 / 3), len(coalition))
+                assert np.max(np.abs(total - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("num_agents", [2, 3, 4])
+def test_a_coalition_lacking_a_qutrit_holds_the_shifted_populations(num_agents):
+    """Given the announcements so far, a set of agents that lacks some other unmeasured qutrit holds
+    the secret's computational populations shifted by the announced m, with no coherence: only the
+    holders of every qutrit left, with every helper's result, can restore the phases."""
+    rng = np.random.default_rng(95 + num_agents)
+    for secret in (xi_state(2), random_secret(rng), random_secret(rng)):
+        populations = np.abs(secret.amplitudes) ** 2
+        for designated in range(1, num_agents + 1):
+            for _, m, _, state, labels in public_branches(secret, num_agents, designated):
+                shifted = populations[(np.arange(3) - m) % 3]
+                for coalition in coalitions(labels)[:-1]:  # all but the whole set, which comes last
+                    rho = reduced_density(state, [labels[a] for a in coalition]).entries
+                    expected = ghz_diagonal(shifted, len(coalition))
+                    assert np.max(np.abs(rho - expected)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # transcripts
 
@@ -366,7 +440,9 @@ def test_dealer_step_matches_the_product_register(num_agents, monkeypatch):
 
 def test_wide_session_allocates_little():
     # A session at N = 10 keeps no nine-row coefficient array of the 3^11-amplitude channel
-    # (8.5 MiB): the dealer contracts only the drawn row, one 3^10-amplitude register.
+    # (8.5 MiB): the dealer contracts only the drawn row, one 3^10-amplitude register (0.9 MiB).
+    # The first helper's measurement of that register sets the peak, 2.11 MiB, with its kept
+    # row normalized in place.
     cfg = SessionConfig(MAX_AGENTS, 4, haar_random_state(np.random.default_rng(3)), 11)
     run_sharing_session(cfg)  # builds and caches the channel
     tracemalloc.start()
@@ -375,7 +451,26 @@ def test_wide_session_allocates_little():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 2**20
+    assert peak < 2.5 * 2**20
+
+
+@pytest.mark.parametrize("num_agents", range(2, MAX_AGENTS + 1))
+def test_session_reconstruction_is_public_reconstruct(num_agents):
+    # A session corrects its qutrit through the recovery table, not through reconstruct; replay
+    # the session's own steps and draws and correct with the public function.
+    for designated, seed in ((1, 3), (num_agents, 19)):
+        secret = haar_random_state(np.random.default_rng([seed, num_agents]))
+        transcript = run_sharing_session(SessionConfig(num_agents, designated, secret, seed))
+        rng = np.random.default_rng(seed)
+        bell_draw, helper_draws = rng.random(1), rng.random((1, num_agents - 1))
+        _, _, dealt = _deal(secret.amplitudes[None, :], num_agents, bell_draw)
+        outcomes, qutrit = _help(dealt, helper_draws)
+        bell = transcript.announcements[0].payload
+        expected = reconstruct(PureState(1, qutrit[0]), bell, HelperSum.from_outcomes(int(o[0]) for o in outcomes))
+        got = transcript.reconstructed
+        assert got.num_qutrits == 1 and not got.amplitudes.flags.writeable
+        assert abs(np.vdot(got.amplitudes, got.amplitudes).real - 1.0) <= 1e-12
+        assert np.max(np.abs(got.amplitudes - expected.amplitudes)) <= 1e-15
 
 
 def _help_by_relabeling(state, held, designated, draws):
