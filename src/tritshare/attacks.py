@@ -7,15 +7,21 @@ qutrit and substitutes a fake one; the dealer's random designation then
 decides whether the theft pays off silently or shows up when the
 reconstruction is compared against the secret.
 
-The experiments run blocks of trials as one ``(B, 3, ..., 3)`` amplitude
-array through ``core``'s batched engine, the one every ``PureState``
-operation runs on, and draw from one ``Philox`` stream keyed by the seed.
-A block starts from one GHZ register that all its trials share, and the
-first measurement whose rows differ between trials (the dealer's, Eve's)
-gives each trial its own. Every register stays C-contiguous: Eve resends
-the member she saw with one broadcast multiply into its slot, and the
-check step reads the block as flat ``(R, 3**n)`` registers, turning only
-the Fourier rounds.
+The experiments run blocks of trials through ``core``'s batched engine,
+the one every ``PureState`` operation runs on, and draw from one
+``Philox`` stream keyed by the seed. An inside block is one
+``(B, 3, ..., 3)`` amplitude array: it starts from one GHZ register that
+all its trials share, and the dealer's measurement, whose rows differ
+between trials, gives each trial its own. A check block holds only the
+distinct registers its rounds can be in, plus one register index per
+round. It starts as the one GHZ channel with every round at index 0.
+Eve's intercept contracts each distinct (register, basis) pair once,
+every round draws its outcome from its pair's weights, and one register
+is built per (pair, outcome) that occurred; with one target that is at
+most six. The check step likewise computes Born weights per distinct
+(register, check basis) pair, turning only the Fourier pairs, and every
+round draws its joint outcome from its pair's row. Per-round work is
+therefore only the draws.
 Every trial consumes the same number K of uniform doubles, a multiple of
 the four doubles Philox yields per counter step, so trial ``t`` reads the
 K uniforms at counter ``t * K / 4``. Results are therefore identical for
@@ -24,7 +30,7 @@ advanced by ``t * K / 4``. The inside kernel runs the sharing steps of
 ``protocol`` (the dealer's, then the helpers') on the dealt register. The
 fake is an unentangled qutrit, so it never joins the register: the victim
 measures it, or reconstructs on it, alone. The one-register functions are
-the same steps on a block of one:
+the same steps on one register and one round:
 ``outside_intercept_resend`` runs the intercept step,
 ``protocol.channel_check_round`` the check step.
 """
@@ -36,11 +42,14 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .core import PureState, _axes, _block, _integer, _measure, _trusted_state, sample_indices, tensor
+from .core import (
+    PureState, _axes, _block, _contract, _integer, _normalized, _sample, _trusted_state, _weights, sample_indices,
+    tensor,
+)
 from .errors import ConfigInvalid, LabelOutOfRange, SelfCapture
 from .operators import _COMPUTATIONAL_ROWS, _XI_ROWS, BellOutcome, ghz_state
 from .protocol import (
-    CHECK_BASES, COMPUTATIONAL, FOURIER, CheckRecord, _check_outcomes, _deal, _help, _reconstruction_fidelity,
+    CHECK_BASES, COMPUTATIONAL, FOURIER, CheckRecord, _check_outcomes, _deal, _help, _pairs, _reconstruction_fidelity,
     _validated_parties, _validated_seed,
 )
 
@@ -58,10 +67,13 @@ EXACT_COMPARISON_THRESHOLD = 1.0 - 1e-9
 
 RANDOM_CHECK_BASIS = "random"
 
-#: Trials simulated together as one array. Smaller blocks are bound by numpy's
-#: per-call overhead; larger ones raise an experiment's peak memory. The peak RSS
-#: of 4,000-trial inside and check experiments grew by 0.4-0.5 MiB from 64 to 256
-#: trials, and by another 0.4-0.8 MiB at 512.
+#: Inside trials simulated together as one array; with ``_INSIDE_QUTRITS`` it sets the one
+#: amplitude budget of every block, ``_BLOCK * 3**_INSIDE_QUTRITS``. A check block's rounds
+#: share a few registers, and its widest per-round array is the rounds' Born weight rows,
+#: so it holds the budget over one register's amplitudes: 768 rounds of three parties.
+#: Smaller blocks are bound by numpy's per-call overhead; larger ones raise an experiment's
+#: peak memory. The peak RSS of 4,000-trial inside and check experiments grew by 0.4-0.5 MiB
+#: from 64 to 256 trials, and by another 0.4-0.8 MiB at 512.
 _BLOCK = 256
 #: Widest array of an inside trial, in qutrits: the dealer's nine Bell coefficients
 #: on the two agents' channel qutrits, 9 x 3 x 3 amplitudes (16 B each, so 324 KiB
@@ -130,7 +142,7 @@ def outside_intercept_resend(state: PureState, label: int, basis: str, rng: np.r
     (axis,) = _axes(state, (label,), outside=LabelOutOfRange)
     if basis not in CHECK_BASES:
         raise ConfigInvalid(f"basis must be one of {CHECK_BASES}, got {basis!r}")
-    resent = _intercept(_block(state), axis, _basis_rows(np.array([basis == FOURIER])), rng.random(1))
+    resent, _ = _intercept(_block(state), np.zeros(1, dtype=np.intp), axis, np.array([basis == FOURIER]), rng.random(1))
     return _trusted_state(state.num_qutrits, resent)
 
 
@@ -146,10 +158,10 @@ def _stream(seed: int) -> np.random.Generator:
 def _block_sizes(total: int, width: int) -> Iterator[int]:
     """Trial counts of the consecutive blocks covering ``total`` trials.
 
-    Registers wider than an inside trial's get fewer trials per block, so
-    that no block holds more amplitudes than ``_BLOCK`` inside trials.
+    A block holds as many trials as registers of ``width`` qutrits fit in
+    the amplitudes of ``_BLOCK`` inside trials, and at least one.
     """
-    step = max(1, min(_BLOCK, _BLOCK * 3**_INSIDE_QUTRITS // 3**width))
+    step = max(1, _BLOCK * 3**_INSIDE_QUTRITS // 3**width)
     for start in range(0, total, step):
         yield min(step, total - start)
 
@@ -229,14 +241,26 @@ def _basis_rows(fourier: np.ndarray) -> np.ndarray:
     return np.where(fourier[:, None, None], _XI_ROWS, _COMPUTATIONAL_ROWS)
 
 
-def _intercept(state: np.ndarray, axis: int, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The intercept step: Eve measures qutrit ``axis`` of register b with uniform ``u[b]``
-    in the basis whose conjugated members are ``rows[b]``, then resends the member she saw
-    in the same slot."""
-    outcome, _, kept = _measure(state, (axis,), rows, u)
-    member = rows[np.arange(len(u)), outcome].conj()
-    resent = kept.reshape(len(u), 3**axis, 1, -1) * member[:, None, :, None]
-    return resent.reshape((len(u),) + (3,) * (state.ndim - 1))
+def _intercept(
+    registers: np.ndarray, index: np.ndarray, axis: int, fourier: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The intercept step: in round r Eve measures qutrit ``axis`` of register ``index[r]`` with
+    uniform ``u[r]``, in the Fourier basis where ``fourier[r]``, else the computational one, and
+    resends the member she saw in the same slot. Returns the new distinct registers and each
+    round's index into them.
+
+    Only the distinct (register, basis) pairs are contracted. Each round draws its outcome from
+    its pair's weights, and one register is built per (pair, outcome) that occurred."""
+    block, flags, pair = _pairs(registers, index, fourier)
+    rows = _basis_rows(flags)
+    coeffs = _contract(rows, block, (axis,))
+    weights = _weights(coeffs)
+    outcome, _ = _sample(weights[pair], u)
+    kinds, index = np.unique(pair * 3 + outcome, return_inverse=True)
+    p, k = kinds // 3, kinds % 3
+    kept = _normalized(coeffs[p, k], weights[p, k])
+    resent = kept.reshape(len(kinds), 3**axis, 1, -1) * rows[p, k].conj()[:, None, :, None]
+    return resent.reshape((len(kinds),) + registers.shape[1:]), index
 
 
 def _check_block(
@@ -245,18 +269,20 @@ def _check_block(
     """Play a block of check rounds; return per round the Fourier-basis
     flag, the parties' outcome trits ``(B, num_parties)`` and the verdict.
 
-    The rounds share one GHZ register until the first intercept, whose
-    per-round basis gives each round its own; an honest block stays one
-    register until the check step's per-round basis choice."""
+    The block holds the few distinct registers its rounds can be in, plus
+    one register index per round. It starts as the one GHZ channel with
+    every round at index 0, and each intercept builds only the registers
+    that its (register, basis, outcome) triples call for."""
     fourier = _fourier_flags(u[:, 0], check_basis_policy == RANDOM_CHECK_BASIS, check_basis_policy == FOURIER)
-    state = _block(ghz_state(num_parties))
+    registers = _block(ghz_state(num_parties))
+    index = np.zeros(len(u), dtype=np.intp)
 
     targets = attack.target_qutrits if attack is not None else ()
     for i, target in enumerate(targets):
         policy = attack.measure_basis_policy
-        eve = _basis_rows(_fourier_flags(u[:, 1 + 2 * i], policy == RANDOM_PER_QUTRIT, policy == ALWAYS_FOURIER))
-        state = _intercept(state, target - 1, eve, u[:, 2 + 2 * i])
-    trits, passed = _check_outcomes(state, fourier, u[:, 1 + 2 * len(targets)])
+        eve = _fourier_flags(u[:, 1 + 2 * i], policy == RANDOM_PER_QUTRIT, policy == ALWAYS_FOURIER)
+        registers, index = _intercept(registers, index, target - 1, eve, u[:, 2 + 2 * i])
+    trits, passed = _check_outcomes(registers, index, fourier, u[:, 1 + 2 * len(targets)])
     return fourier, trits, passed
 
 

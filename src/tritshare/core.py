@@ -11,11 +11,15 @@ acts on B registers held as one ``(B, 3, ..., 3)`` array. The
 ``PureState`` operations validate and run it on one register; the steps
 in ``protocol`` and the kernels in ``attacks`` run it on blocks of trials.
 ``_apply`` serves only ``apply_single``: the check kernel turns its
-Fourier rounds on flat registers of its own.
+Fourier pairs on flat registers of its own.
 A step whose rows every register shares, or whose registers are all one
-state, runs as one 2-D matrix product: a block holds one register until
-the first step whose rows differ between trials, and ``_measure`` (the
-only collapse) then gives each trial its own register.
+state, runs as one 2-D matrix product. The sharing steps hold one
+register until the first step whose rows differ between trials, and
+``_measure`` (the only collapse) then gives each trial its own register.
+The check kernel does not collapse per trial: it keeps the few distinct
+registers its rounds can be in, contracts (``_contract``, ``_weights``)
+each distinct (register, rows) pair once, and draws every round from its
+pair's weights (``_sample``).
 
 Born weights are ``np.vecdot`` of the coefficients' ``float64`` view with
 itself. A sampled draw returns the weights it drew (``_sample``), so they

@@ -126,30 +126,43 @@ def _validated_parties(num_parties: int) -> int:
     return num_parties
 
 
-def _check_outcomes(state: np.ndarray, fourier: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The check step on a block: every party measures in the Fourier basis where ``fourier[b]``,
-    else the computational one, and the joint outcome of round b is drawn with ``u[b]``. Returns
-    the trits ``(B, parties)`` and whether each round kept the GHZ correlation: a Fourier round
-    passes when they sum to 0 mod 3, a computational one when they all agree.
+def _gathered(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``rows[index]``, without a copy where that is ``rows`` itself in order (one register, one round)."""
+    return rows if np.array_equal(index, np.arange(len(rows))) else rows[index]
 
-    ``state`` holds one register per round or one that every round shares, read as flat
-    ``(R, 3**n)`` amplitudes. Every round takes the Born weights of its raw register, which are
-    its computational ones. Only the Fourier rounds' registers are turned, or the one shared
-    register once: one product per party turns the last qutrit, ``(R * 3**(n-1), 3) @ rows.T``,
-    and rotates it to the front, so n turns leave the qutrits in order. Their weights overwrite
-    the Fourier rounds' rows. The trits are the base-3 digits of the drawn joint index, and the
-    digits all agree exactly at the multiples of ``(3**n - 1) // 2``, the index of |11...1>."""
-    n = state.ndim - 1
-    flat = state.reshape(len(state), -1)
-    probs = np.empty((len(u), flat.shape[1]))
-    probs[:] = flat.real**2 + flat.imag**2
-    if fourier.any():
-        turned = flat if len(flat) == 1 else flat[fourier]
+
+def _pairs(registers: np.ndarray, index: np.ndarray, flags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the rounds of a block by (register ``index[r]``, basis flag ``flags[r]``). Returns each
+    distinct pair's register and flag, and each round's pair."""
+    pairs, pair = np.unique(index * 2 + flags, return_inverse=True)
+    return _gathered(registers, pairs // 2), pairs % 2 == 1, pair
+
+
+def _check_outcomes(
+    registers: np.ndarray, index: np.ndarray, fourier: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The check step on a block: in round r every party measures register ``index[r]`` in the
+    Fourier basis where ``fourier[r]``, else the computational one, and the joint outcome is drawn
+    with ``u[r]``. Returns the trits ``(R, parties)`` and whether each round kept the GHZ
+    correlation: a Fourier round passes when they sum to 0 mod 3, a computational one when they
+    all agree.
+
+    Born weights are computed once per distinct (register, basis) pair, from the pair's flat
+    ``3**n`` amplitudes, and each round draws from its pair's row. A computational pair's weights
+    are those of its raw register. Only the Fourier pairs' registers are turned: one product per
+    party turns the last qutrit, ``(P * 3**(n-1), 3) @ rows.T``, and rotates it to the front, so n
+    turns leave the qutrits in order. The trits are the base-3 digits of the drawn joint index,
+    and the digits all agree exactly at the multiples of ``(3**n - 1) // 2``, the index of |11...1>."""
+    n = registers.ndim - 1
+    flat, turn, pair = _pairs(registers.reshape(len(registers), -1), index, fourier)
+    probs = flat.real**2 + flat.imag**2
+    if turn.any():
+        turned = flat if turn.all() else flat[turn]
         for _ in range(n):
             turned = (turned.reshape(-1, 3) @ _XI_ROWS.T).reshape(len(turned), -1, 3).transpose(0, 2, 1)
             turned = turned.reshape(len(turned), -1)
-        probs[fourier] = turned.real**2 + turned.imag**2
-    joint = sample_indices(probs, u)
+        probs[turn] = turned.real**2 + turned.imag**2
+    joint = sample_indices(_gathered(probs, pair), u)
     trits = joint[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3
     return trits, np.where(fourier, trits.sum(axis=1) % 3 == 0, joint % ((3**n - 1) // 2) == 0)
 
@@ -296,7 +309,7 @@ def channel_check_round(
     if basis not in CHECK_BASES:
         raise ConfigInvalid(f"check basis must be one of {CHECK_BASES}, got {basis!r}")
     channel = _block(ghz_state(_validated_parties(num_parties)))
-    trits, passed = _check_outcomes(channel, np.array([basis == FOURIER]), rng.random(1))
+    trits, passed = _check_outcomes(channel, np.zeros(1, dtype=np.intp), np.array([basis == FOURIER]), rng.random(1))
     return CheckRecord(basis, tuple(trits[0].tolist()), bool(passed[0]))
 
 

@@ -6,6 +6,7 @@ Fourier checks with probability 2/3, and the inside attacker wins only
 the designation coin flip.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -16,6 +17,7 @@ import tritshare.protocol as protocol
 from tritshare import (
     BellOutcome,
     InsideAttack,
+    MeasurementFamily,
     OutsideAttack,
     PureState,
     SessionConfig,
@@ -43,8 +45,10 @@ from tritshare import (
     verify_correlations,
     xi_family,
 )
-from tritshare.attacks import ALWAYS_COMPUTATIONAL, ALWAYS_FOURIER, EXACT, SINGLE_COPY
+from tritshare.attacks import ALWAYS_COMPUTATIONAL, ALWAYS_FOURIER, EXACT, RANDOM_PER_QUTRIT, SINGLE_COPY
+from tritshare.core import _measure, sample_indices
 from tritshare.errors import ConfigInvalid, LabelOutOfRange, SelfCapture
+from tritshare.operators import _XI_ROWS
 from tritshare.protocol import COMPUTATIONAL, FOURIER
 
 FAKE_ZERO = basis_state([0])
@@ -419,6 +423,195 @@ def test_results_do_not_depend_on_block_size(monkeypatch, block):
     reference = run_all()
     monkeypatch.setattr(attacks, "_BLOCK", block)
     assert run_all() == reference
+
+
+# The check kernel as it ran before a block held distinct registers: every round gets its own
+# register at Eve's first intercept, and the check step measures every round's register.
+
+
+def _per_round_intercept(state, axis, rows, u):
+    """Eve measures qutrit ``axis`` of register b (or of the one shared register) with ``u[b]`` in
+    the basis whose conjugated members are ``rows[b]``, and resends the member she saw."""
+    outcome, _, kept = _measure(state, (axis,), rows, u)
+    member = rows[np.arange(len(u)), outcome].conj()
+    resent = kept.reshape(len(u), 3**axis, 1, -1) * member[:, None, :, None]
+    return resent.reshape((len(u),) + (3,) * (state.ndim - 1))
+
+
+def _per_round_check_outcomes(state, fourier, u):
+    """Every round's weights from its own register (or the shared one), its Fourier rounds turned."""
+    n = state.ndim - 1
+    flat = state.reshape(len(state), -1)
+    probs = np.empty((len(u), flat.shape[1]))
+    probs[:] = flat.real**2 + flat.imag**2
+    if fourier.any():
+        turned = flat if len(flat) == 1 else flat[fourier]
+        for _ in range(n):
+            turned = (turned.reshape(-1, 3) @ _XI_ROWS.T).reshape(len(turned), -1, 3).transpose(0, 2, 1)
+            turned = turned.reshape(len(turned), -1)
+        probs[fourier] = turned.real**2 + turned.imag**2
+    joint = sample_indices(probs, u)
+    trits = joint[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3
+    return trits, np.where(fourier, trits.sum(axis=1) % 3 == 0, joint % ((3**n - 1) // 2) == 0)
+
+
+def _per_round_check_block(u, attack, check_basis_policy, num_parties):
+    fourier = attacks._fourier_flags(u[:, 0], check_basis_policy == "random", check_basis_policy == FOURIER)
+    state = ghz_state(num_parties).amplitudes.reshape((1,) + (3,) * num_parties)
+    targets = attack.target_qutrits if attack is not None else ()
+    for i, target in enumerate(targets):
+        policy = attack.measure_basis_policy
+        eve = attacks._fourier_flags(u[:, 1 + 2 * i], policy == RANDOM_PER_QUTRIT, policy == ALWAYS_FOURIER)
+        state = _per_round_intercept(state, target - 1, attacks._basis_rows(eve), u[:, 2 + 2 * i])
+    trits, passed = _per_round_check_outcomes(state, fourier, u[:, 1 + 2 * len(targets)])
+    return fourier, trits, passed
+
+
+EVE_SETTINGS = (None, ALWAYS_COMPUTATIONAL, ALWAYS_FOURIER, RANDOM_PER_QUTRIT)
+CHECK_POLICIES = (COMPUTATIONAL, FOURIER, "random")
+#: No Eve, then every Eve policy on the first transit qutrit and on all of them.
+OUTSIDE_SETTINGS = [(None, None)] + list(itertools.product(EVE_SETTINGS[1:], ("one target", "all targets")))
+
+
+def _outside_attack(setting, num_parties):
+    policy, reach = setting
+    if policy is None:
+        return None
+    return OutsideAttack((2,) if reach == "one target" else tuple(range(2, num_parties + 1)), policy)
+
+
+@pytest.mark.parametrize("rounds", [1, 7, 256, 768, 1000])
+@pytest.mark.parametrize("num_parties", [2, 3, 4, 5, 6])
+def test_check_kernel_matches_the_per_round_oracle(num_parties, rounds):
+    configs = itertools.product(OUTSIDE_SETTINGS, CHECK_POLICIES)
+    for seed, (setting, policy) in enumerate(configs, start=10 * num_parties):
+        attack = _outside_attack(setting, num_parties)
+        u = attacks._stream(seed).random((rounds, attacks._check_uniforms(attack)))
+        got = attacks._check_block(u, attack, policy, num_parties)
+        want = _per_round_check_block(u, attack, policy, num_parties)
+        for name, a, b in zip(("bases", "trits", "verdicts"), got, want):
+            assert np.array_equal(a, b), (name, attack, policy)
+
+
+@pytest.mark.parametrize("policy", EVE_SETTINGS[1:])
+def test_a_one_target_block_holds_at_most_six_registers(monkeypatch, policy):
+    """A 768-round three-party block under one intercept holds one register per (basis, outcome)
+    that occurred, never one per round, and its check step meets at most 12 (register, basis) pairs."""
+    intercepts, checks = [], []
+    intercept, check_outcomes = attacks._intercept, attacks._check_outcomes
+
+    def counting_intercept(*args):
+        registers, index = intercept(*args)
+        intercepts.append(len(registers))
+        return registers, index
+
+    def counting_check_outcomes(registers, index, fourier, u):
+        checks.append((len(index), len(registers), len(np.unique(index * 2 + fourier))))
+        return check_outcomes(registers, index, fourier, u)
+
+    monkeypatch.setattr(attacks, "_intercept", counting_intercept)
+    monkeypatch.setattr(attacks, "_check_outcomes", counting_check_outcomes)
+    run_check_rounds(3 * 768, OutsideAttack((2,), policy), "random", seed=72)
+    bases = 2 if policy == RANDOM_PER_QUTRIT else 1
+    assert intercepts == [3 * bases] * 3
+    assert checks == [(768, 3 * bases, 6 * bases)] * 3
+
+
+@pytest.mark.parametrize(
+    "width,step", [(2, 2304), (3, 768), (4, 256), (5, 85), (12, 1), (attacks._INSIDE_QUTRITS, 256)]
+)
+def test_block_sizes_keep_one_amplitude_budget(width, step):
+    assert list(attacks._block_sizes(2 * step + 1, width)) == [step, step, 1]
+
+
+# ---------------------------------------------------------------------------
+# exact outside detection rates, every branch enumerated on the one-register API
+
+
+class _Uniform:
+    """A generator whose every draw is ``value``: it forces the branch whose CDF interval holds it."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size):
+        return np.full(size, self.value)
+
+
+def _intercept_branches(state, targets, policy):
+    """(probability, resent register) of every branch of Eve's intercepts on ``targets``, in order:
+    her basis on each target, then her outcome in it."""
+    if not targets:
+        yield 1.0, state
+        return
+    label = targets[0]
+    bases = {ALWAYS_COMPUTATIONAL: (COMPUTATIONAL,), ALWAYS_FOURIER: (FOURIER,)}.get(policy, (COMPUTATIONAL, FOURIER))
+    for basis in bases:
+        weights = born_distribution(state, (label,), _members(basis))
+        edges = np.concatenate([[0.0], np.cumsum(weights)])
+        for k in np.flatnonzero(weights > 1e-12):
+            resent = outside_intercept_resend(state, label, basis, _Uniform((edges[k] + edges[k + 1]) / 2))
+            assert born_distribution(resent, (label,), _members(basis))[k] == pytest.approx(1.0, abs=1e-12)
+            for p, leaf in _intercept_branches(resent, targets[1:], policy):
+                yield weights[k] * p / len(bases), leaf
+
+
+@functools.lru_cache(maxsize=None)
+def _product_family(basis, num_parties):
+    products = itertools.product(_members(basis), repeat=num_parties)
+    return MeasurementFamily(functools.reduce(tensor, members) for members in products)
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_failure_rates(attack, num_parties):
+    """Exact failure probability of a computational and of a Fourier check round under ``attack``."""
+    targets = attack.target_qutrits if attack is not None else ()
+    policy = attack.measure_basis_policy if attack is not None else None
+    digits = np.array(list(itertools.product(range(3), repeat=num_parties)))
+    fails = {
+        COMPUTATIONAL: ~np.all(digits == digits[:, :1], axis=1),
+        FOURIER: digits.sum(axis=1) % 3 != 0,
+    }
+    rates = dict.fromkeys(fails, 0.0)
+    for p, leaf in _intercept_branches(ghz_state(num_parties), targets, policy):
+        for basis, failing in fails.items():
+            weights = born_distribution(leaf, tuple(range(1, num_parties + 1)), _product_family(basis, num_parties))
+            rates[basis] += p * float(weights[failing].sum())
+    return rates
+
+
+def _exact_detection_rate(attack, check_policy, num_parties):
+    rates = _exact_failure_rates(attack, num_parties)
+    if check_policy == "random":
+        return (rates[COMPUTATIONAL] + rates[FOURIER]) / 2
+    return rates[check_policy]
+
+
+@pytest.mark.parametrize("setting", OUTSIDE_SETTINGS, ids=str)
+@pytest.mark.parametrize("num_parties", [2, 3, 4, 5])
+def test_outside_detection_rate_matches_its_exact_value(num_parties, setting):
+    attack = _outside_attack(setting, num_parties)
+    trials = 4000
+    for seed, policy in enumerate(CHECK_POLICIES, start=73):
+        exact = _exact_detection_rate(attack, policy, num_parties)
+        estimate = run_outside_attack_experiment(trials, attack, policy, seed, num_parties).detection_rate
+        assert abs(estimate - exact) <= 4 * np.sqrt(exact * (1 - exact) / trials) + 1e-12, (policy, exact, estimate)
+
+
+def test_three_party_one_target_exact_rates():
+    """Hillery-Buzek-Berthiaume's intercept-resend figures: a round fails with probability 2/3
+    when Eve's basis differs from the check basis and never when it matches, so 1/3 under random checks."""
+    for policy in EVE_SETTINGS:
+        attack = None if policy is None else OutsideAttack((2,), policy)
+        expected = 0 if policy is None else 1 / 3
+        assert _exact_detection_rate(attack, "random", 3) == pytest.approx(expected, abs=1e-12)
+    differ = {ALWAYS_COMPUTATIONAL: FOURIER, ALWAYS_FOURIER: COMPUTATIONAL}
+    for policy, check in differ.items():
+        assert _exact_detection_rate(OutsideAttack((2,), policy), check, 3) == pytest.approx(2 / 3, abs=1e-12)
+        match = COMPUTATIONAL if check == FOURIER else FOURIER
+        assert _exact_detection_rate(OutsideAttack((2,), policy), match, 3) == pytest.approx(0, abs=1e-12)
+    for check in (COMPUTATIONAL, FOURIER):
+        assert _exact_detection_rate(None, check, 3) == pytest.approx(0, abs=1e-12)
 
 
 def test_any_trial_replays_from_its_counter():

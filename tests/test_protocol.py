@@ -619,7 +619,6 @@ def test_honest_round_keeps_the_ghz_correlation(num_parties, basis):
 
 def _reference_check_outcomes(state, fourier, u):
     """The check step as every round's own basis rows applied on each party's axis of its own register."""
-    state = np.broadcast_to(state, (len(fourier),) + state.shape[1:])
     rows = _basis_rows(fourier)
     for axis in range(state.ndim - 1):
         state = _apply(rows, state, axis)
@@ -630,28 +629,32 @@ def _reference_check_outcomes(state, fourier, u):
 
 @pytest.mark.parametrize("num_parties", [2, 3, 4, 5, 6])
 def test_check_step_matches_per_round_basis_rows(num_parties):
+    """The check step on distinct registers plus one index per round draws what every round's own
+    register, measured with its own basis rows, draws."""
     rng = np.random.default_rng(60 + num_parties)
     rounds = 64
     shape = (rounds,) + (3,) * num_parties
     haar = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     haar /= np.linalg.norm(haar.reshape(rounds, -1), axis=1).reshape((-1,) + (1,) * num_parties)
     ghz = _block(ghz_state(num_parties))
-    intercepted = _intercept(ghz, 1, _basis_rows(rng.random(rounds) < 0.5), rng.random(rounds))
+    shared = np.zeros(rounds, dtype=np.intp)
+    intercepted = _intercept(ghz, shared, 1, rng.random(rounds) < 0.5, rng.random(rounds))
     inputs = {
-        "shared GHZ register": ghz,
-        "shared Haar register": haar[:1],
-        "a Haar register per round": haar,
+        "shared GHZ register": (ghz, shared),
+        "shared Haar register": (haar[:1], shared),
+        "a Haar register per round": (haar, np.arange(rounds)),
+        "five Haar registers, rounds drawn among them": (haar[:5], rng.integers(0, 5, rounds)),
         "one intercept on the shared GHZ register": intercepted,
-        "two intercepts on it": _intercept(
-            intercepted, num_parties - 1, _basis_rows(rng.random(rounds) < 0.5), rng.random(rounds)
+        "two intercepts on it": _intercept(*intercepted, num_parties - 1, rng.random(rounds) < 0.5, rng.random(rounds)),
+        "a transposed view of the Haar registers": (
+            haar.transpose((0,) + tuple(range(num_parties, 0, -1))), rng.permutation(rounds)
         ),
-        "a transposed view of the Haar registers": haar.transpose((0,) + tuple(range(num_parties, 0, -1))),
     }
     for fourier in (rng.random(rounds) < 0.5, np.zeros(rounds, bool), np.ones(rounds, bool)):
         u = rng.random(rounds)
-        for name, state in inputs.items():
-            trits, passed = _check_outcomes(state, fourier, u)
-            trits_ref, passed_ref = _reference_check_outcomes(state, fourier, u)
+        for name, (registers, index) in inputs.items():
+            trits, passed = _check_outcomes(registers, index, fourier, u)
+            trits_ref, passed_ref = _reference_check_outcomes(registers[index], fourier, u)
             assert np.array_equal(trits, trits_ref), name
             assert np.array_equal(passed, passed_ref), name
 
@@ -672,7 +675,7 @@ def test_check_trits_and_verdicts_at_every_joint_index(num_parties):
     for start in range(0, size, 243):  # a draw holds a (rounds, 3**n) weight array
         joint = np.tile(np.arange(start, min(start + 243, size)), 2)
         fourier = np.arange(len(joint)) >= len(joint) // 2
-        trits, passed = _check_outcomes(block, fourier, (joint + 0.5) / size)
+        trits, passed = _check_outcomes(block, np.zeros(len(joint), np.intp), fourier, (joint + 0.5) / size)
         digits = np.stack(np.unravel_index(joint, (3,) * num_parties), axis=1)
         assert np.array_equal(trits, digits)
         agree = np.all(digits == digits[:, :1], axis=1)
