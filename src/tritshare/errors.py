@@ -75,3 +75,7 @@ class EmptyInput(TritshareError):
 
 class ParseError(TritshareError):
     """Command-line input could not be parsed."""
+
+
+class ReportInvalid(TritshareError):
+    """A run report violates the published report schema; internal invariant violation."""

@@ -4,9 +4,11 @@ JSON is the canonical format; complex amplitudes serialize as
 ``[re, im]`` pairs so reports round-trip losslessly. CSV flattens attack
 statistics to one row per experiment.
 
-Every report is checked against ``REPORT_SCHEMA`` by a small conformance
-check over the schema keywords it uses. jsonschema is imported only when
-that check refuses a report, to give the verdict and explain the violation.
+Every report is checked against ``REPORT_SCHEMA`` by one small conformance
+check over the schema keywords it uses, whose verdict on any JSON value is
+that of a full 2020-12 validator. ``validate_report`` raises
+``ReportInvalid`` for a report that fails it, naming the first failing path
+and keyword. The package needs no validator library at run time.
 """
 
 from __future__ import annotations
@@ -15,18 +17,14 @@ import csv
 import dataclasses
 import io
 import json
-from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Sequence, get_type_hints
+from typing import Any, Sequence, get_type_hints
 
 import numpy as np
 
 from .attacks import AttackStats
 from .core import PureState
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, ReportInvalid
 from .protocol import ChannelVerdict, Transcript
-
-if TYPE_CHECKING:
-    import jsonschema
 
 SCHEMA_VERSION = 1
 
@@ -176,11 +174,7 @@ def build_report(command: str, config: dict, result: Result, wall_time_ms: int, 
     }
 
 
-class _Unsupported(Exception):
-    """A value or schema keyword the conformance check does not judge."""
-
-
-#: The JSON values the conformance check judges; numpy scalars, tuples and the like stop it.
+#: The JSON values a report may hold; numpy scalars, tuples and the like fail any keyword that looks at them.
 _JSON_VALUES = (dict, list, str, int, float, type(None))
 
 
@@ -211,25 +205,27 @@ _TYPES = {
 }
 
 
-def _conforms(instance: Any, schema: Any) -> bool:
-    """Whether ``instance`` satisfies ``schema`` under JSON Schema 2020-12.
+def _violation(instance: Any, schema: Any, path: tuple = (), via: str = "false") -> tuple[tuple, str] | None:
+    """Where ``instance`` first fails ``schema`` under JSON Schema 2020-12: the path to the
+    failing value and the failing keyword, or None if it conforms.
 
-    On JSON values (dict, list, str, int, float, bool, None) and the keywords
-    handled here, the answer is exactly jsonschema's; ``oneOf`` and ``if``
-    rely on that. Any other value the schema looks at, and any other keyword,
-    raises ``_Unsupported``.
+    On JSON values (dict, list, str, int, float, bool, None) the verdict is exactly a
+    full validator's; ``oneOf`` and ``if`` rely on that. Any other value, such as a numpy
+    integer or a tuple, fails the first keyword that looks at it. A false subschema fails
+    as ``via``, the keyword that applied it. A keyword not handled here raises
+    NotImplementedError: the schema, not the report, is then at fault.
     """
     if isinstance(schema, bool):
-        return schema
-    if not isinstance(instance, _JSON_VALUES):
-        raise _Unsupported(type(instance).__name__)
+        return None if schema else (path, via)
+    is_json = isinstance(instance, _JSON_VALUES)
     is_object, is_array = isinstance(instance, dict), isinstance(instance, list)
     for keyword, value in schema.items():
         if keyword in ("$schema", "title", "then"):  # annotations; "then" is judged with "if"
             continue
+        ok, inner = True, ()  # inner: the (value, subschema, path) triples the keyword applies
         if keyword == "type":
             if not isinstance(value, str) or value not in _TYPES:
-                raise _Unsupported(f"type {value!r}")
+                raise NotImplementedError(f"schema type {value!r}")
             ok = _TYPES[value](instance)
         elif keyword == "const":
             ok = _json_equal(instance, value)
@@ -237,66 +233,52 @@ def _conforms(instance: Any, schema: Any) -> bool:
             ok = any(_json_equal(instance, member) for member in value)
         elif keyword == "required":
             ok = not is_object or all(key in instance for key in value)
-        elif keyword == "properties":
-            ok = not is_object or all(_conforms(instance[key], sub) for key, sub in value.items() if key in instance)
-        elif keyword == "additionalProperties":
-            known = schema.get("properties", {})
-            ok = not is_object or all(_conforms(instance[key], value) for key in instance if key not in known)
-        elif keyword == "prefixItems":
-            ok = not is_array or all(map(_conforms, instance, value))
-        elif keyword == "items":
-            ok = not is_array or all(_conforms(item, value) for item in instance[len(schema.get("prefixItems", ())) :])
         elif keyword == "minItems":
             ok = not is_array or len(instance) >= value
         elif keyword == "minimum":
             ok = not _is_number(instance) or not instance < value
         elif keyword == "maximum":
             ok = not _is_number(instance) or not instance > value
-        elif keyword == "allOf":
-            ok = all(_conforms(instance, sub) for sub in value)
         elif keyword == "oneOf":
-            ok = sum(_conforms(instance, sub) for sub in value) == 1
+            ok = sum(_violation(instance, sub, path) is None for sub in value) == 1
+        elif keyword == "properties":
+            if is_object:
+                inner = ((instance[key], sub, (*path, key)) for key, sub in value.items() if key in instance)
+        elif keyword == "additionalProperties":
+            known = schema.get("properties", {})
+            if is_object:
+                inner = ((instance[key], value, (*path, key)) for key in instance if key not in known)
+        elif keyword == "prefixItems":
+            if is_array:
+                inner = ((item, sub, (*path, i)) for i, (item, sub) in enumerate(zip(instance, value)))
+        elif keyword == "items":
+            start = len(schema.get("prefixItems", ()))
+            if is_array:
+                inner = ((item, value, (*path, i)) for i, item in enumerate(instance[start:], start))
+        elif keyword == "allOf":
+            inner = ((instance, sub, path) for sub in value)
         elif keyword == "if":
-            ok = "then" not in schema or not _conforms(instance, value) or _conforms(instance, schema["then"])
+            if "then" in schema and _violation(instance, value, path) is None:
+                # "then" applies, and a false "then" fails as "then"
+                keyword, inner = "then", ((instance, schema["then"], path),)
         else:
-            raise _Unsupported(keyword)
-        if not ok:
-            return False
-    return True
-
-
-# Built once: ``jsonschema.validate`` would check the constant schema against
-# its metaschema again on every call, which costs far more than the validation.
-@lru_cache(maxsize=None)
-def _validator() -> jsonschema.Draft202012Validator:
-    import jsonschema
-
-    return jsonschema.Draft202012Validator(REPORT_SCHEMA)
-
-
-def schema_error(report: dict) -> jsonschema.ValidationError | None:
-    """The error ``jsonschema.validate`` would raise for the report, or None if it conforms.
-
-    A report that the conformance check accepts is valid. jsonschema is imported
-    only to judge, and explain, one that the check refuses or cannot judge.
-    """
-    try:
-        if _conforms(report, REPORT_SCHEMA):
-            return None
-    except _Unsupported:
-        pass
-    from jsonschema.exceptions import best_match
-
-    return best_match(_validator().iter_errors(report))
+            raise NotImplementedError(f"schema keyword {keyword!r}")
+        if not ok or not is_json:
+            return path, keyword
+        for item, sub, item_path in inner:
+            failure = _violation(item, sub, item_path, keyword)
+            if failure is not None:
+                return failure
+    return None
 
 
 def validate_report(report: dict) -> None:
-    """Raise jsonschema.ValidationError if the report violates the published schema,
-    with the error ``jsonschema.validate`` would raise; jsonschema is imported only
-    for a report that the conformance check refuses."""
-    error = schema_error(report)
-    if error is not None:
-        raise error
+    """Raise ReportInvalid, naming the failing path and keyword, if the report violates ``REPORT_SCHEMA``."""
+    failure = _violation(report, REPORT_SCHEMA)
+    if failure is not None:
+        path, keyword = failure
+        where = "/" + "/".join(map(str, path)) if path else "the top level"
+        raise ReportInvalid(f"report violates schema: {keyword!r} fails at {where}")
 
 
 def render_json(report: dict) -> str:

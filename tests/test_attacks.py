@@ -477,7 +477,8 @@ def _outside_attack(setting, num_parties):
     policy, reach = setting
     if policy is None:
         return None
-    return OutsideAttack((2,) if reach == "one target" else tuple(range(2, num_parties + 1)), policy)
+    targets = {"one target": (2,), "last target": (num_parties,)}.get(reach, tuple(range(2, num_parties + 1)))
+    return OutsideAttack(targets, policy)
 
 
 @pytest.mark.parametrize("rounds", [1, 7, 256, 768, 1000])
@@ -587,8 +588,16 @@ def _exact_detection_rate(attack, check_policy, num_parties):
     return rates[check_policy]
 
 
-@pytest.mark.parametrize("setting", OUTSIDE_SETTINGS, ids=str)
-@pytest.mark.parametrize("num_parties", [2, 3, 4, 5])
+#: Every setting at 2..5 parties, no Eve and every one-target setting at 6, and Eve on the last
+#: transit qutrit alone at 3..6.
+EXACT_CASES = (
+    [(n, setting) for n in (2, 3, 4, 5) for setting in OUTSIDE_SETTINGS]
+    + [(6, setting) for setting in OUTSIDE_SETTINGS if setting[1] != "all targets"]
+    + [(n, (policy, "last target")) for n in (3, 4, 5, 6) for policy in EVE_SETTINGS[1:]]
+)
+
+
+@pytest.mark.parametrize("num_parties, setting", EXACT_CASES, ids=[f"{n}-{setting}" for n, setting in EXACT_CASES])
 def test_outside_detection_rate_matches_its_exact_value(num_parties, setting):
     attack = _outside_attack(setting, num_parties)
     trials = 4000

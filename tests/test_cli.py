@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from tritshare import AttackStats, fidelity, parse_secret, run_command, xi_state
 from tritshare.cli import MAX_TRIALS, _parse_secret_checked
-from tritshare.errors import ConfigInvalid, NotNormalized, ParseError
+from tritshare.errors import ConfigInvalid, NotNormalized, ParseError, ReportInvalid
 from tritshare import reporting
 from tritshare.reporting import REPORT_SCHEMA, decode_state, validate_report
 
@@ -446,6 +446,7 @@ def test_report_schema_matches_the_published_version():
 
 
 def _corrupted_reports():
+    """(path, report) pairs: a valid report with the value at ``path`` replaced, added or dropped."""
     share = json.loads(run_cli(["share", "--seed", "4"])[1])
     attack = json.loads(run_cli(["attack", "--model", "inside", "--trials", "20", "--seed", "4"])[1])
     check = json.loads(run_cli(["check-channel", "--rounds", "20", "--seed", "4"])[1])
@@ -467,18 +468,35 @@ def _corrupted_reports():
         for step in parents:
             target = target[step]
         target[key] = value
-        yield bad
-    yield {**share, "extra": 1}
-    yield {key: value for key, value in attack.items() if key != "warnings"}
+        yield path, bad
+    yield ("extra",), {**share, "extra": 1}
+    yield ("warnings",), {key: value for key, value in attack.items() if key != "warnings"}
 
 
-def test_validate_report_raises_what_jsonschema_validate_raises():
-    for bad in _corrupted_reports():
-        with pytest.raises(jsonschema.ValidationError) as ours:
+def _raises(validate, exception, report):
+    try:
+        validate(report)
+    except exception:
+        return True
+    return False
+
+
+def test_validate_report_raises_exactly_when_jsonschema_validate_does():
+    valid = [(None, json.loads(text)) for text in _valid_report_texts()]
+    for path, report in [*_corrupted_reports(), *valid]:
+        ours = _raises(validate_report, ReportInvalid, report)
+        assert ours is _raises(lambda r: jsonschema.validate(r, REPORT_SCHEMA), jsonschema.ValidationError, report)
+        assert ours is (path is not None)
+
+
+def test_a_refused_report_is_named_at_its_corrupted_value():
+    """The first failure lies on the path to the value that was corrupted, and the message names it."""
+    for path, bad in _corrupted_reports():
+        where, keyword = reporting._violation(bad, REPORT_SCHEMA)
+        assert path[: len(where)] == where, (path, where, keyword)
+        pointer = "/" + "/".join(map(str, where)) if where else "the top level"
+        with pytest.raises(ReportInvalid, match=f"^report violates schema: '{keyword}' fails at {pointer}$"):
             validate_report(bad)
-        with pytest.raises(jsonschema.ValidationError) as theirs:
-            jsonschema.validate(bad, REPORT_SCHEMA)
-        assert (ours.value.message, ours.value.path) == (theirs.value.message, theirs.value.path)
 
 
 def test_console_entry_point_runs():
@@ -513,7 +531,7 @@ def test_library_import_leaves_the_command_line_unloaded():
 
 
 # ---------------------------------------------------------------------------
-# the conformance check that spares a valid report jsonschema
+# the conformance check, the one validator of a report, against jsonschema as an oracle
 
 #: The command forms that CI's console-script step runs, apart from the CSV ``share`` refusal.
 CI_COMMANDS = (
@@ -535,11 +553,8 @@ CI_COMMANDS = (
 
 
 def _fast_check(report):
-    """The conformance check's verdict alone; a value or keyword it cannot judge counts as a refusal."""
-    try:
-        return reporting._conforms(report, REPORT_SCHEMA)
-    except reporting._Unsupported:
-        return False
+    """The conformance check's verdict: True if the report conforms."""
+    return reporting._violation(report, REPORT_SCHEMA) is None
 
 
 def _schema_keywords(schema):
@@ -576,14 +591,31 @@ def test_report_schema_uses_only_keywords_the_check_implements():
         (1, {"if": True, "then": True, "else": False}),
         (1, {"type": ["integer", "null"]}),
         (1, {"type": "null"}),
-        (np.int64(1), {"type": "integer"}),
-        ((1, 2), {"type": "array"}),
     ],
-    ids=["unknown-keyword", "else", "type-list", "type-null", "numpy-integer", "tuple"],
+    ids=["unknown-keyword", "else", "type-list", "type-null"],
 )
-def test_conformance_check_fails_closed(instance, schema):
-    with pytest.raises(reporting._Unsupported):
-        reporting._conforms(instance, schema)
+def test_conformance_check_raises_on_a_keyword_it_does_not_handle(instance, schema):
+    with pytest.raises(NotImplementedError):
+        reporting._violation(instance, schema)
+
+
+@pytest.mark.parametrize(
+    "instance, schema, keyword",
+    [
+        (np.int64(1), {"type": "integer"}, "type"),
+        ((1, 2), {"type": "array"}, "type"),
+        (np.int64(1), {"minimum": 0}, "minimum"),
+        ((1, 2), {"items": True}, "items"),
+    ],
+    ids=["numpy-integer", "tuple", "numpy-integer-bounded", "tuple-items"],
+)
+def test_conformance_check_refuses_a_value_that_is_not_json(instance, schema, keyword):
+    """Whatever keyword looks at such a value fails, even one that would pass any JSON value of its kind."""
+    assert reporting._violation(instance, schema) == ((), keyword)
+    report = json.loads(_valid_report_texts()[3])
+    report["results"]["stats"]["attacker_successes"] = instance
+    with pytest.raises(ReportInvalid, match="'type' fails at /results/stats/attacker_successes$"):
+        validate_report(report)
 
 
 @pytest.mark.parametrize(
@@ -620,7 +652,7 @@ def test_conformance_check_fails_closed(instance, schema):
     ],
 )
 def test_conformance_check_matches_jsonschema_keyword_by_keyword(instance, schema, verdict):
-    assert reporting._conforms(instance, schema) is verdict
+    assert (reporting._violation(instance, schema) is None) is verdict
     assert jsonschema.Draft202012Validator(schema).is_valid(instance) is verdict
 
 
@@ -642,7 +674,7 @@ def test_conformance_check_accepts_every_report_the_command_line_emits(monkeypat
 
 
 def test_conformance_check_refuses_every_corrupted_report():
-    for bad in _corrupted_reports():
+    for _, bad in _corrupted_reports():
         assert not _fast_check(bad)
 
 
@@ -706,5 +738,21 @@ def test_a_report_that_violates_the_schema_exits_three(monkeypatch):
     monkeypatch.setattr(reporting, "build_report", negative_timing)
     code, out, err = run_cli(["share", "--seed", "1"])
     assert code == 3
-    assert err == "internal error: report violates schema: -1 is less than the minimum of 0\n"
+    assert err == "internal error: report violates schema: 'minimum' fails at /wall_time_ms\n"
     assert out == ""
+
+
+def test_a_refused_report_is_judged_without_jsonschema():
+    code = (
+        "import io, sys\n"
+        "sys.modules['jsonschema'] = None  # any import of it now fails\n"
+        "from tritshare import reporting, run_command\n"
+        "build_report = reporting.build_report\n"
+        "reporting.build_report = lambda *args: {**build_report(*args), 'extra': 1}\n"
+        "err = io.StringIO()\n"
+        "assert run_command(['share', '--seed', '1'], stdout=io.StringIO(), stderr=err) == 3\n"
+        "print(err.getvalue(), end='')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "internal error: report violates schema: 'additionalProperties' fails at /extra\n"
