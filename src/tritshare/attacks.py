@@ -26,8 +26,10 @@ Every trial consumes the same number K of uniform doubles, a multiple of
 the four doubles Philox yields per counter step, so trial ``t`` reads the
 K uniforms at counter ``t * K / 4``. Results are therefore identical for
 any block size, and trial ``t`` alone can be replayed from a generator
-advanced by ``t * K / 4``. The inside kernel runs the sharing steps of
-``protocol`` (the dealer's, then the helpers') on the dealt register. The
+advanced by ``t * K / 4``. One driver, ``_uniform_blocks``, validates a
+run's length, opens its stream and cuts it into blocks for both
+experiments. The inside kernel runs the sharing steps of ``protocol``
+(the dealer's, then the helpers') on the dealt register. The
 fake is an unentangled qutrit, so it never joins the register: the victim
 measures it, or reconstructs on it, alone. The one-register functions are
 the same steps on one register and one round:
@@ -38,7 +40,7 @@ the same steps on one register and one round:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -290,13 +292,34 @@ def _check_block(
 # experiments
 
 
+def _uniform_blocks(count: int, name: str, unit: str, seed: int, width: int, uniforms: int) -> Iterator[np.ndarray]:
+    """Validate a run of ``count`` trials (``name`` as the caller spells the argument, one ``unit``
+    each) and return its blocks' ``(size, uniforms)`` draws, in trial order, from the seed's stream."""
+    count = _integer(count, ConfigInvalid, name)
+    if count < 1:
+        raise ConfigInvalid(f"at least one {unit} is required")
+    rng = _stream(seed)
+    return (rng.random((size, uniforms)) for size in _block_sizes(count, width))
+
+
+def _attack_stats(blocks: Iterable[tuple[int, int, int]], seed: int) -> AttackStats:
+    """The run's ``AttackStats``: the sums of its blocks' (trials, successes, detections) and their rates."""
+    trials, successes, detections = (sum(column) for column in zip(*blocks))
+    return AttackStats(trials, successes, detections, successes / trials, detections / trials, int(seed))
+
+
+def _agent(value: int, name: str) -> int:
+    """``value`` as one of the three-party setting's agents, 1 or 2."""
+    value = _integer(value, ConfigInvalid, name)
+    if value not in (1, 2):
+        raise ConfigInvalid(f"{name} must be agent 1 or 2")
+    return value
+
+
 def _check_blocks(
-    rounds: int, attack: OutsideAttack | None, check_basis_policy: str, seed: int, num_parties: int
+    count: int, name: str, unit: str, attack: OutsideAttack | None, check_basis_policy: str, seed: int, num_parties: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Validate a run of check rounds and yield ``_check_block``'s arrays block by block."""
-    rounds = _integer(rounds, ConfigInvalid, "rounds")
-    if rounds < 1:
-        raise ConfigInvalid("at least one check round is required")
+    """Validate a run of check rounds and return ``_check_block``'s arrays block by block."""
     if check_basis_policy not in CHECK_BASES + (RANDOM_CHECK_BASIS,):
         raise ConfigInvalid(f"unknown check basis policy {check_basis_policy!r}")
     num_parties = _validated_parties(num_parties)
@@ -304,11 +327,8 @@ def _check_blocks(
         for target in attack.target_qutrits:
             if not 2 <= target <= num_parties:
                 raise LabelOutOfRange(f"target {target} is not a transit qutrit (2..{num_parties})")
-
-    rng = _stream(seed)
-    uniforms = _check_uniforms(attack)
-    for size in _block_sizes(rounds, num_parties):
-        yield _check_block(rng.random((size, uniforms)), attack, check_basis_policy, num_parties)
+    blocks = _uniform_blocks(count, name, unit, seed, num_parties, _check_uniforms(attack))
+    return (_check_block(u, attack, check_basis_policy, num_parties) for u in blocks)
 
 
 def run_check_rounds(
@@ -325,9 +345,10 @@ def run_check_rounds(
     qutrit in the round's basis; the parties' joint outcome is drawn at
     once from its Born distribution.
     """
+    blocks = _check_blocks(rounds, "rounds", "check round", attack, check_basis_policy, seed, num_parties)
     return [
         CheckRecord(FOURIER if f else COMPUTATIONAL, tuple(t), p)
-        for fourier, trits, passed in _check_blocks(rounds, attack, check_basis_policy, seed, num_parties)
+        for fourier, trits, passed in blocks
         for f, t, p in zip(fourier.tolist(), trits.tolist(), passed.tolist())
     ]
 
@@ -347,19 +368,8 @@ def run_outside_attack_experiment(
     success counters stay at zero; the figure of merit is the detection
     rate.
     """
-    trials = _integer(trials, ConfigInvalid, "trials")
-    if trials < 1:
-        raise ConfigInvalid("at least one trial is required")
-    blocks = _check_blocks(trials, attack, check_basis_policy, seed, num_parties)
-    detections = sum(int(np.count_nonzero(~passed)) for _, _, passed in blocks)
-    return AttackStats(
-        trials=trials,
-        attacker_successes=0,
-        detections=detections,
-        success_rate=0.0,
-        detection_rate=detections / trials,
-        seed=int(seed),
-    )
+    blocks = _check_blocks(trials, "trials", "trial", attack, check_basis_policy, seed, num_parties)
+    return _attack_stats(((len(passed), 0, int(np.count_nonzero(~passed))) for _, _, passed in blocks), seed)
 
 
 @dataclass
@@ -409,11 +419,6 @@ class InsideTrialOutcome:
     reconstruction_fidelity: float
 
 
-def _validate_inside_attack(attack: InsideAttack) -> None:
-    if _integer(attack.dishonest_agent, ConfigInvalid, "dishonest agent") not in (1, 2):
-        raise ConfigInvalid("the three-party setting has agents 1 and 2")
-
-
 def run_inside_trial(
     secret: PureState, attack: InsideAttack, designated: int, rng: np.random.Generator
 ) -> InsideTrialOutcome:
@@ -425,10 +430,8 @@ def run_inside_trial(
     they hold. This is a one-trial block of the experiment's kernel, fed
     with one trial's uniforms drawn from ``rng``.
     """
-    _validate_inside_attack(attack)
-    designated = _integer(designated, ConfigInvalid, "designated agent")
-    if designated not in (1, 2):
-        raise ConfigInvalid("designated agent must be 1 or 2")
+    agent = _agent(attack.dishonest_agent, "dishonest agent")
+    designated = _agent(designated, "designated agent")
     if secret.num_qutrits != 1:
         raise ConfigInvalid("the shared secret is a single-qutrit state")
     u = rng.random((1, _INSIDE_UNIFORMS))
@@ -436,7 +439,7 @@ def run_inside_trial(
     return InsideTrialOutcome(
         BellOutcome.from_index(int(block.bell[0])),
         designated,
-        designated == attack.dishonest_agent,
+        designated == agent,
         float(block.fidelity[0]),
     )
 
@@ -457,37 +460,21 @@ def run_inside_attack_experiment(
     fidelity below 1 - 1e-9, ``single_copy`` flags with probability
     1 - fidelity.
     """
-    trials = _integer(trials, ConfigInvalid, "trials")
-    if trials < 1:
-        raise ConfigInvalid("at least one trial is required")
+    blocks = _uniform_blocks(trials, "trials", "trial", seed, _INSIDE_QUTRITS, _INSIDE_UNIFORMS)
     if comparison_mode not in COMPARISON_MODES:
         raise ConfigInvalid(f"comparison mode must be one of {COMPARISON_MODES}")
     if force_designate is not None:
-        force_designate = _integer(force_designate, ConfigInvalid, "forced designation")
-        if force_designate not in (1, 2):
-            raise ConfigInvalid("forced designation must be agent 1 or 2")
-    _validate_inside_attack(attack)
+        force_designate = _agent(force_designate, "forced designation")
+    agent = _agent(attack.dishonest_agent, "dishonest agent")
 
-    rng = _stream(seed)
-    successes = 0
-    detections = 0
-    for size in _block_sizes(trials, _INSIDE_QUTRITS):
-        u = rng.random((size, _INSIDE_UNIFORMS))
+    def counts(u: np.ndarray) -> tuple[int, int, int]:
         secrets, designated = _inside_inputs(u, force_designate)
         fid = _inside_block(secrets, designated, attack, u).fidelity
-        compared = designated != attack.dishonest_agent
+        compared = designated != agent
         if comparison_mode == EXACT:
             flagged = fid[compared] < EXACT_COMPARISON_THRESHOLD
         else:
             flagged = u[compared, _U_COMPARE] < 1.0 - fid[compared]
-        successes += size - int(np.count_nonzero(compared))
-        detections += int(np.count_nonzero(flagged))
+        return len(u), len(u) - int(np.count_nonzero(compared)), int(np.count_nonzero(flagged))
 
-    return AttackStats(
-        trials=trials,
-        attacker_successes=successes,
-        detections=detections,
-        success_rate=successes / trials,
-        detection_rate=detections / trials,
-        seed=int(seed),
-    )
+    return _attack_stats(map(counts, blocks), seed)

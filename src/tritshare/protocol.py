@@ -126,16 +126,11 @@ def _validated_parties(num_parties: int) -> int:
     return num_parties
 
 
-def _gathered(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``rows[index]``, without a copy where that is ``rows`` itself in order (one register, one round)."""
-    return rows if np.array_equal(index, np.arange(len(rows))) else rows[index]
-
-
 def _pairs(registers: np.ndarray, index: np.ndarray, flags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group the rounds of a block by (register ``index[r]``, basis flag ``flags[r]``). Returns each
     distinct pair's register and flag, and each round's pair."""
     pairs, pair = np.unique(index * 2 + flags, return_inverse=True)
-    return _gathered(registers, pairs // 2), pairs % 2 == 1, pair
+    return registers[pairs // 2], pairs % 2 == 1, pair
 
 
 def _check_outcomes(
@@ -157,12 +152,12 @@ def _check_outcomes(
     flat, turn, pair = _pairs(registers.reshape(len(registers), -1), index, fourier)
     probs = flat.real**2 + flat.imag**2
     if turn.any():
-        turned = flat if turn.all() else flat[turn]
+        turned = flat[turn]
         for _ in range(n):
             turned = (turned.reshape(-1, 3) @ _XI_ROWS.T).reshape(len(turned), -1, 3).transpose(0, 2, 1)
             turned = turned.reshape(len(turned), -1)
         probs[turn] = turned.real**2 + turned.imag**2
-    joint = sample_indices(_gathered(probs, pair), u)
+    joint = sample_indices(probs[pair], u)
     trits = joint[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3
     return trits, np.where(fourier, trits.sum(axis=1) % 3 == 0, joint % ((3**n - 1) // 2) == 0)
 

@@ -174,10 +174,11 @@ def compute(section: str) -> dict:
     return json.loads(json.dumps(SECTIONS[section]()))
 
 
-def first_difference(expected, actual, path: str = ""):
-    """``(path, expected, actual)`` at the first place where ``actual`` departs from ``expected``, else None."""
+def first_difference(expected, actual, path: str = "", tol: float = FLOAT_TOL):
+    """``(path, expected, actual)`` at the first place where ``actual`` departs from ``expected``, floats
+    by more than ``tol``, else None."""
     if isinstance(expected, float) and isinstance(actual, (int, float)) and not isinstance(actual, bool):
-        return None if abs(expected - actual) <= FLOAT_TOL else (path, expected, actual)
+        return None if abs(expected - actual) <= tol else (path, expected, actual)
     if type(expected) is not type(actual):
         return path, expected, actual
     if isinstance(expected, dict):
@@ -191,7 +192,7 @@ def first_difference(expected, actual, path: str = ""):
     else:
         return None if expected == actual else (path, expected, actual)
     for where, e, a in pairs:
-        found = first_difference(e, a, where)
+        found = first_difference(e, a, where, tol)
         if found is not None:
             return found
     return None

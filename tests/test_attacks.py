@@ -44,6 +44,7 @@ from tritshare import (
     tensor,
     verify_correlations,
     xi_family,
+    xi_state,
 )
 from tritshare.attacks import ALWAYS_COMPUTATIONAL, ALWAYS_FOURIER, EXACT, RANDOM_PER_QUTRIT, SINGLE_COPY
 from tritshare.core import _measure, sample_indices
@@ -315,6 +316,34 @@ def test_inside_single_copy_detection_matches_mean_infidelity():
     # so E[1 - fidelity] = 2/3 on comparison trials and the per-trial rate is 1/3
     stats = run_inside_attack_experiment(10_000, InsideAttack(1, FAKE_ZERO), SINGLE_COPY, seed=79)
     assert stats.detection_rate == pytest.approx(1 / 3, abs=0.02)
+
+
+def _within_4_sigma(hits, trials, exact):
+    return abs(hits / trials - exact) <= 4 * np.sqrt(exact * (1 - exact) / trials)
+
+
+@pytest.mark.parametrize("agent", [1, 2])
+@pytest.mark.parametrize("fake", [FAKE_ZERO, FAKE_HAAR, xi_state(0)], ids=["zero", "haar", "xi0"])
+def test_inside_rates_match_their_exact_values(fake, agent):
+    """No branch weight depends on the Haar secret, and the victim's fidelity |<psi|R|fake>|^2 has
+    Haar mean 1/3 for every correction R and fake. So a compared trial is caught with probability
+    2/3 in single-copy comparison and always in exact comparison, and the coin-flip designation
+    halves both: single-copy 1/3 (2/3 with the victim designated), exact 1/2, success 1/2."""
+    attack, victim, trials = InsideAttack(agent, fake), 3 - agent, 50_000
+
+    def run(mode, seed, force=None):
+        return run_inside_attack_experiment(trials, attack, mode, seed, force_designate=force)
+
+    single_copy, exact = run(SINGLE_COPY, 10 * agent), run(EXACT, 10 * agent + 1)
+    assert _within_4_sigma(single_copy.detections, trials, 1 / 3)
+    assert _within_4_sigma(exact.detections, trials, 1 / 2)
+    for stats in (single_copy, exact):
+        assert _within_4_sigma(stats.attacker_successes, trials, 1 / 2)
+
+    assert _within_4_sigma(run(SINGLE_COPY, 10 * agent + 2, victim).detections, trials, 2 / 3)
+    assert run(EXACT, 10 * agent + 3, victim).detection_rate == 1.0
+    attacked = run(EXACT, 10 * agent + 4, agent)
+    assert (attacked.success_rate, attacked.detection_rate) == (1.0, 0.0)
 
 
 def test_inside_stats_reproducible_bitwise():

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from tritshare import reporting
 from tritshare.reporting import REPORT_SCHEMA, decode_state, validate_report
 
 import jsonschema
-from golden import CLI_COMMANDS
+from golden import CLI_COMMANDS, first_difference
 
 
 def run_cli(argv):
@@ -231,6 +232,41 @@ def test_reports_are_byte_identical_excluding_timing():
         _, first, _ = run_cli(argv)
         _, second, _ = run_cli(argv)
         assert strip_timing(first) == strip_timing(second), argv
+
+
+#: ``share`` forms whose wide reductions OpenBLAS splits across its threads (rows of 3^8 or more
+#: amplitudes), so their last float bits may depend on the thread count.
+WIDE_SHARES = [
+    ["share", "--agents", str(n), *rest]
+    for n in (8, 9, 10)
+    for rest in (["--designate", str(n), "--seed", "7"], ["--secret", "random", "--seed", "11"])
+]
+
+
+def _share_reports(blas_threads):
+    """Every ``WIDE_SHARES`` report, decoded, from one child process at ``blas_threads`` OpenBLAS threads."""
+    code = (
+        "import io, json, sys, tritshare\n"
+        "outs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    assert tritshare.run_command(argv, stdout=out) == 0, argv\n"
+        "    outs.append(out.getvalue())\n"
+        "print(json.dumps(outs))\n"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(WIDE_SHARES)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(strip_timing(out)) for out in json.loads(proc.stdout)]
+
+
+def test_wide_shares_agree_across_blas_thread_counts():
+    """Seeded reports are byte-identical only at one BLAS thread count. Across counts, every
+    announcement, string and integer is equal, and every float agrees within 1e-15."""
+    for argv, one, two in zip(WIDE_SHARES, _share_reports(1), _share_reports(2)):
+        assert first_difference(one, two, tol=1e-15) is None, argv
 
 
 def test_default_seed_comes_from_entropy_and_is_echoed():

@@ -49,6 +49,7 @@ from tritshare.errors import (
     DimensionMismatch,
     EmptyKeepSet,
     EmptyRegister,
+    InvalidDensityMatrix,
     LabelOutOfRange,
     LengthMismatch,
     NonFiniteAmplitude,
@@ -704,8 +705,14 @@ def test_reduced_density_errors():
 
 
 def test_density_matrix_validation():
-    with pytest.raises(Exception):
-        DensityMatrix(1, np.diag([0.9, 0.2, -0.1]))
+    """Each refusal of ``DensityMatrix`` raises ``InvalidDensityMatrix`` with its own reason."""
+    for entries, reason in [
+        (np.diag([0.9, 0.2, -0.1]), "negative eigenvalue"),
+        (np.eye(3) / 3 + np.triu(np.full((3, 3), 0.1), 1), "not Hermitian"),
+        (np.diag([0.5, 0.3, 0.3]), "trace is not 1"),
+    ]:
+        with pytest.raises(InvalidDensityMatrix, match=reason):
+            DensityMatrix(1, entries)
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(np.nan, 0)])
