@@ -9,12 +9,14 @@ reconstruction is compared against the secret.
 
 The experiments run blocks of trials through ``core``'s batched engine,
 the one every ``PureState`` operation runs on, and draw from one
-``Philox`` stream keyed by the seed. An inside block is one
-``(B, 3, ..., 3)`` amplitude array: it starts from one GHZ register that
-all its trials share, and the dealer's measurement, whose rows differ
-between trials, gives each trial its own. A check block holds only the
-distinct registers its rounds can be in, plus one register index per
-round. It starts as the one GHZ channel with every round at index 0.
+``Philox`` stream keyed by the seed. An inside block starts from one
+GHZ register that all its trials share, and the dealer's measurement,
+whose rows differ between trials, gives each trial its own: one
+``(B, 3, 3)`` array of the two agents' qutrits, the block's widest. It
+holds up to ``_BLOCK`` = 2,304 trials, so a 1,000-trial experiment is
+one block. A check block holds only the distinct registers its rounds
+can be in, plus one register index per round. It starts as the one GHZ
+channel with every round at index 0.
 Eve's intercept contracts each distinct (register, basis) pair once,
 every round draws its outcome from its pair's weights, and one register
 is built per (pair, outcome) that occurred; with one target that is at
@@ -74,13 +76,15 @@ RANDOM_CHECK_BASIS = "random"
 #: share a few registers, and its widest per-round array is the rounds' Born weight rows,
 #: so it holds the budget over one register's amplitudes: 768 rounds of three parties.
 #: Smaller blocks are bound by numpy's per-call overhead; larger ones raise an experiment's
-#: peak memory. The peak RSS of 4,000-trial inside and check experiments grew by 0.4-0.5 MiB
-#: from 64 to 256 trials, and by another 0.4-0.8 MiB at 512.
-_BLOCK = 256
-#: Widest array of an inside trial, in qutrits: the dealer's nine Bell coefficients
-#: on the two agents' channel qutrits, 9 x 3 x 3 amplitudes (16 B each, so 324 KiB
-#: for a block of 256 trials).
-_INSIDE_QUTRITS = 4
+#: peak memory. Over a warm 100-trial run in a fresh process, the peak RSS of a 4,000-trial
+#: inside experiment grew by 0 MiB at 256-trial blocks, 0.25 MiB at 1,024 and 1.2 MiB at
+#: 2,304, and that of a 1,000-trial one, a single block, by 0.1-0.25 MiB (2 cores, numpy 2.4).
+_BLOCK = 2304
+#: Widest array of an inside trial, in qutrits: the dealt register of the two agents' channel
+#: qutrits, 3 x 3 amplitudes (16 B each, so 324 KiB for a block of 2,304 trials). The dealer's
+#: step keeps no wider array: its Born weights are nine per trial and it gathers one 3 x 3 Bell
+#: block per trial.
+_INSIDE_QUTRITS = 2
 
 # Columns of an inside trial's uniforms: six for the Haar secret, then the
 # designation, the Bell outcome, the two Fourier outcomes and the

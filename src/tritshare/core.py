@@ -10,12 +10,13 @@ One private batched engine (``_contract``, ``_weights``, ``_measure``)
 acts on B registers held as one ``(B, 3, ..., 3)`` array. The
 ``PureState`` operations validate and run it on one register; the steps
 in ``protocol`` and the kernels in ``attacks`` run it on blocks of trials.
-``_apply`` serves only ``apply_single``: the check kernel turns its
-Fourier pairs on flat registers of its own.
+``apply_single`` turns one register's qutrit by a matrix product of its
+own, and the check kernel turns its Fourier pairs on flat registers of
+its own.
 A step whose rows every register shares, or whose registers are all one
 state, runs as one 2-D matrix product. The sharing steps hold one
-register until the first step whose rows differ between trials, and
-``_measure`` (the only collapse) then gives each trial its own register.
+register until the dealer's step (``protocol._deal``), whose rows differ
+between trials, gives each trial its own register.
 The check kernel does not collapse per trial: it keeps the few distinct
 registers its rounds can be in, contracts (``_contract``, ``_weights``)
 each distinct (register, rows) pair once, and draws every round from its
@@ -26,13 +27,11 @@ itself. A sampled draw returns the weights it drew (``_sample``), so they
 are gathered once, and every kept row is normalized by one real multiply
 through its ``float64`` view (``_normalized``).
 
-``_measure`` has two routes. The contraction route contracts every row
-with every register. The density route (``_measure_by_density``) is
-gated on what the input shows: one register wider than
-``_DENSITY_MEASURE_WIDTH`` amplitudes, measured with more rows than its
-targets' dimension. It draws from the targets' reduced density and
-contracts only each register's drawn row. In the package that is the
-dealer's nine Bell rows on a GHZ channel of 8 or more qutrits.
+``_measure`` has one route: it contracts every row with every register.
+Its rows are a complete family, never more rows than the targets'
+dimension. The dealer's step, whose nine secret-absorbed Bell rows on one
+channel qutrit are more, draws from that qutrit's reduced density
+instead (``protocol._deal``).
 
 Inputs are checked, engine results are trusted. A ``PureState``, a
 ``make_state`` vector and a caller's measurement family are validated
@@ -247,10 +246,23 @@ def tensor(a: PureState, b: PureState) -> PureState:
     return _trusted_state(a.num_qutrits + b.num_qutrits, np.kron(a.amplitudes, b.amplitudes))
 
 
+#: Widest tail, in amplitudes after the target, on which ``apply_single`` turns its qutrit with one
+#: product by ``u (x) 1``, ``3 * tail`` columns wide. On a wider tail it stacks ``(3, 3) @ (3, tail)``
+#: products, one per prefix; on 12 qutrits (2 cores, numpy 2.4) those took 3-8x longer at tails of
+#: 9 amplitudes or fewer than at 81 or more.
+_KRON_TAIL = 9
+
+
 def apply_single(u: Unitary3, target: int, s: PureState) -> PureState:
-    """Apply a single-qutrit unitary to the qutrit with the given label."""
+    """Apply a single-qutrit unitary to the qutrit with the given label, in one pass that
+    writes the result in register order."""
     (axis,) = _axes(s, (target,))
-    return _trusted_state(s.num_qutrits, _apply(u.entries, _block(s), axis))
+    tail = 3 ** (s.num_qutrits - 1 - axis)
+    if tail <= _KRON_TAIL:
+        amps = s.amplitudes.reshape(-1, 3 * tail) @ np.kron(u.entries.T, np.eye(tail))
+    else:
+        amps = u.entries @ s.amplitudes.reshape(3**axis, 3, tail)
+    return _trusted_state(s.num_qutrits, amps)
 
 
 def fidelity(a: PureState, b: PureState) -> float:
@@ -386,14 +398,6 @@ def _normalized(kept: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return kept
 
 
-#: Widest register, in amplitudes, that ``_measure`` still measures by contracting every row
-#: when a one-register block meets more rows than its targets' dimension. A wider one goes
-#: through the targets' reduced density. On the dealer's nine rows (2 cores, numpy 2.4) the
-#: density route took 0.80x the contraction's time at 6,561 amplitudes and 0.29x at 177,147,
-#: but 1.14x at 2,187 and up to 2x on smaller registers, where its fixed cost dominates.
-_DENSITY_MEASURE_WIDTH = 3**7
-
-
 def _measure(
     block: np.ndarray, axes: Sequence[int], rows: np.ndarray, draw: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -402,17 +406,9 @@ def _measure(
     Return the outcomes, their Born weights and the collapsed block of the other qutrits.
 
     The registers are those of the coefficients: a one-register block measured
-    with B per-register row sets collapses into B registers.
-
-    Two routes give the same outcomes, and weights and amplitudes equal to rounding:
-
-    - contraction: every row meets every register (``_contract``), the weights are the
-      coefficients' squared norms, and the drawn row's coefficients are kept;
-    - density (``_measure_by_density``): taken when the block is one register wider than
-      ``_DENSITY_MEASURE_WIDTH`` amplitudes and the rows outnumber the targets' dimension,
-      as the dealer's nine Bell rows do on a channel of eight or more qutrits."""
-    if len(block) == 1 and rows.shape[-2] > 3 ** len(axes) and block.size > _DENSITY_MEASURE_WIDTH:
-        return _measure_by_density(block, axes, rows, draw)
+    with B per-register row sets collapses into B registers. Every row meets every register
+    (``_contract``), the weights are the coefficients' squared norms, and the drawn row's
+    coefficients are kept."""
     coeffs = _contract(rows, block, axes)
     probs = _weights(coeffs)
     registers = np.arange(len(coeffs))
@@ -424,39 +420,6 @@ def _measure(
         outcome, weight = _sample(probs, draw)
     kept = _normalized(coeffs[registers, outcome], weight)
     return outcome, weight, kept.reshape((len(coeffs),) + (3,) * (block.ndim - 1 - len(axes)))
-
-
-def _measure_by_density(
-    block: np.ndarray, axes: Sequence[int], rows: np.ndarray, draw: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_measure`` on one register ``g`` (``(3**t, rest)`` grouped) through the targets'
-    reduced density ``M = g g^dagger``: every row's Born weight is ``r M r^dagger``, a few
-    flops, and only each register's drawn row is contracted with ``g``. M comes from pairwise
-    ``np.vdot`` of g's rows, several times faster than ``g @ g.conj().T`` on wide registers.
-
-    The weights from M only drive the draw. The recorded weight, the zero-branch refusal and
-    the normalization come from the kept coefficients' squared norm, as on the contraction
-    route, so a forced branch is refused at the same ``ZERO_PROB_TOL``."""
-    g = _grouped(block, axes)[0]
-    dim = len(g)
-    density = np.empty((dim, dim), dtype=np.complex128)
-    for i in range(dim):
-        for j in range(i, dim):
-            density[i, j] = np.vdot(g[j], g[i])
-            density[j, i] = np.conj(density[i, j])
-    rows = rows.reshape((-1,) + rows.shape[-2:])
-    probs = np.einsum("bki,bki->bk", rows @ density, rows.conj()).real
-    outcome = draw if draw.dtype.kind in "iu" else sample_indices(probs, draw)
-    kept = rows[np.arange(len(rows)), outcome] @ g
-    weight = _weights(kept)
-    if weight.min() <= ZERO_PROB_TOL:
-        raise ZeroProbabilityBranchSampled(f"drawn branch has probability {float(weight.min())!r}")
-    return outcome, weight, _normalized(kept, weight).reshape((len(kept),) + (3,) * (block.ndim - 1 - len(axes)))
-
-
-def _apply(rows: np.ndarray, block: np.ndarray, axis: int) -> np.ndarray:
-    """Apply shared ``(3, 3)`` or per-register ``(B, 3, 3)`` matrices to qutrit ``axis`` of every register."""
-    return np.moveaxis(_contract(rows, block, (axis,)).reshape(block.shape), 1, axis + 1)
 
 
 def _measurement(s: PureState, targets: Sequence[int], family: Sequence[PureState]) -> tuple[list[int], np.ndarray]:

@@ -5,11 +5,14 @@ measurement of the secret with its qutrit of a fresh GHZ channel
 (``_deal``), then the helpers' Fourier measurements (``_help``). The
 dealer's Bell rows absorb the secret first, so the dealer measures the
 bare channel, one register that every trial shares, and no
-secret-and-channel register is built. The dealt register is symmetric
-under every permutation of the agents' qutrits, so the helpers measure
-its qutrits in turn and nobody tracks who holds which. Sessions run the
-steps on one register, the inside attack on blocks of trials. Check
-rounds consume dedicated GHZ copies and feed a compare-and-abort verdict.
+secret-and-channel register is built. Its nine Born weights per trial
+come from the 3 x 3 reduced density of the dealer's channel qutrit, and
+only each trial's drawn row meets the channel. The dealt register is
+symmetric under every permutation of the agents' qutrits, so the helpers
+measure its qutrits in turn and nobody tracks who holds which. Sessions
+run the steps on one register, the inside attack on blocks of trials.
+Check rounds consume dedicated GHZ copies and feed a compare-and-abort
+verdict.
 """
 
 from __future__ import annotations
@@ -21,19 +24,22 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (
+    ZERO_PROB_TOL,
     PureState,
     _block,
     _contract,
     _freeze,
     _integer,
     _measure,
+    _normalized,
+    _sample,
     _trusted_state,
     _weights,
     apply_single,
     fidelity,
     sample_indices,
 )
-from .errors import ConfigInvalid, DimensionMismatch, EmptyInput
+from .errors import ConfigInvalid, DimensionMismatch, EmptyInput, ZeroProbabilityBranchSampled
 from .operators import (
     _BELL_ROWS,
     _XI_ROWS,
@@ -175,25 +181,45 @@ def _recovery_table() -> np.ndarray:
     return table
 
 
-#: ``(3, 27)``: row i, reshaped to ``(9, 3)``, holds the Bell family's conjugated rows at the
-#: secret's digit i, so that ``secrets @`` it gives each register's rows on the dealer's channel qutrit.
-_SECRET_BELL_ROWS = _freeze(_BELL_ROWS.reshape(9, 3, 3).transpose(1, 0, 2).reshape(3, 27))
+#: ``(9, 3, 3)``: Bell member k's conjugated row as the block S_k whose row i holds its entries
+#: at the secret's digit i, so that ``s @ S_k`` is secret s's row on the dealer's channel qutrit.
+_BELL_BLOCKS = _freeze(_BELL_ROWS.reshape(9, 3, 3))
+#: ``(18, 9, 9)``: the forms ``Q_k = S_k M S_k^dagger`` as a linear map of the density M. In
+#: column k of ``(_BELL_FORMS @ M.reshape(9)).real``, rows 2p and 2p + 1 hold Re Q_k[p] and
+#: -Im Q_k[p] (p = 3i + i'), so the ``float64`` view of a secret's outer product ``s_i conj(s_i')``
+#: times it gives every Born weight ``Re sum_p outer[p] Q_k[p]`` in one real product.
+_BELL_FORMS = _freeze(np.einsum("kij,kIJ,r->iIrkjJ", _BELL_BLOCKS, _BELL_BLOCKS.conj(), [1, 1j]).reshape(18, 9, 9))
 
 
 def _deal(secrets: np.ndarray, num_agents: int, draw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The dealer's step: the dealer Bell-measures register b's secret ``secrets[b]`` with its own
     qutrit of a fresh GHZ(N+1) channel, drawing with ``draw[b]`` as ``core._measure`` does.
 
-    The measurement touches only the secret and that one qutrit, so each Bell row first absorbs
-    the secret, and each register's nine rows (``(B, 9, 3)`` in all) measure the first qutrit of
-    the bare channel; no secret ⊗ channel register is built. The channel is one register for the
-    whole block, so the step is one matrix product, and the measurement gives every trial its own
-    register of the agents' qutrits. The rows form a Parseval frame (the
-    sum of r_k^dagger r_k is the identity), so the Born weights still sum to 1. Returns the
-    outcomes 3n + m, their Born weights and the agents' block, agent a's qutrit on axis a - 1.
+    No secret ⊗ channel register is built: member k's row absorbs the secret as ``s @ S_k`` and
+    meets the bare channel g, ``(3, 3**N)``. Its Born weight ``s Q_k s^dagger`` needs only the
+    qutrit's density ``M = g g^dagger``, from pairwise ``np.vdot`` of g's rows (several times
+    faster than ``g @ g.conj().T`` on wide channels), so a block's weights are one product of its
+    secrets' outer products with the nine forms, and only each drawn row meets the channel. The
+    nine rows form a Parseval frame, so the weights sum to 1. The recorded weight, the refusal of
+    a branch at ``ZERO_PROB_TOL`` and the normalization come from the kept row's squared norm.
+    Returns the outcomes 3n + m, their Born weights and the agents' block, agent a's qutrit on
+    axis a - 1.
     """
-    rows = (secrets @ _SECRET_BELL_ROWS).reshape(len(secrets), 9, 3)
-    return _measure(_block(ghz_state(num_agents + 1)), (0,), rows, draw)
+    channel = ghz_state(num_agents + 1).amplitudes.reshape(3, -1)
+    density = np.empty((3, 3), dtype=np.complex128)
+    for i in range(3):
+        for j in range(i, 3):
+            density[i, j] = np.vdot(channel[j], channel[i])
+            density[j, i] = np.conj(density[i, j])
+    forms = (_BELL_FORMS @ density.reshape(9)).real
+    outer = (secrets[:, :, None] @ secrets.conj()[:, None, :]).reshape(-1, 9)
+    probs = outer.view(np.float64) @ forms
+    outcome = draw if draw.dtype.kind in "iu" else _sample(probs, draw)[0]
+    kept = (secrets[:, None, :] @ _BELL_BLOCKS[outcome])[:, 0] @ channel
+    weight = _weights(kept)
+    if weight.min() <= ZERO_PROB_TOL:
+        raise ZeroProbabilityBranchSampled(f"dealt branch has probability {float(weight.min())!r}")
+    return outcome, weight, _normalized(kept, weight).reshape((len(kept),) + (3,) * num_agents)
 
 
 def _help(state: np.ndarray, draws: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:

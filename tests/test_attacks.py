@@ -8,6 +8,7 @@ the designation coin flip.
 
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -449,9 +450,15 @@ def test_results_do_not_depend_on_block_size(monkeypatch, block):
         ]
         return inside, forced, checks
 
+    def run_long():  # crosses two default inside blocks
+        return run_inside_attack_experiment(5000, InsideAttack(1, FAKE_HAAR), SINGLE_COPY, seed=96)
+
     reference = run_all()
+    long_reference = run_long() if block == 1000 else None
     monkeypatch.setattr(attacks, "_BLOCK", block)
     assert run_all() == reference
+    if block == 1000:
+        assert run_long() == long_reference
 
 
 # The check kernel as it ran before a block held distinct registers: every round gets its own
@@ -548,10 +555,24 @@ def test_a_one_target_block_holds_at_most_six_registers(monkeypatch, policy):
 
 
 @pytest.mark.parametrize(
-    "width,step", [(2, 2304), (3, 768), (4, 256), (5, 85), (12, 1), (attacks._INSIDE_QUTRITS, 256)]
+    "width,step", [(2, 2304), (3, 768), (4, 256), (5, 85), (12, 1), (attacks._INSIDE_QUTRITS, 2304)]
 )
 def test_block_sizes_keep_one_amplitude_budget(width, step):
     assert list(attacks._block_sizes(2 * step + 1, width)) == [step, step, 1]
+
+
+def test_inside_experiment_allocates_little():
+    # A 1,000-trial experiment is one block whose widest arrays hold nine amplitudes or weights
+    # per trial; a (1000, 9, 9) coefficient array alone would be 1.2 MiB.
+    attack = InsideAttack(1, FAKE_HAAR)
+    run_inside_attack_experiment(1000, attack, SINGLE_COPY, seed=4)  # warms the caches it builds
+    tracemalloc.start()
+    try:
+        run_inside_attack_experiment(1000, attack, SINGLE_COPY, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------

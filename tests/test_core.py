@@ -40,7 +40,6 @@ from tritshare.core import (
     _family_matrix,
     _grouped,
     _measure,
-    _measure_by_density as by_density,
     _weights,
     sample_indices,
 )
@@ -220,6 +219,22 @@ def test_identity_leaves_amplitudes():
 def test_apply_single_target_range():
     with pytest.raises(TargetOutOfRange):
         apply_single(pauli_x(1), 3, basis_state([0, 0]))
+
+
+def _kron_applied(u, target, s):
+    """``u`` on qutrit ``target`` of ``s`` as the dense operator 1 (x) u (x) 1, one np.kron row at a time."""
+    before, after = np.eye(3 ** (target - 1)), np.eye(3 ** (s.num_qutrits - target))
+    rows = (np.kron(np.kron(e, row), f) for e in before for row in u.entries for f in after)
+    return np.array([row @ s.amplitudes for row in rows])
+
+
+@pytest.mark.parametrize("num_qutrits", range(1, 8))
+def test_apply_single_matches_the_kron_operator_on_every_target(num_qutrits):
+    rng = np.random.default_rng(700 + num_qutrits)
+    s = haar_random_state(rng, num_qutrits)
+    u = Unitary3(np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0])
+    for target in range(1, num_qutrits + 1):
+        assert np.max(np.abs(apply_single(u, target, s).amplitudes - _kron_applied(u, target, s))) < 1e-12
 
 
 def test_apply_single_preserves_inner_products():
@@ -457,16 +472,9 @@ def test_zero_probability_branch_is_refused():
 _TRIPLED_ROWS = np.tile(np.eye(3, dtype=np.complex128), (3, 1))[None] / SQRT3
 
 
-@pytest.mark.parametrize("num_qutrits", [2, 8])  # below and above _DENSITY_MEASURE_WIDTH
-def test_forced_branch_refusal_keeps_its_tolerance_on_both_routes(num_qutrits, monkeypatch):
+@pytest.mark.parametrize("num_qutrits", [2, 8])
+def test_forced_branch_refusal_keeps_its_tolerance(num_qutrits):
     # |0...0> + b |10...0>: rows 1, 4 and 7 find weight b^2 / 3, rows 2, 5 and 8 none.
-    routed = []
-
-    def recording(*args):
-        routed.append(args)
-        return by_density(*args)
-
-    monkeypatch.setattr(core, "_measure_by_density", recording)
     for b, refused in ((1e-11, False), (1e-13, True), (0.0, True)):
         amps = np.zeros(3**num_qutrits, dtype=np.complex128)
         amps[0], amps[3 ** (num_qutrits - 1)] = 1.0, b
@@ -479,26 +487,6 @@ def test_forced_branch_refusal_keeps_its_tolerance_on_both_routes(num_qutrits, m
                 _, weight, kept = _measure(block, (0,), _TRIPLED_ROWS, np.array([k]))
                 assert abs(weight[0] - b**2 / 3) < 1e-12 * b**2
                 assert abs(kept.reshape(-1)[0] - 1) < 1e-12
-    assert bool(routed) == (3**num_qutrits > core._DENSITY_MEASURE_WIDTH)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_density_route_matches_the_contraction(seed, monkeypatch):
-    # A wide Haar register measured with nine random Parseval rows per register: both
-    # routes draw the same outcomes and agree on weights and kept amplitudes.
-    rng = np.random.default_rng(seed)
-    block = haar_random_state(rng, 8).amplitudes.reshape((1,) + (3,) * 8)
-    frames = [np.linalg.qr(rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3)))[0] for _ in range(5)]
-    rows = np.array(frames)
-    axes = (int(rng.integers(8)),)
-    for draw in (rng.random(5), rng.integers(9, size=5)):
-        dense = _measure(block, axes, rows, draw)
-        monkeypatch.setattr(core, "_DENSITY_MEASURE_WIDTH", block.size)
-        contracted = _measure(block, axes, rows, draw)
-        monkeypatch.undo()
-        assert np.array_equal(dense[0], contracted[0])
-        assert np.max(np.abs(dense[1] - contracted[1])) < 1e-12
-        assert np.max(np.abs(dense[2] - contracted[2])) < 1e-12
 
 
 def _scalar_inverse_cdf(probs, u):

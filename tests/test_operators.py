@@ -40,7 +40,7 @@ from tritshare.operators import (
     _XI_AMPLITUDES,
     _XI_ROWS,
 )
-from tritshare.protocol import _SECRET_BELL_ROWS
+from tritshare.protocol import _BELL_BLOCKS
 
 OMEGA = np.exp(2j * np.pi / 3)
 SQRT3 = np.sqrt(3.0)
@@ -178,17 +178,16 @@ def test_engine_rows_are_the_validated_public_family_bit_for_bit(rows, family, w
 
 
 def test_fixed_basis_constants_are_read_only():
-    for const in (_BELL_AMPLITUDES, _XI_AMPLITUDES, _BELL_ROWS, _XI_ROWS, _COMPUTATIONAL_ROWS, _SECRET_BELL_ROWS):
+    for const in (_BELL_AMPLITUDES, _XI_AMPLITUDES, _BELL_ROWS, _XI_ROWS, _COMPUTATIONAL_ROWS, _BELL_BLOCKS):
         assert not const.flags.writeable
 
 
-def test_secret_bell_rows_regroup_the_bell_rows():
-    # row i, as (9, 3), is every Bell member's conjugated row at the secret's digit i
-    assert _SECRET_BELL_ROWS.shape == (3, 27)
+def test_bell_blocks_regroup_the_bell_rows():
+    # block k, row i, is Bell member k's conjugated row at the secret's digit i
+    assert _BELL_BLOCKS.shape == (9, 3, 3)
     for i in range(3):
         for k in range(9):
-            regrouped = _SECRET_BELL_ROWS[i].reshape(9, 3)[k]
-            assert regrouped.tobytes() == _BELL_ROWS[k].reshape(3, 3)[i].tobytes()
+            assert _BELL_BLOCKS[k, i].tobytes() == _BELL_ROWS[k].reshape(3, 3)[i].tobytes()
 
 
 # ---------------------------------------------------------------------------

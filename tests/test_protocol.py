@@ -44,9 +44,9 @@ from tritshare.attacks import (
     run_check_rounds,
     run_outside_attack_experiment,
 )
-from tritshare.errors import ConfigInvalid, DimensionMismatch, EmptyInput
-import tritshare.core as core
-from tritshare.core import _apply, _block, _measure, _measure_by_density as by_density, _weights, sample_indices
+from tritshare.errors import ConfigInvalid, DimensionMismatch, EmptyInput, ZeroProbabilityBranchSampled
+import tritshare.protocol as protocol
+from tritshare.core import _block, _measure, _weights, sample_indices
 from tritshare.protocol import (
     BELL_RESULT,
     COMPUTATIONAL,
@@ -406,36 +406,62 @@ def test_session_matches_pure_state_replay(num_agents):
             assert np.max(np.abs(transcript.reconstructed.amplitudes - replayed.amplitudes)) < 1e-12
 
 
-@pytest.mark.parametrize("num_agents", range(2, MAX_AGENTS + 1))
-def test_dealer_step_matches_the_product_register(num_agents, monkeypatch):
-    # The dealer's step never builds secret (x) GHZ(N+1); the reference does,
-    # and projects the dealer's pair onto the Bell member the step reports.
-    # Channels wider than the gate are measured through their reduced density.
-    routed = []
-
-    def recording(*args):
-        routed.append(args)
-        return by_density(*args)
-
-    monkeypatch.setattr(core, "_measure_by_density", recording)
-    rng = np.random.default_rng(70 + num_agents)
-    secrets = [haar_random_state(rng) for _ in range(9)]
+def _assert_deal_matches_the_product_register(channel, secrets, draws):
+    """The dealer's step on ``channel`` never builds secret (x) channel; the reference does, and
+    projects the dealer's pair onto the Bell member the step reports."""
     block = np.array([s.amplitudes for s in secrets])
-    uniforms = rng.random(9)
-    draws = [np.arange(9), (4 * np.arange(9) + 7) % 9, uniforms]  # every forced outcome, twice, then sampled
+    num_agents = channel.num_qutrits - 1
     for draw in draws:
         outcomes, weights, state = _deal(block, num_agents, draw)
-        assert state.shape == (9,) + (3,) * num_agents
+        assert state.shape == (len(secrets),) + (3,) * num_agents
         for b, secret in enumerate(secrets):
-            product = tensor(secret, ghz_state(num_agents + 1))
+            product = tensor(secret, channel)
             expected = draw[b]
-            if draw is uniforms:
+            if draw.dtype.kind == "f":
                 expected = sample_indices(born_distribution(product, (1, 2), bell_family())[None, :], draw[b : b + 1])[0]
             assert outcomes[b] == expected
             record = project_subsystem(product, (1, 2), bell_family(), int(expected))
             assert abs(weights[b] - record.probability) < 1e-12
             assert np.max(np.abs(state[b].reshape(-1) - record.collapsed.amplitudes)) < 1e-12
-    assert len(routed) == (len(draws) if num_agents >= 7 else 0)  # N >= 7: at least 3^8 amplitudes
+
+
+@pytest.mark.parametrize("num_agents", range(2, MAX_AGENTS + 1))
+def test_dealer_step_matches_the_product_register(num_agents):
+    rng = np.random.default_rng(70 + num_agents)
+    secrets = [haar_random_state(rng) for _ in range(9)]
+    draws = [np.arange(9), (4 * np.arange(9) + 7) % 9, rng.random(9)]  # every forced outcome, twice, then sampled
+    _assert_deal_matches_the_product_register(ghz_state(num_agents + 1), secrets, draws)
+
+
+@pytest.mark.parametrize("num_agents", [2, 4, 7, 9])
+def test_dealer_step_matches_the_product_register_on_any_channel(num_agents, monkeypatch):
+    # On the GHZ channel every Born weight is 1/9; a Haar channel's dealer qutrit has a reduced
+    # density far from I/3, so the nine quadratic forms are exercised in full.
+    rng = np.random.default_rng(80 + num_agents)
+    channel = haar_random_state(rng, num_agents + 1)
+    monkeypatch.setattr(protocol, "ghz_state", lambda k: channel)
+    secrets = [haar_random_state(rng) for _ in range(5)]
+    _assert_deal_matches_the_product_register(channel, secrets, [rng.random(5), rng.integers(9, size=5)])
+
+
+@pytest.mark.parametrize("num_agents", [2, 7])
+def test_forced_deal_refusal_keeps_its_tolerance(num_agents, monkeypatch):
+    # On the channel |0...0> + b |10...0> the secret |0> finds weight b^2 / 3 at Bell members 1, 4
+    # and 7 and none at 2, 5 and 8; the kept row's squared norm meets ZERO_PROB_TOL.
+    secret = np.array([[1.0, 0.0, 0.0]], dtype=np.complex128)
+    for b, refused in ((1e-11, False), (1e-13, True), (0.0, True)):
+        amps = np.zeros(3 ** (num_agents + 1), dtype=np.complex128)
+        amps[0], amps[3**num_agents] = 1.0, b
+        channel = PureState(num_agents + 1, amps / np.linalg.norm(amps))
+        monkeypatch.setattr(protocol, "ghz_state", lambda k: channel)
+        for k in (1, 2, 4, 7):
+            if refused or k == 2:
+                with pytest.raises(ZeroProbabilityBranchSampled):
+                    _deal(secret, num_agents, np.array([k]))
+            else:
+                _, weight, kept = _deal(secret, num_agents, np.array([k]))
+                assert abs(weight[0] - b**2 / 3) < 1e-12 * b**2
+                assert abs(kept.reshape(-1)[0] - 1) < 1e-12
 
 
 def test_wide_session_allocates_little():
@@ -621,7 +647,8 @@ def _reference_check_outcomes(state, fourier, u):
     """The check step as every round's own basis rows applied on each party's axis of its own register."""
     rows = _basis_rows(fourier)
     for axis in range(state.ndim - 1):
-        state = _apply(rows, state, axis)
+        turned = np.einsum("bij,bj...->bi...", rows, np.moveaxis(state, axis + 1, 1))
+        state = np.moveaxis(turned, 1, axis + 1)
     joint = sample_indices(_weights(state.reshape(len(state), -1, 1)), u)
     trits = np.stack(np.unravel_index(joint, state.shape[1:]), axis=1)
     return trits, np.where(fourier, trits.sum(axis=1) % 3 == 0, np.all(trits == trits[:, :1], axis=1))
