@@ -17,13 +17,18 @@ holds up to ``_BLOCK`` = 2,304 trials, so a 1,000-trial experiment is
 one block. A check block holds only the distinct registers its rounds
 can be in, plus one register index per round. It starts as the one GHZ
 channel with every round at index 0.
-Eve's intercept contracts each distinct (register, basis) pair once,
-every round draws its outcome from its pair's weights, and one register
-is built per (pair, outcome) that occurred; with one target that is at
-most six. The check step likewise computes Born weights per distinct
+Rounds are grouped by a scatter of their small integer keys into a
+table of flags (``core._distinct``), not by a sort. Eve's intercept
+contracts each distinct (register, basis) pair once and takes the
+cumulative sums of its weights once; every round draws its outcome
+against its pair's sums, and one register is built per (pair, outcome)
+that occurred; with one target that is at most six. The check step
+likewise computes Born weights and their cumulative sums per distinct
 (register, check basis) pair, turning only the Fourier pairs, and every
-round draws its joint outcome from its pair's row. Per-round work is
-therefore only the draws.
+round draws its joint outcome against its pair's sums. Only the distinct
+joint outcomes a block drew are decoded into trits and verdicts, and
+each round gathers its own. Per-round work is therefore only the draws
+and the gathers.
 Every trial consumes the same number K of uniform doubles, a multiple of
 the four doubles Philox yields per counter step, so trial ``t`` reads the
 K uniforms at counter ``t * K / 4``. Results are therefore identical for
@@ -47,8 +52,8 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .core import (
-    PureState, _axes, _block, _contract, _integer, _normalized, _sample, _trusted_state, _weights, sample_indices,
-    tensor,
+    PureState, _axes, _block, _contract, _distinct, _integer, _normalized, _sample, _trusted_state, _weights,
+    sample_indices, tensor,
 )
 from .errors import ConfigInvalid, LabelOutOfRange, SelfCapture
 from .operators import _COMPUTATIONAL_ROWS, _XI_ROWS, BellOutcome, ghz_state
@@ -255,14 +260,15 @@ def _intercept(
     resends the member she saw in the same slot. Returns the new distinct registers and each
     round's index into them.
 
-    Only the distinct (register, basis) pairs are contracted. Each round draws its outcome from
-    its pair's weights, and one register is built per (pair, outcome) that occurred."""
+    Only the distinct (register, basis) pairs are contracted, and each pair's cumulative weights
+    are summed once. Each round draws its outcome against its pair's sums, and one register is
+    built per (pair, outcome) that occurred."""
     block, flags, pair = _pairs(registers, index, fourier)
     rows = _basis_rows(flags)
     coeffs = _contract(rows, block, (axis,))
     weights = _weights(coeffs)
-    outcome, _ = _sample(weights[pair], u)
-    kinds, index = np.unique(pair * 3 + outcome, return_inverse=True)
+    outcome, _ = _sample(weights, u, pair)
+    kinds, index = _distinct(pair * 3 + outcome, 3 * len(weights))
     p, k = kinds // 3, kinds % 3
     kept = _normalized(coeffs[p, k], weights[p, k])
     resent = kept.reshape(len(kinds), 3**axis, 1, -1) * rows[p, k].conj()[:, None, :, None]

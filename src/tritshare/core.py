@@ -18,9 +18,11 @@ state, runs as one 2-D matrix product. The sharing steps hold one
 register until the dealer's step (``protocol._deal``), whose rows differ
 between trials, gives each trial its own register.
 The check kernel does not collapse per trial: it keeps the few distinct
-registers its rounds can be in, contracts (``_contract``, ``_weights``)
-each distinct (register, rows) pair once, and draws every round from its
-pair's weights (``_sample``).
+registers its rounds can be in and groups its rounds by (register, rows)
+pair, scattering their small integer keys into a table of flags
+(``_distinct``) instead of sorting them. It contracts (``_contract``,
+``_weights``) each pair once, takes each pair's cumulative sums once, and
+draws every round against its own pair's (``_sample`` with a row per draw).
 
 Born weights are ``np.vecdot`` of the coefficients' ``float64`` view with
 itself. A sampled draw returns the weights it drew (``_sample``), so they
@@ -467,22 +469,48 @@ def sample_indices(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return _sample(probs, u)[0]
 
 
-def _sample(probs: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``sample_indices``' draws and the drawn entries' weights, which its refusal gathers anyway."""
+def _sample(probs: np.ndarray, u: np.ndarray, row: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``sample_indices``' draws and the drawn entries' weights, which its refusal gathers anyway.
+
+    With ``row``, draw b is from row ``row[b]`` of ``probs``, as ``sample_indices(probs[row], u)``
+    draws, but each row's cumulative sums are taken once. They come from ``np.cumsum``: on a few
+    rows the product gains nothing, and OpenBLAS's small-matrix kernels sum out of order, so a
+    row's sums can step at a zero weight, which a uniform in that step would draw. A draw differs
+    from ``sample_indices``' only where a uniform lies within the last bit of a boundary. The
+    fallback past a row's rounded total and the ``ZERO_PROB_TOL`` refusals look only at the rows
+    drawn from."""
     n = probs.shape[1]
-    cumulative = probs @ _upper_ones(n) if n <= _PRODUCT_CUMSUM_WIDTH else np.cumsum(probs, axis=1)
+    if row is None:
+        row = np.arange(len(u))
+        cumulative = probs @ _upper_ones(n) if n <= _PRODUCT_CUMSUM_WIDTH else np.cumsum(probs, axis=1)
+    else:
+        cumulative = np.cumsum(probs, axis=1).take(row, axis=0)
     k = np.sum(cumulative <= u[:, None], axis=1)
     if k.max() >= n:
-        positive = probs > ZERO_PROB_TOL
         overflow = k >= n
-        if not positive[overflow].any(axis=1).all():
+        positive = probs[row[overflow]] > ZERO_PROB_TOL
+        if not positive.any(axis=1).all():
             raise ZeroProbabilityBranchSampled("no branch carries positive probability")
-        k[overflow] = n - 1 - np.argmax(positive[overflow, ::-1], axis=1)
-    chosen = probs[np.arange(k.size), k]
+        k[overflow] = n - 1 - np.argmax(positive[:, ::-1], axis=1)
+    chosen = probs[row, k]
     if chosen.min() <= ZERO_PROB_TOL:
         b = int(np.argmin(chosen))
         raise ZeroProbabilityBranchSampled(f"sampled branch {k[b]} has probability {chosen[b]!r}")
     return k, chosen
+
+
+def _distinct(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` for integer keys in [0, ``size``): the distinct keys
+    in ascending order and each key's position among them. A scatter into a table of ``size``
+    flags finds them, where ``np.unique`` sorts every key. The check kernel's keys are small: below
+    2 K for K registers and two bases, 3 P for P pairs and three outcomes, or 3**n for joint
+    outcomes of n parties, one flag and one position each."""
+    seen = np.zeros(size, dtype=bool)
+    seen[keys] = True
+    distinct = np.flatnonzero(seen)
+    position = np.empty(size, dtype=np.intp)
+    position[distinct] = np.arange(len(distinct))
+    return distinct, position[keys]
 
 
 def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:

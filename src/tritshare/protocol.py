@@ -28,6 +28,7 @@ from .core import (
     PureState,
     _block,
     _contract,
+    _distinct,
     _freeze,
     _integer,
     _measure,
@@ -37,7 +38,6 @@ from .core import (
     _weights,
     apply_single,
     fidelity,
-    sample_indices,
 )
 from .errors import ConfigInvalid, DimensionMismatch, EmptyInput, ZeroProbabilityBranchSampled
 from .operators import (
@@ -135,7 +135,7 @@ def _validated_parties(num_parties: int) -> int:
 def _pairs(registers: np.ndarray, index: np.ndarray, flags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group the rounds of a block by (register ``index[r]``, basis flag ``flags[r]``). Returns each
     distinct pair's register and flag, and each round's pair."""
-    pairs, pair = np.unique(index * 2 + flags, return_inverse=True)
+    pairs, pair = _distinct(index * 2 + flags, 2 * len(registers))
     return registers[pairs // 2], pairs % 2 == 1, pair
 
 
@@ -148,12 +148,14 @@ def _check_outcomes(
     correlation: a Fourier round passes when they sum to 0 mod 3, a computational one when they
     all agree.
 
-    Born weights are computed once per distinct (register, basis) pair, from the pair's flat
-    ``3**n`` amplitudes, and each round draws from its pair's row. A computational pair's weights
-    are those of its raw register. Only the Fourier pairs' registers are turned: one product per
-    party turns the last qutrit, ``(P * 3**(n-1), 3) @ rows.T``, and rotates it to the front, so n
-    turns leave the qutrits in order. The trits are the base-3 digits of the drawn joint index,
-    and the digits all agree exactly at the multiples of ``(3**n - 1) // 2``, the index of |11...1>."""
+    Born weights and their cumulative sums are computed once per distinct (register, basis) pair,
+    from the pair's flat ``3**n`` amplitudes, and each round draws against its pair's sums
+    (``_sample`` with the rounds' pairs as rows). A computational pair's weights are those of its
+    raw register. Only the Fourier pairs' registers are turned: one product per party turns the
+    last qutrit, ``(P * 3**(n-1), 3) @ rows.T``, and rotates it to the front, so n turns leave the
+    qutrits in order. Only the distinct joint indices the block drew are decoded, and each round
+    gathers its own index's trits and verdict. The trits are the base-3 digits of the index, and
+    the digits all agree exactly at the multiples of ``(3**n - 1) // 2``, the index of |11...1>."""
     n = registers.ndim - 1
     flat, turn, pair = _pairs(registers.reshape(len(registers), -1), index, fourier)
     probs = flat.real**2 + flat.imag**2
@@ -163,9 +165,10 @@ def _check_outcomes(
             turned = (turned.reshape(-1, 3) @ _XI_ROWS.T).reshape(len(turned), -1, 3).transpose(0, 2, 1)
             turned = turned.reshape(len(turned), -1)
         probs[turn] = turned.real**2 + turned.imag**2
-    joint = sample_indices(probs[pair], u)
+    joint, kind = _distinct(_sample(probs, u, pair)[0], 3**n)
     trits = joint[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3
-    return trits, np.where(fourier, trits.sum(axis=1) % 3 == 0, joint % ((3**n - 1) // 2) == 0)
+    agree, balanced = joint % ((3**n - 1) // 2) == 0, trits.sum(axis=1) % 3 == 0
+    return trits[kind], np.where(fourier, balanced[kind], agree[kind])
 
 
 # The correction table is built on first use, so that importing the package
@@ -243,7 +246,7 @@ def _reconstruction_fidelity(
 ) -> np.ndarray:
     """Fidelity ``|<secret|R|q>|^2`` of each register's reconstructing qutrit ``q`` (``(B, 3)``)
     to its secret under the correction R that the Bell outcome and the helper sum select."""
-    rows = secrets.conj()[:, None, :] @ _recovery_table()[bell // 3, bell % 3, helper_sum]
+    rows = secrets.conj()[:, None, :] @ _recovery_table().reshape(27, 3, 3).take(3 * bell + helper_sum, axis=0)
     return np.minimum(1.0, _weights(_contract(rows, qutrits, (0,)))[:, 0])
 
 

@@ -530,6 +530,30 @@ def test_check_kernel_matches_the_per_round_oracle(num_parties, rounds):
             assert np.array_equal(a, b), (name, attack, policy)
 
 
+@pytest.mark.parametrize("rounds", [1, 3])
+@pytest.mark.parametrize("num_parties", [7, 9, 12])
+def test_check_kernel_matches_the_per_round_oracle_on_wide_registers(num_parties, rounds):
+    """The same comparison on the widest joint rows, 3**7 to 3**12 weights, whose cumulative sums
+    come from ``np.cumsum``; a block there holds 9 rounds or fewer."""
+    test_check_kernel_matches_the_per_round_oracle(num_parties, rounds)
+
+
+def test_a_twelve_party_check_block_allocates_a_few_registers():
+    """A 12-party block is one round on registers of 3**12 amplitudes, 8.5 MB each. Its Fourier
+    check turns a copy of the register and decodes only the joint outcome it drew, so its traced
+    peak stays below four registers (3.5 here); a (3**12, 12) int64 table of trits alone would
+    take six."""
+    u = attacks._stream(3).random((1, attacks._check_uniforms(None)))
+    attacks._check_block(u, None, FOURIER, 12)  # builds the cached channel
+    tracemalloc.start()
+    try:
+        attacks._check_block(u, None, FOURIER, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 16 * 3**12
+
+
 @pytest.mark.parametrize("policy", EVE_SETTINGS[1:])
 def test_a_one_target_block_holds_at_most_six_registers(monkeypatch, policy):
     """A 768-round three-party block under one intercept holds one register per (basis, outcome)

@@ -243,30 +243,43 @@ WIDE_SHARES = [
 ]
 
 
-def _share_reports(blas_threads):
-    """Every ``WIDE_SHARES`` report, decoded, from one child process at ``blas_threads`` OpenBLAS threads."""
+def _reports(argvs, blas_threads):
+    """Each command's exit code and report, ``wall_time_ms`` masked, from one child process at
+    ``blas_threads`` OpenBLAS threads."""
     code = (
         "import io, json, sys, tritshare\n"
         "outs = []\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    out = io.StringIO()\n"
-        "    assert tritshare.run_command(argv, stdout=out) == 0, argv\n"
-        "    outs.append(out.getvalue())\n"
+        "    outs.append((tritshare.run_command(argv, stdout=out), out.getvalue()))\n"
         "print(json.dumps(outs))\n"
     )
     env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads)}
-    proc = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(WIDE_SHARES)], capture_output=True, text=True, env=env
-    )
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    return [json.loads(strip_timing(out)) for out in json.loads(proc.stdout)]
+    return [(exit_code, strip_timing(out)) for exit_code, out in json.loads(proc.stdout)]
 
 
 def test_wide_shares_agree_across_blas_thread_counts():
     """Seeded reports are byte-identical only at one BLAS thread count. Across counts, every
     announcement, string and integer is equal, and every float agrees within 1e-15."""
-    for argv, one, two in zip(WIDE_SHARES, _share_reports(1), _share_reports(2)):
-        assert first_difference(one, two, tol=1e-15) is None, argv
+    for argv, (code_one, one), (code_two, two) in zip(WIDE_SHARES, _reports(WIDE_SHARES, 1), _reports(WIDE_SHARES, 2)):
+        assert code_one == code_two == 0, argv
+        assert first_difference(json.loads(one), json.loads(two), tol=1e-15) is None, argv
+
+
+#: Check-kernel forms of four three-party blocks each: Eve intercepts, and every round draws from
+#: its (register, basis) pair's cumulative sums.
+CHECK_FORMS = [
+    ["check-channel", "--rounds", "3000", "--eve", "intercept-random", "--seed", "9"],
+    ["attack", "--model", "outside", "--trials", "3000", "--seed", "9"],
+]
+
+
+def test_check_reports_are_byte_identical_across_blas_thread_counts():
+    one, two = _reports(CHECK_FORMS, 1), _reports(CHECK_FORMS, 2)
+    assert [code for code, _ in one] == [4, 0]
+    assert one == two
 
 
 def test_default_seed_comes_from_entropy_and_is_echoed():

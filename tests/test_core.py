@@ -7,6 +7,8 @@ reshape-based measurement path.
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tritshare import (
     DensityMatrix,
@@ -37,9 +39,11 @@ import tritshare.core as core
 from tritshare.core import (
     INTERNAL_TOL,
     _contract,
+    _distinct,
     _family_matrix,
     _grouped,
     _measure,
+    _sample,
     _weights,
     sample_indices,
 )
@@ -538,6 +542,72 @@ def test_sample_indices_skips_zero_branches_and_refuses_empty_rows():
     assert list(sample_indices(probs, np.array([0.5, 0.9999999999999]))) == [2, 1]
     with pytest.raises(ZeroProbabilityBranchSampled):
         sample_indices(np.array([[0.5, 0.5], [0.0, 0.0]]), np.array([0.1, 0.5]))
+
+
+@given(st.integers(1, 40).flatmap(lambda size: st.tuples(st.just(size), st.lists(st.integers(0, size - 1), min_size=1))))
+@example((1, [0]))  # one key
+@example((30, [7] * 12))  # all keys equal
+@example((27, list(range(26, -1, -1)) * 2))  # every key of the range, twice
+def test_distinct_matches_np_unique(case):
+    size, keys = case
+    keys = np.array(keys)
+    distinct, position = _distinct(keys, size)
+    want, inverse = np.unique(keys, return_inverse=True)
+    assert np.array_equal(distinct, want)
+    assert np.array_equal(position, inverse)
+
+
+@pytest.mark.parametrize("width", [3, 9, 27, 81, 243, 729])
+def test_row_indexed_sample_matches_the_gathered_rows(width):
+    """Draws from a few distinct rows, each round naming its row, are ``sample_indices`` on the
+    gathered rows: the same outcomes and weights, also past a row's rounded total."""
+    rng = np.random.default_rng(700 + width)
+    probs = rng.random((7, width)) * (rng.random((7, width)) < 0.5)
+    probs[:, 0] += 0.01  # every row keeps a positive entry
+    probs[1, width // 2 + 1 :] = 0.0  # a row whose last positive entry is not its last
+    probs /= probs.sum(axis=1, keepdims=True)
+    probs[2:4] *= 0.5  # totals far below the largest uniforms
+    rounds = 500
+    row = rng.integers(0, len(probs), rounds)
+    row[:40] = 2 + np.arange(40) % 2
+    u = rng.random(rounds)
+    u[:40:2] = np.nextafter(1.0, 0.0)
+    u[1:40:2] = 0.75
+    k, chosen = _sample(probs, u, row)
+    want = sample_indices(probs[row], u)
+    assert np.array_equal(k, want)
+    assert np.array_equal(chosen, probs[row, want])
+    past = np.isin(row, (2, 3)) & (u >= 0.75)
+    assert past.any()
+    assert np.array_equal(k[past], width - 1 - np.argmax(probs[row[past], ::-1] > 0, axis=1))
+
+
+def test_row_indexed_draws_never_land_on_a_zero_weight():
+    """Uniforms at every cumulative sum of a few rows, summed in sequence and by the product that
+    ``sample_indices`` takes, draw only positive weights: a sequential sum of non-negative weights
+    is flat across a zero weight, where a small-matrix product's sums can step."""
+    rng = np.random.default_rng(781)
+    probs = rng.random((12, 27)) ** 3 * (rng.random((12, 27)) < 0.6)
+    probs[:, 0] += 0.01
+    probs /= probs.sum(axis=1, keepdims=True)
+    sums = np.concatenate([np.cumsum(probs, axis=1), probs @ core._upper_ones(27)], axis=1)
+    _, chosen = _sample(probs, sums.reshape(-1), np.repeat(np.arange(12), sums.shape[1]))
+    assert chosen.min() > 0
+
+
+def test_row_indexed_sample_refuses_only_on_drawn_rows():
+    probs = np.array([[0.0, 0.0, 0.0], [1e-30, 0.5, 0.5], [0.2, 0.3, 0.5], [0.25, 0.25, 0.0]])
+    # the empty row 0 is never drawn from: no refusal, also where a draw passes row 3's total
+    assert list(_sample(probs, np.array([0.1, 0.4, 0.9, 0.9]), np.array([2, 1, 2, 3]))[0]) == [0, 1, 2, 1]
+    with pytest.raises(ZeroProbabilityBranchSampled, match="no branch carries"):
+        sample_indices(probs[[2, 0]], np.array([0.1, 0.5]))
+    with pytest.raises(ZeroProbabilityBranchSampled, match="no branch carries"):
+        _sample(probs, np.array([0.1, 0.5]), np.array([2, 0]))
+    # a uniform of 0 falls in branch 0's gap of 1e-30, below ZERO_PROB_TOL
+    with pytest.raises(ZeroProbabilityBranchSampled, match="sampled branch 0"):
+        sample_indices(probs[[2, 1]], np.array([0.5, 0.0]))
+    with pytest.raises(ZeroProbabilityBranchSampled, match="sampled branch 0"):
+        _sample(probs, np.array([0.5, 0.0]), np.array([2, 1]))
 
 
 def test_sampled_distribution_matches_born_within_one_percent():
