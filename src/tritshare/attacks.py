@@ -27,8 +27,13 @@ likewise computes Born weights and their cumulative sums per distinct
 (register, check basis) pair, turning only the Fourier pairs, and every
 round draws its joint outcome against its pair's sums. Only the distinct
 joint outcomes a block drew are decoded into trits and verdicts, and
-each round gathers its own. Per-round work is therefore only the draws
-and the gathers.
+each round gathers its own. Per-round work is therefore only the draws,
+a binary search all rounds step through together (``core._counts``),
+and the gathers. A check block is therefore sized by the registers it
+can build, at most 6**t under t targets. Where those fit the amplitude
+budget it holds ``_BLOCK`` rounds: a 1,000-round experiment is one
+block at three parties under any attack, at four with three targets,
+or at nine with no Eve.
 Every trial consumes the same number K of uniform doubles, a multiple of
 the four doubles Philox yields per counter step, so trial ``t`` reads the
 K uniforms at counter ``t * K / 4``. Results are therefore identical for
@@ -78,8 +83,11 @@ RANDOM_CHECK_BASIS = "random"
 
 #: Inside trials simulated together as one array; with ``_INSIDE_QUTRITS`` it sets the one
 #: amplitude budget of every block, ``_BLOCK * 3**_INSIDE_QUTRITS``. A check block's rounds
-#: share a few registers, and its widest per-round array is the rounds' Born weight rows,
-#: so it holds the budget over one register's amplitudes: 768 rounds of three parties.
+#: share the few registers its intercepts can build, and no per-round array grows with a
+#: register, so where those registers fit the budget it holds ``_BLOCK`` rounds too; where
+#: they do not, as many rounds as registers fit (``_block_sizes``). A 2,304-round block of three
+#: parties under two intercepts traced a 190 KiB peak, one of nine parties with no Eve 5.6
+#: registers (2 cores, numpy 2.4).
 #: Smaller blocks are bound by numpy's per-call overhead; larger ones raise an experiment's
 #: peak memory. Over a warm 100-trial run in a fresh process, the peak RSS of a 4,000-trial
 #: inside experiment grew by 0 MiB at 256-trial blocks, 0.25 MiB at 1,024 and 1.2 MiB at
@@ -166,13 +174,20 @@ def _stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_validated_seed(seed)))
 
 
-def _block_sizes(total: int, width: int) -> Iterator[int]:
+def _block_sizes(total: int, width: int, targets: int | None = None) -> Iterator[int]:
     """Trial counts of the consecutive blocks covering ``total`` trials.
 
-    A block holds as many trials as registers of ``width`` qutrits fit in
-    the amplitudes of ``_BLOCK`` inside trials, and at least one.
+    Every block keeps to the amplitudes of ``_BLOCK`` inside trials. A check block under
+    ``targets`` intercepts holds at most 6**targets registers of ``width`` qutrits, one per
+    (register, basis, outcome) of each intercept; where those fit, it holds ``_BLOCK`` rounds.
+    Otherwise, and where every trial has a register of its own (``targets`` None), a block holds
+    as many trials as registers fit, and at least one.
     """
-    step = max(1, _BLOCK * 3**_INSIDE_QUTRITS // 3**width)
+    budget = _BLOCK * 3**_INSIDE_QUTRITS
+    if targets is not None and 6**targets * 3**width <= budget:
+        step = _BLOCK
+    else:
+        step = max(1, budget // 3**width)
     for start in range(0, total, step):
         yield min(step, total - start)
 
@@ -302,14 +317,17 @@ def _check_block(
 # experiments
 
 
-def _uniform_blocks(count: int, name: str, unit: str, seed: int, width: int, uniforms: int) -> Iterator[np.ndarray]:
+def _uniform_blocks(
+    count: int, name: str, unit: str, seed: int, width: int, uniforms: int, targets: int | None = None
+) -> Iterator[np.ndarray]:
     """Validate a run of ``count`` trials (``name`` as the caller spells the argument, one ``unit``
-    each) and return its blocks' ``(size, uniforms)`` draws, in trial order, from the seed's stream."""
+    each) and return its blocks' ``(size, uniforms)`` draws, in trial order, from the seed's stream;
+    ``width`` and ``targets`` size the blocks (``_block_sizes``)."""
     count = _integer(count, ConfigInvalid, name)
     if count < 1:
         raise ConfigInvalid(f"at least one {unit} is required")
     rng = _stream(seed)
-    return (rng.random((size, uniforms)) for size in _block_sizes(count, width))
+    return (rng.random((size, uniforms)) for size in _block_sizes(count, width, targets))
 
 
 def _attack_stats(blocks: Iterable[tuple[int, int, int]], seed: int) -> AttackStats:
@@ -337,7 +355,8 @@ def _check_blocks(
         for target in attack.target_qutrits:
             if not 2 <= target <= num_parties:
                 raise LabelOutOfRange(f"target {target} is not a transit qutrit (2..{num_parties})")
-    blocks = _uniform_blocks(count, name, unit, seed, num_parties, _check_uniforms(attack))
+    targets = len(attack.target_qutrits) if attack is not None else 0
+    blocks = _uniform_blocks(count, name, unit, seed, num_parties, _check_uniforms(attack), targets)
     return (_check_block(u, attack, check_basis_policy, num_parties) for u in blocks)
 
 

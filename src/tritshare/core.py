@@ -22,7 +22,9 @@ registers its rounds can be in and groups its rounds by (register, rows)
 pair, scattering their small integer keys into a table of flags
 (``_distinct``) instead of sorting them. It contracts (``_contract``,
 ``_weights``) each pair once, takes each pair's cumulative sums once, and
-draws every round against its own pair's (``_sample`` with a row per draw).
+draws every round against its own pair's (``_sample`` with a row per draw)
+by a binary search that all rounds step through together (``_counts``), so
+no array of the draw grows as rounds times outcomes.
 
 Born weights are ``np.vecdot`` of the coefficients' ``float64`` view with
 itself. A sampled draw returns the weights it drew (``_sample``), so they
@@ -464,7 +466,8 @@ def sample_indices(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     its last positive entry. Rows of up to ``_PRODUCT_CUMSUM_WIDTH`` outcomes
     take their cumulative sums from one real matrix product, which stays fast
     right after a complex one where ``np.cumsum`` slows down several-fold;
-    its sums may differ from a sequential sum in the last bit.
+    its sums may differ from a sequential sum in the last bit, and a draw
+    that lands on a zero weight there is taken again from sequential sums.
     """
     return _sample(probs, u)[0]
 
@@ -473,19 +476,22 @@ def _sample(probs: np.ndarray, u: np.ndarray, row: np.ndarray | None = None) -> 
     """``sample_indices``' draws and the drawn entries' weights, which its refusal gathers anyway.
 
     With ``row``, draw b is from row ``row[b]`` of ``probs``, as ``sample_indices(probs[row], u)``
-    draws, but each row's cumulative sums are taken once. They come from ``np.cumsum``: on a few
-    rows the product gains nothing, and OpenBLAS's small-matrix kernels sum out of order, so a
-    row's sums can step at a zero weight, which a uniform in that step would draw. A draw differs
-    from ``sample_indices``' only where a uniform lies within the last bit of a boundary. The
-    fallback past a row's rounded total and the ``ZERO_PROB_TOL`` refusals look only at the rows
-    drawn from."""
+    draws, but each row's cumulative sums are taken once, by ``np.cumsum``, and no per-draw row
+    is gathered (``_counts``). A sequential sum of non-negative weights is flat across a zero
+    weight, so such a draw never lands on one. The product sums of a row of up to
+    ``_PRODUCT_CUMSUM_WIDTH`` outcomes can step there, as OpenBLAS's small-matrix kernels sum out
+    of order; a draw that lands on a weight at or below ``ZERO_PROB_TOL`` is redrawn from its
+    row's sequential sums, and refused only if that weight is zero too. A draw therefore differs
+    from a sequential sum's only where a uniform lies within the last bit of a boundary. The
+    fallback past a row's rounded total and the refusals look only at the rows drawn from."""
     n = probs.shape[1]
+    product = row is None and n <= _PRODUCT_CUMSUM_WIDTH
     if row is None:
         row = np.arange(len(u))
-        cumulative = probs @ _upper_ones(n) if n <= _PRODUCT_CUMSUM_WIDTH else np.cumsum(probs, axis=1)
+    if product:
+        k = np.sum(probs @ _upper_ones(n) <= u[:, None], axis=1)
     else:
-        cumulative = np.cumsum(probs, axis=1).take(row, axis=0)
-    k = np.sum(cumulative <= u[:, None], axis=1)
+        k = _counts(np.cumsum(probs, axis=1), u, row)
     if k.max() >= n:
         overflow = k >= n
         positive = probs[row[overflow]] > ZERO_PROB_TOL
@@ -494,9 +500,35 @@ def _sample(probs: np.ndarray, u: np.ndarray, row: np.ndarray | None = None) -> 
         k[overflow] = n - 1 - np.argmax(positive[:, ::-1], axis=1)
     chosen = probs[row, k]
     if chosen.min() <= ZERO_PROB_TOL:
-        b = int(np.argmin(chosen))
-        raise ZeroProbabilityBranchSampled(f"sampled branch {k[b]} has probability {chosen[b]!r}")
+        if product:
+            stepped = np.flatnonzero(chosen <= ZERO_PROB_TOL)
+            k[stepped], chosen[stepped] = _sample(probs[stepped], u[stepped], np.arange(len(stepped)))
+        else:
+            b = int(np.argmin(chosen))
+            raise ZeroProbabilityBranchSampled(f"sampled branch {k[b]} has probability {chosen[b]!r}")
     return k, chosen
+
+
+def _counts(sums: np.ndarray, u: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """For each b, how many of the ascending ``sums[row[b]]`` are at most ``u[b]``: the count
+    over a gathered ``(B, n)`` table of sums, found without building one.
+
+    All draws run one branch-free binary search over the flat sums together. A draw's position
+    starts at its row's first sum; while m > 1 sums remain, it moves ahead by m // 2 where the
+    sum m // 2 places ahead is at most its uniform, and m becomes m - m // 2. A last comparison
+    settles the count. Each of the ceil(log2 n) + 1 steps is a few array operations over the
+    draws, a position never leaves its row, and the sums are compared as they are, so the
+    counts are exact. On 1,000 draws over 12 rows of 27 sums this took about 40 us, the gathered
+    table about 100 us, and one ``np.searchsorted`` over (row, sum) keys about 140 us, as random
+    uniforms defeat its branch prediction (2 cores, numpy 2.4)."""
+    n = sums.shape[1]
+    flat = sums.reshape(-1)
+    position, m = row * n, n
+    while m > 1:
+        half = m // 2
+        position += half * (flat[position + half] <= u)
+        m -= half
+    return position + (flat[position] <= u) - row * n
 
 
 def _distinct(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -150,12 +150,15 @@ def _check_outcomes(
 
     Born weights and their cumulative sums are computed once per distinct (register, basis) pair,
     from the pair's flat ``3**n`` amplitudes, and each round draws against its pair's sums
-    (``_sample`` with the rounds' pairs as rows). A computational pair's weights are those of its
-    raw register. Only the Fourier pairs' registers are turned: one product per party turns the
-    last qutrit, ``(P * 3**(n-1), 3) @ rows.T``, and rotates it to the front, so n turns leave the
-    qutrits in order. Only the distinct joint indices the block drew are decoded, and each round
-    gathers its own index's trits and verdict. The trits are the base-3 digits of the index, and
-    the digits all agree exactly at the multiples of ``(3**n - 1) // 2``, the index of |11...1>."""
+    (``_sample`` with the rounds' pairs as rows) by a search that gathers no round's row. The
+    step's widest arrays are the P pairs' ``3**n`` weights, so 2,304 rounds of nine parties with
+    no Eve take a few registers, not a ``(2304, 3**9)`` table. A computational pair's weights are
+    those of its raw register. Only the Fourier pairs' registers are turned: one product per party
+    turns the last qutrit, ``(P * 3**(n-1), 3) @ rows.T``, and rotates it to the front, so n turns
+    leave the qutrits in order. Only the distinct joint indices the block drew are decoded, and
+    each round gathers its own index's trits and verdict. The trits are the base-3 digits of the
+    index, and the digits all agree exactly at the multiples of ``(3**n - 1) // 2``, the index of
+    |11...1>."""
     n = registers.ndim - 1
     flat, turn, pair = _pairs(registers.reshape(len(registers), -1), index, fourier)
     probs = flat.real**2 + flat.imag**2

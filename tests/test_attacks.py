@@ -447,6 +447,8 @@ def test_results_do_not_depend_on_block_size(monkeypatch, block):
             run_check_rounds(150, OutsideAttack((2, 3), "random_per_qutrit"), "random", seed=93),
             run_check_rounds(150, OutsideAttack((3,), ALWAYS_FOURIER), COMPUTATIONAL, seed=94, num_parties=4),
             run_check_rounds(40, OutsideAttack((2, 5), "random_per_qutrit"), FOURIER, seed=95, num_parties=6),
+            run_check_rounds(30, None, "random", seed=97, num_parties=9),
+            run_check_rounds(150, OutsideAttack((4,), "random_per_qutrit"), "random", seed=98, num_parties=5),
         ]
         return inside, forced, checks
 
@@ -556,7 +558,7 @@ def test_a_twelve_party_check_block_allocates_a_few_registers():
 
 @pytest.mark.parametrize("policy", EVE_SETTINGS[1:])
 def test_a_one_target_block_holds_at_most_six_registers(monkeypatch, policy):
-    """A 768-round three-party block under one intercept holds one register per (basis, outcome)
+    """A 2,304-round three-party block under one intercept holds one register per (basis, outcome)
     that occurred, never one per round, and its check step meets at most 12 (register, basis) pairs."""
     intercepts, checks = [], []
     intercept, check_outcomes = attacks._intercept, attacks._check_outcomes
@@ -572,17 +574,48 @@ def test_a_one_target_block_holds_at_most_six_registers(monkeypatch, policy):
 
     monkeypatch.setattr(attacks, "_intercept", counting_intercept)
     monkeypatch.setattr(attacks, "_check_outcomes", counting_check_outcomes)
-    run_check_rounds(3 * 768, OutsideAttack((2,), policy), "random", seed=72)
+    run_check_rounds(3 * 2304, OutsideAttack((2,), policy), "random", seed=72)
     bases = 2 if policy == RANDOM_PER_QUTRIT else 1
     assert intercepts == [3 * bases] * 3
-    assert checks == [(768, 3 * bases, 6 * bases)] * 3
+    assert checks == [(2304, 3 * bases, 6 * bases)] * 3
+
+
+#: (width, targets, rounds per block). Targets None: a register per trial. A check block under t
+#: targets holds at most 6**t registers; where they fit the budget it holds 2,304 rounds.
+_BLOCK_PINS = [(2, None, 2304), (3, None, 768), (4, None, 256), (5, None, 85), (12, None, 1)]
+_BLOCK_PINS += [(attacks._INSIDE_QUTRITS, None, 2304)]
+_BLOCK_PINS += [(3, 0, 2304), (3, 1, 2304), (3, 2, 2304), (4, 3, 2304), (6, 2, 28), (10, 0, 1), (12, 0, 1)]
 
 
 @pytest.mark.parametrize(
-    "width,step", [(2, 2304), (3, 768), (4, 256), (5, 85), (12, 1), (attacks._INSIDE_QUTRITS, 2304)]
+    "width,targets,step",
+    [pytest.param(*pin, id=f"{pin[0]}-{pin[2]}" if pin[1] is None else None) for pin in _BLOCK_PINS],
 )
-def test_block_sizes_keep_one_amplitude_budget(width, step):
-    assert list(attacks._block_sizes(2 * step + 1, width)) == [step, step, 1]
+def test_block_sizes_keep_one_amplitude_budget(width, targets, step):
+    assert list(attacks._block_sizes(2 * step + 1, width, targets)) == [step, step, 1]
+
+
+def _block_peak(u, attack, num_parties):
+    """Traced peak of one check block, after a first run has built the cached channel."""
+    attacks._check_block(u, attack, "random", num_parties)
+    tracemalloc.start()
+    try:
+        attacks._check_block(u, attack, "random", num_parties)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_full_check_block_allocates_no_table_per_round():
+    """One 2,304-round block keeps a few registers and a few arrays per round. At three parties
+    under two intercepts its peak stays below 512 KiB (a (2304, 27) table of weights alone takes
+    486 KiB); at nine parties with no Eve, below eight registers of 3**9 amplitudes, where one
+    (2304, 3**9) table of weights would take 346 MiB."""
+    attack = OutsideAttack((2, 3), RANDOM_PER_QUTRIT)
+    u = attacks._stream(6).random((2304, attacks._check_uniforms(attack)))
+    assert _block_peak(u, attack, 3) < 512 * 1024
+    u = attacks._stream(7).random((2304, attacks._check_uniforms(None)))
+    assert _block_peak(u, None, 9) < 8 * 16 * 3**9
 
 
 def test_inside_experiment_allocates_little():

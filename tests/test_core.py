@@ -557,28 +557,41 @@ def test_distinct_matches_np_unique(case):
     assert np.array_equal(position, inverse)
 
 
-@pytest.mark.parametrize("width", [3, 9, 27, 81, 243, 729])
+@pytest.mark.parametrize("width", [3, 9, 27, 81, 243, 729, 3**9])
 def test_row_indexed_sample_matches_the_gathered_rows(width):
-    """Draws from a few distinct rows, each round naming its row, are ``sample_indices`` on the
-    gathered rows: the same outcomes and weights, also past a row's rounded total."""
+    """Draws from hundreds of distinct rows (a dozen of 3**9 outcomes), each round naming its row,
+    are ``sample_indices`` on the gathered rows and the scalar rule: the same outcomes and
+    weights, also at ties across zero weights and past a row's rounded total."""
     rng = np.random.default_rng(700 + width)
-    probs = rng.random((7, width)) * (rng.random((7, width)) < 0.5)
+    rows = 12 if width > 729 else 300
+    probs = rng.random((rows, width)) * (rng.random((rows, width)) < 0.5)
     probs[:, 0] += 0.01  # every row keeps a positive entry
-    probs[1, width // 2 + 1 :] = 0.0  # a row whose last positive entry is not its last
+    probs[1::7, width // 2 + 1 :] = 0.0  # rows whose last positive entry is not their last
     probs /= probs.sum(axis=1, keepdims=True)
-    probs[2:4] *= 0.5  # totals far below the largest uniforms
-    rounds = 500
-    row = rng.integers(0, len(probs), rounds)
-    row[:40] = 2 + np.arange(40) % 2
+    probs[2::7] *= 0.5  # totals far below the largest uniforms
+    # rows of dyadic weights, whose every sum is exact in any order: a uniform at a sum ties
+    # with the sums across the zero weights after it, in the product as in sequence
+    dyadic = np.arange(3, rows, 7)
+    weights = rng.integers(1, 4, (len(dyadic), width)) * (rng.random((len(dyadic), width)) < 0.5)
+    weights[:, [0, -1]] = 1
+    weights[:, 1] = 0  # every dyadic row has a zero weight to tie across before its last
+    probs[dyadic] = weights / 2.0 ** np.ceil(np.log2(weights.sum(axis=1, keepdims=True)))
+    rounds = 3 * rows
+    row = rng.integers(0, rows, rounds)
     u = rng.random(rounds)
-    u[:40:2] = np.nextafter(1.0, 0.0)
-    u[1:40:2] = 0.75
+    past = np.arange(0, rounds, 6)
+    row[past] = rng.choice(np.arange(2, rows, 7), len(past))
+    u[past] = np.where(past % 12 == 0, np.nextafter(1.0, 0.0), 0.75)
+    tied = np.arange(1, rounds, 6)
+    row[tied] = rng.choice(dyadic, len(tied))
+    zero = [rng.choice(np.flatnonzero(probs[r, 1:-1] == 0)) + 1 for r in row[tied]]
+    u[tied] = np.cumsum(probs[row[tied]], axis=1)[np.arange(len(tied)), zero]
     k, chosen = _sample(probs, u, row)
     want = sample_indices(probs[row], u)
     assert np.array_equal(k, want)
     assert np.array_equal(chosen, probs[row, want])
-    past = np.isin(row, (2, 3)) & (u >= 0.75)
-    assert past.any()
+    assert list(k) == [_scalar_inverse_cdf(probs[r], x) for r, x in zip(row, u)]
+    assert np.all(k[tied] > zero) and np.all(chosen > 0)
     assert np.array_equal(k[past], width - 1 - np.argmax(probs[row[past], ::-1] > 0, axis=1))
 
 
@@ -593,6 +606,37 @@ def test_row_indexed_draws_never_land_on_a_zero_weight():
     sums = np.concatenate([np.cumsum(probs, axis=1), probs @ core._upper_ones(27)], axis=1)
     _, chosen = _sample(probs, sums.reshape(-1), np.repeat(np.arange(12), sums.shape[1]))
     assert chosen.min() > 0
+
+
+def test_sample_indices_redraws_where_the_product_steps_at_a_zero_weight():
+    """On 768 rows of 27 weights, about 30 % zero, OpenBLAS's small-matrix product sums step at
+    a zero weight on some rows (62 with numpy 2.4 and OpenBLAS 0.3.31), where a uniform drew that
+    branch and was refused. Such a draw is taken again from the row's sequential sums."""
+    rng = np.random.default_rng(781)
+    probs = rng.random((768, 27)) * (rng.random((768, 27)) >= 0.3)
+    probs /= probs.sum(axis=1, keepdims=True)
+    product = probs @ core._upper_ones(27)
+    step = (np.diff(product, axis=1) > 0) & (probs[:, 1:] == 0)
+    stepped = np.flatnonzero(step.any(axis=1))
+    u = rng.random(768)
+    u[stepped] = product[stepped, np.argmax(step[stepped], axis=1)]
+    k = sample_indices(probs, u)
+    assert np.all(probs[np.arange(768), k] > 0)
+    landed = np.flatnonzero(probs[np.arange(768), np.minimum(np.sum(product <= u[:, None], axis=1), 26)] == 0)
+    assert list(k[landed]) == [_scalar_inverse_cdf(probs[b], u[b]) for b in landed]
+
+
+def test_sample_indices_refuses_a_redrawn_zero_weight_only(monkeypatch):
+    """Product sums that grow across every zero weight, as out-of-order sums can, on any BLAS: each
+    draw that lands on a zero weight is redrawn from the sequential sums. Only a redraw that finds
+    no positive weight either is refused."""
+    monkeypatch.setattr(core, "_upper_ones", lambda n: np.triu(np.ones((n, n))) * (1 + 2.0**-40 * np.arange(n)))
+    probs = np.array([[0.25, 0.0, 0.0, 0.75], [0.5, 0.0, 0.5, 0.0], [1e-30, 0.0, 0.5, 0.5]])
+    # the product's sums exceed 0.25 from branch 1 of row 0 on, and 0.5 from branch 1 of row 1 on
+    assert list(sample_indices(probs[:2], np.array([0.25, 0.5]))) == [3, 2]
+    # a uniform of 0 falls in branch 0's gap of 1e-30, summed either way
+    with pytest.raises(ZeroProbabilityBranchSampled, match="sampled branch 0"):
+        sample_indices(probs, np.array([0.25, 0.5, 0.0]))
 
 
 def test_row_indexed_sample_refuses_only_on_drawn_rows():
