@@ -15,25 +15,19 @@ whose rows differ between trials, gives each trial its own: one
 ``(B, 3, 3)`` array of the two agents' qutrits, the block's widest. It
 holds up to ``_BLOCK`` = 2,304 trials, so a 1,000-trial experiment is
 one block. A check block holds only the distinct registers its rounds
-can be in, plus one register index per round. It starts as the one GHZ
-channel with every round at index 0.
-Rounds are grouped by a scatter of their small integer keys into a
-table of flags (``core._distinct``), not by a sort. Eve's intercept
-contracts each distinct (register, basis) pair once and takes the
-cumulative sums of its weights once; every round draws its outcome
-against its pair's sums, and one register is built per (pair, outcome)
-that occurred; with one target that is at most six. The check step
-likewise computes Born weights and their cumulative sums per distinct
-(register, check basis) pair, turning only the Fourier pairs, and every
-round draws its joint outcome against its pair's sums. Only the distinct
-joint outcomes a block drew are decoded into trits and verdicts, and
-each round gathers its own. Per-round work is therefore only the draws,
-a binary search all rounds step through together (``core._counts``),
-and the gathers. A check block is therefore sized by the registers it
-can build, at most 6**t under t targets. Where those fit the amplitude
-budget it holds ``_BLOCK`` rounds: a 1,000-round experiment is one
-block at three parties under any attack, at four with three targets,
-or at nine with no Eve.
+can be in, plus one register index per round; it starts as the one GHZ
+channel with every round at index 0. Eve's intercept and the check step
+group the rounds by (register, basis) pair, scattering small integer
+keys into a table of flags (``core._distinct``), contract each pair once
+and sum its weights once, and every round draws against its pair's sums
+(``core._counts``). An intercept builds one register per (pair, outcome)
+that occurred, and the check step decodes only the joint outcomes its
+block drew. A check block under t targets thus builds at most 6**t
+registers; where those fit the amplitude budget, counting at least one,
+it holds ``_BLOCK`` rounds, so a 1,000-round experiment is one block at
+three parties under any attack, at four with three targets, and at any
+width with no Eve. ``check-channel`` tallies each block's flags into its
+verdict (``protocol._verdict``) and keeps no record per round.
 Every trial consumes the same number K of uniform doubles, a multiple of
 the four doubles Philox yields per counter step, so trial ``t`` reads the
 K uniforms at counter ``t * K / 4``. Results are therefore identical for
@@ -57,8 +51,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .core import (
-    PureState, _axes, _block, _contract, _distinct, _integer, _normalized, _sample, _trusted_state, _weights,
-    sample_indices, tensor,
+    PureState, _axes, _block, _contract, _distinct, _integer, _normalized, _sample, _trusted_state, _weights, tensor,
 )
 from .errors import ConfigInvalid, LabelOutOfRange, SelfCapture
 from .operators import _COMPUTATIONAL_ROWS, _XI_ROWS, BellOutcome, ghz_state
@@ -84,10 +77,10 @@ RANDOM_CHECK_BASIS = "random"
 #: Inside trials simulated together as one array; with ``_INSIDE_QUTRITS`` it sets the one
 #: amplitude budget of every block, ``_BLOCK * 3**_INSIDE_QUTRITS``. A check block's rounds
 #: share the few registers its intercepts can build, and no per-round array grows with a
-#: register, so where those registers fit the budget it holds ``_BLOCK`` rounds too; where
-#: they do not, as many rounds as registers fit (``_block_sizes``). A 2,304-round block of three
-#: parties under two intercepts traced a 190 KiB peak, one of nine parties with no Eve 5.6
-#: registers (2 cores, numpy 2.4).
+#: register, so where those registers fit the budget, counting at least one, it holds
+#: ``_BLOCK`` rounds too; where they do not, as many rounds as registers fit (``_block_sizes``).
+#: Traced peaks of a 2,304-round block: 190 KiB at three parties under two intercepts; 5.6
+#: registers at nine parties and 5.0 at twelve with no Eve (2 cores, numpy 2.4).
 #: Smaller blocks are bound by numpy's per-call overhead; larger ones raise an experiment's
 #: peak memory. Over a warm 100-trial run in a fresh process, the peak RSS of a 4,000-trial
 #: inside experiment grew by 0 MiB at 256-trial blocks, 0.25 MiB at 1,024 and 1.2 MiB at
@@ -177,17 +170,14 @@ def _stream(seed: int) -> np.random.Generator:
 def _block_sizes(total: int, width: int, targets: int | None = None) -> Iterator[int]:
     """Trial counts of the consecutive blocks covering ``total`` trials.
 
-    Every block keeps to the amplitudes of ``_BLOCK`` inside trials. A check block under
-    ``targets`` intercepts holds at most 6**targets registers of ``width`` qutrits, one per
-    (register, basis, outcome) of each intercept; where those fit, it holds ``_BLOCK`` rounds.
-    Otherwise, and where every trial has a register of its own (``targets`` None), a block holds
-    as many trials as registers fit, and at least one.
+    Every block keeps to the amplitudes of ``_BLOCK`` inside trials: as many registers of
+    ``width`` qutrits as fit, counting at least one. Where every trial has a register of its own
+    (``targets`` None), a block holds that many trials. A check block under ``targets`` intercepts
+    builds at most 6**targets registers, one per (register, basis, outcome) of each intercept;
+    where those fit, it holds ``_BLOCK`` rounds, and otherwise as many rounds as registers fit.
     """
-    budget = _BLOCK * 3**_INSIDE_QUTRITS
-    if targets is not None and 6**targets * 3**width <= budget:
-        step = _BLOCK
-    else:
-        step = max(1, budget // 3**width)
+    fit = max(1, _BLOCK * 3**_INSIDE_QUTRITS // 3**width)
+    step = _BLOCK if targets is not None and 6**targets <= fit else fit
     for start in range(0, total, step):
         yield min(step, total - start)
 
@@ -241,7 +231,7 @@ def _inside_block(secrets: np.ndarray, designated: np.ndarray, attack: InsideAtt
     (outcome,), kept = _help(state, np.where(theft, u[:, _U_SECOND], u[:, _U_FIRST])[:, None])
     fake = attack.fake_state.amplitudes
     fake_weights = np.broadcast_to(np.abs(_XI_ROWS @ fake) ** 2, (len(u), 3))
-    announced = np.where(theft, sample_indices(fake_weights, u[:, _U_FIRST]), outcome)
+    announced = np.where(theft, _sample(fake_weights, u[:, _U_FIRST])[0], outcome)
     fid = _reconstruction_fidelity(np.where(theft[:, None], kept, fake), secrets, bell, outcome)
     return _InsideBlock(bell, announced, np.where(theft, outcome, -1), fid)
 
@@ -293,13 +283,9 @@ def _intercept(
 def _check_block(
     u: np.ndarray, attack: OutsideAttack | None, check_basis_policy: str, num_parties: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Play a block of check rounds; return per round the Fourier-basis
-    flag, the parties' outcome trits ``(B, num_parties)`` and the verdict.
-
-    The block holds the few distinct registers its rounds can be in, plus
-    one register index per round. It starts as the one GHZ channel with
-    every round at index 0, and each intercept builds only the registers
-    that its (register, basis, outcome) triples call for."""
+    """Play a block of check rounds; return per round the Fourier-basis flag, the parties' outcome
+    trits ``(B, num_parties)`` and the verdict. Each intercept builds only the registers that its
+    (register, basis, outcome) triples call for."""
     fourier = _fourier_flags(u[:, 0], check_basis_policy == RANDOM_CHECK_BASIS, check_basis_policy == FOURIER)
     registers = _block(ghz_state(num_parties))
     index = np.zeros(len(u), dtype=np.intp)

@@ -13,8 +13,8 @@ in ``protocol`` and the kernels in ``attacks`` run it on blocks of trials.
 ``apply_single`` turns one register's qutrit by a matrix product of its
 own, and the check kernel turns its Fourier pairs on flat registers of
 its own.
-A step whose rows every register shares, or whose registers are all one
-state, runs as one 2-D matrix product. The sharing steps hold one
+A step whose rows every register shares runs as one 2-D matrix product;
+per-register rows run one stacked product. The sharing steps hold one
 register until the dealer's step (``protocol._deal``), whose rows differ
 between trials, gives each trial its own register.
 The check kernel does not collapse per trial: it keeps the few distinct
@@ -369,21 +369,18 @@ def _grouped(block: np.ndarray, axes: Sequence[int]) -> np.ndarray:
 def _contract(rows: np.ndarray, block: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     """``(B, m, rest)`` coefficients of ``m`` rows on the targets of each register.
 
-    What the registers share runs as one 2-D matrix product:
+    Rows that the registers share run as one 2-D matrix product:
 
     - shared ``(m, 3**t)`` rows on B registers: the target axes move ahead of
       the register axis, ``rows @ (3**t, B * rest)`` runs once and its
       ``(B, m, rest)`` view is returned;
-    - per-register ``(B, m, 3**t)`` rows on one register:
-      ``(B * m, 3**t) @ (3**t, rest)`` runs once;
-    - per-register rows on B registers: one stacked product per register.
+    - per-register ``(B, m, 3**t)`` rows: one stacked product per register,
+      ``rows @ (B, 3**t, rest)``, which broadcasts a one-register block
+      against every row set.
     """
     if rows.ndim == 2:
         flat = block.transpose([k + 1 for k in axes] + [0] + _others(block, axes)).reshape(rows.shape[1], -1)
         return (rows @ flat).reshape(len(rows), len(block), -1).transpose(1, 0, 2)
-    if len(block) == 1:
-        coeffs = rows.reshape(-1, rows.shape[2]) @ _grouped(block, axes)[0]
-        return coeffs.reshape(rows.shape[:2] + (-1,))
     return rows @ _grouped(block, axes)
 
 
@@ -460,16 +457,26 @@ def _upper_ones(n: int) -> np.ndarray:
 def sample_indices(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Row-wise inverse-CDF draws over ascending outcome index.
 
-    Row ``b`` of ``probs`` is one Born distribution and ``u[b]`` in [0, 1)
-    its uniform. Zero-probability entries contribute no cumulative gap and
-    can never be selected; a uniform beyond a row's rounded total falls to
-    its last positive entry. Rows of up to ``_PRODUCT_CUMSUM_WIDTH`` outcomes
-    take their cumulative sums from one real matrix product, which stays fast
-    right after a complex one where ``np.cumsum`` slows down several-fold;
-    its sums may differ from a sequential sum in the last bit, and a draw
-    that lands on a zero weight there is taken again from sequential sums.
+    Row ``b`` of ``probs`` is one Born distribution, refused unless finite and
+    non-negative, and ``u[b]`` in [0, 1) its uniform. Zero-probability entries
+    contribute no cumulative gap and can never be selected; a uniform beyond a
+    row's total, which is not checked, falls to its last positive entry. Rows
+    of up to ``_PRODUCT_CUMSUM_WIDTH`` outcomes take their cumulative sums from
+    one real matrix product, which stays fast right after a complex one where
+    ``np.cumsum`` slows down several-fold; its sums may differ from a sequential
+    sum in the last bit, and a draw that lands on a zero weight there is taken
+    again from sequential sums.
     """
-    return _sample(probs, u)[0]
+    return _sample(_checked_weights(probs), u)[0]
+
+
+def _checked_weights(probs: np.ndarray) -> np.ndarray:
+    """A caller's weights, refused unless every one is finite and non-negative."""
+    if not np.isfinite(probs).all():
+        raise NonFiniteAmplitude("weights must be finite")
+    if (probs < 0).any():
+        raise NotNormalized("weights must be non-negative")
+    return probs
 
 
 def _sample(probs: np.ndarray, u: np.ndarray, row: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -546,8 +553,13 @@ def _distinct(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw over ascending outcome index (one row of ``sample_indices``)."""
-    return int(sample_indices(np.reshape(probs, (1, -1)), rng.random(1))[0])
+    """Inverse-CDF draw over ascending outcome index (one row of ``sample_indices``) from a
+    distribution: finite, non-negative weights whose total is 1 within ``INPUT_NORM_TOL``."""
+    row = _checked_weights(np.reshape(probs, (1, -1)))
+    total = float(row.sum())
+    if not abs(total - 1.0) <= INPUT_NORM_TOL:
+        raise NotNormalized(f"weights sum to {total!r}, not 1 within {INPUT_NORM_TOL}")
+    return int(_sample(row, rng.random(1))[0][0])
 
 
 def project_subsystem(

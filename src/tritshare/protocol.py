@@ -340,22 +340,23 @@ def channel_check_round(
     return CheckRecord(basis, tuple(trits[0].tolist()), bool(passed[0]))
 
 
+def _verdict(blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> ChannelVerdict:
+    """The verdict over rounds given block by block as (computational, Fourier, failed) flags, one
+    each per round. A round in neither basis counts in ``total_rounds`` and ``disturbed`` only."""
+    rounds = failures = np.zeros(3, dtype=np.int64)
+    for computational, fourier, failed in blocks:
+        flags = np.stack([np.ones_like(failed), computational, fourier])
+        rounds = rounds + np.count_nonzero(flags, axis=1)
+        failures = failures + np.count_nonzero(flags & failed, axis=1)
+    (total, rounds_c, rounds_f), (fails, fails_c, fails_f) = rounds.tolist(), failures.tolist()
+    rate_c, rate_f = (f / r if r else 0.0 for f, r in ((fails_c, rounds_c), (fails_f, rounds_f)))
+    return ChannelVerdict(fails > 0, total, rounds_c, fails_c, rate_c, rounds_f, fails_f, rate_f)
+
+
 def verify_correlations(records: Iterable[CheckRecord]) -> ChannelVerdict:
-    """Compare-and-abort verdict over recorded check rounds."""
+    """Compare-and-abort verdict over recorded check rounds: their flags, tallied by ``_verdict``."""
     records = list(records)
     if not records:
         raise EmptyInput("no check rounds recorded")
-    rounds_c = sum(1 for r in records if r.basis == COMPUTATIONAL)
-    fails_c = sum(1 for r in records if r.basis == COMPUTATIONAL and not r.passed)
-    rounds_f = sum(1 for r in records if r.basis == FOURIER)
-    fails_f = sum(1 for r in records if r.basis == FOURIER and not r.passed)
-    return ChannelVerdict(
-        disturbed=any(not r.passed for r in records),
-        total_rounds=len(records),
-        rounds_computational=rounds_c,
-        failures_computational=fails_c,
-        failure_rate_computational=fails_c / rounds_c if rounds_c else 0.0,
-        rounds_fourier=rounds_f,
-        failures_fourier=fails_f,
-        failure_rate_fourier=fails_f / rounds_f if rounds_f else 0.0,
-    )
+    flags = np.array([(r.basis == COMPUTATIONAL, r.basis == FOURIER, not r.passed) for r in records], dtype=bool)
+    return _verdict([flags.T])

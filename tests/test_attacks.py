@@ -154,6 +154,34 @@ def test_outside_attack_validation():
         run_check_rounds(5, OutsideAttack((1,), ALWAYS_COMPUTATIONAL), "random", seed=0)
 
 
+_ATTACK_REFUSALS = {
+    "duplicate-targets": (lambda: OutsideAttack((2, 2)), ConfigInvalid, "duplicate target"),
+    "intercept-basis": (
+        lambda: outside_intercept_resend(ghz_state(3), 2, "diagonal", np.random.default_rng(0)),
+        ConfigInvalid,
+        "basis must be one of",
+    ),
+    "check-policy": (lambda: run_check_rounds(5, None, "diagonal", seed=0), ConfigInvalid, "unknown check basis"),
+    "capture-without-qutrit": (
+        lambda: inside_capture_and_fake(start_session(FAKE_ZERO), InsideAttack(3, FAKE_ZERO), victim=1),
+        ConfigInvalid,
+        "must hold a channel qutrit",
+    ),
+    "two-qutrit-secret": (
+        lambda: run_inside_trial(ghz_state(2), InsideAttack(1, FAKE_ZERO), 2, np.random.default_rng(0)),
+        ConfigInvalid,
+        "single-qutrit",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_ATTACK_REFUSALS))
+def test_malformed_attack_input_is_refused(case):
+    call, error, reason = _ATTACK_REFUSALS[case]
+    with pytest.raises(error, match=reason):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # outside experiments
 
@@ -455,12 +483,18 @@ def test_results_do_not_depend_on_block_size(monkeypatch, block):
     def run_long():  # crosses two default inside blocks
         return run_inside_attack_experiment(5000, InsideAttack(1, FAKE_HAAR), SINGLE_COPY, seed=96)
 
+    def run_wide():  # one default block of 12-party registers; 16, 4 or 1 of them at the sizes it runs
+        return run_check_rounds(1000, None, "random", seed=99, num_parties=12)
+
     reference = run_all()
     long_reference = run_long() if block == 1000 else None
+    wide_reference = run_wide() if block >= 64 else None
     monkeypatch.setattr(attacks, "_BLOCK", block)
     assert run_all() == reference
     if block == 1000:
         assert run_long() == long_reference
+    if block >= 64:
+        assert run_wide() == wide_reference
 
 
 # The check kernel as it ran before a block held distinct registers: every round gets its own
@@ -581,10 +615,11 @@ def test_a_one_target_block_holds_at_most_six_registers(monkeypatch, policy):
 
 
 #: (width, targets, rounds per block). Targets None: a register per trial. A check block under t
-#: targets holds at most 6**t registers; where they fit the budget it holds 2,304 rounds.
+#: targets holds at most 6**t registers; where they fit the budget, counting at least one
+#: register, it holds 2,304 rounds.
 _BLOCK_PINS = [(2, None, 2304), (3, None, 768), (4, None, 256), (5, None, 85), (12, None, 1)]
 _BLOCK_PINS += [(attacks._INSIDE_QUTRITS, None, 2304)]
-_BLOCK_PINS += [(3, 0, 2304), (3, 1, 2304), (3, 2, 2304), (4, 3, 2304), (6, 2, 28), (10, 0, 1), (12, 0, 1)]
+_BLOCK_PINS += [(3, 0, 2304), (3, 1, 2304), (3, 2, 2304), (4, 3, 2304), (6, 2, 28), (10, 0, 2304), (12, 0, 2304)]
 
 
 @pytest.mark.parametrize(
@@ -616,6 +651,14 @@ def test_a_full_check_block_allocates_no_table_per_round():
     assert _block_peak(u, attack, 3) < 512 * 1024
     u = attacks._stream(7).random((2304, attacks._check_uniforms(None)))
     assert _block_peak(u, None, 9) < 8 * 16 * 3**9
+
+
+def test_a_full_twelve_party_check_block_allocates_a_few_registers():
+    """An honest 12-party block holds 2,304 rounds on one register of 3**12 amplitudes, 8.5 MB.
+    Under random check bases it meets two (register, basis) pairs, and its traced peak stays below
+    six registers (5.0 here); a one-round block's Fourier check alone takes 3.5."""
+    u = attacks._stream(8).random((2304, attacks._check_uniforms(None)))
+    assert _block_peak(u, None, 12) < 6 * 16 * 3**12
 
 
 def test_inside_experiment_allocates_little():

@@ -16,8 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritshare import AttackStats, fidelity, parse_secret, run_command, xi_state
-from tritshare.cli import MAX_TRIALS, _parse_secret_checked
+from tritshare import (
+    AttackStats,
+    OutsideAttack,
+    fidelity,
+    parse_secret,
+    run_check_rounds,
+    run_command,
+    verify_correlations,
+    xi_state,
+)
+from tritshare.cli import _EVE_CHOICES, _EVE_POLICIES, MAX_TRIALS, _parse_secret_checked
 from tritshare.errors import ConfigInvalid, NotNormalized, ParseError, ReportInvalid
 from tritshare import reporting
 from tritshare.reporting import REPORT_SCHEMA, decode_state, validate_report
@@ -113,6 +122,19 @@ def test_share_literal_secret_with_warning():
     assert len(report["warnings"]) == 1
 
 
+def test_share_refuses_a_component_that_is_not_a_pair():
+    code, out, err = run_cli(["share", "--secret", "1;0;0", "--seed", "1"])
+    assert code == 2 and out == ""
+    assert "is not 're,im'" in err
+
+
+def test_a_fake_with_a_small_drift_is_renormalized_with_a_warning():
+    code, out, _ = run_cli(["attack", "--model", "inside", "--trials", "10", "--fake", "1.0001,0;0,0;0,0", "--seed", "1"])
+    assert code == 0
+    (warning,) = json.loads(out)["warnings"]
+    assert warning.startswith("fake state renormalized")
+
+
 def test_share_rejects_bad_designate():
     code, _, err = run_cli(["share", "--designate", "5", "--seed", "1"])
     assert code == 2
@@ -147,6 +169,18 @@ def test_check_channel_with_eve_exits_four():
     validate_report(report)
     assert report["results"]["verdict"]["disturbed"]
     assert report["results"]["verdict"]["failure_rate_fourier"] > 0.5
+
+
+@pytest.mark.parametrize("basis", ["computational", "fourier", "random"])
+@pytest.mark.parametrize("eve", _EVE_CHOICES)
+def test_check_channel_verdict_is_that_of_the_recorded_rounds(eve, basis):
+    """The command tallies its blocks' flags; the verdict is the one ``verify_correlations`` gives
+    the records ``run_check_rounds`` keeps for the same rounds, over two blocks."""
+    code, out, _ = run_cli(["check-channel", "--rounds", "2305", "--basis", basis, "--eve", eve, "--seed", "12"])
+    attack = None if eve == "none" else OutsideAttack((2,), _EVE_POLICIES[eve])
+    verdict = verify_correlations(run_check_rounds(2305, attack, basis, seed=12))
+    assert json.loads(out)["results"]["verdict"] == dataclasses.asdict(verdict)
+    assert code == (4 if verdict.disturbed else 0)
 
 
 # ---------------------------------------------------------------------------

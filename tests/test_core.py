@@ -31,6 +31,7 @@ from tritshare import (
     pauli_z,
     project_subsystem,
     reduced_density,
+    sample_index,
     tensor,
     xi_family,
     xi_state,
@@ -544,6 +545,36 @@ def test_sample_indices_skips_zero_branches_and_refuses_empty_rows():
         sample_indices(np.array([[0.5, 0.5], [0.0, 0.0]]), np.array([0.1, 0.5]))
 
 
+def test_sample_index_draws_one_row_of_sample_indices():
+    """A row within ``INPUT_NORM_TOL`` of a distribution is drawn with the generator's next uniform."""
+    for seed, probs in enumerate(([0.2, 0.0, 0.8], [1.0], np.full(27, 1 / 27), [0.5, 0.5 + 1e-7])):
+        u = np.random.default_rng(seed).random(1)
+        assert sample_index(probs, np.random.default_rng(seed)) == sample_indices(np.reshape(probs, (1, -1)), u)[0]
+
+
+_NOT_DISTRIBUTIONS = {
+    "nan": ([0.5, np.nan, 0.5], NonFiniteAmplitude, "finite"),
+    "inf": ([np.inf, 0.0, 0.0], NonFiniteAmplitude, "finite"),
+    "negative-summing-to-one": ([2.0, 3.0, -4.0], NotNormalized, "non-negative"),
+    "negative-entry": ([0.5, -0.2, 0.7], NotNormalized, "non-negative"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NOT_DISTRIBUTIONS))
+def test_public_samplers_refuse_weights_that_are_not_finite_and_non_negative(case):
+    probs, error, reason = _NOT_DISTRIBUTIONS[case]
+    with pytest.raises(error, match=reason):
+        sample_index(probs, np.random.default_rng(0))
+    with pytest.raises(error, match=reason):
+        sample_indices(np.array([[1.0, 0.0, 0.0], probs]), np.array([0.4, 0.4]))
+
+
+@pytest.mark.parametrize("probs", [[0.5, 0.5, 0.1], [0.25, 0.25], [0.0, 0.0, 0.0], []])
+def test_sample_index_refuses_a_total_off_one(probs):
+    with pytest.raises(NotNormalized, match="not 1 within"):
+        sample_index(probs, np.random.default_rng(0))
+
+
 @given(st.integers(1, 40).flatmap(lambda size: st.tuples(st.just(size), st.lists(st.integers(0, size - 1), min_size=1))))
 @example((1, [0]))  # one key
 @example((30, [7] * 12))  # all keys equal
@@ -824,6 +855,28 @@ def test_density_matrix_refuses_non_finite_entries(entry):
     mat[0, 1] = mat[1, 0] = entry
     with pytest.raises(NonFiniteAmplitude):
         DensityMatrix(1, mat)
+
+
+_MALFORMED_INPUT = {
+    "state-size": (lambda: PureState(2, [1, 0, 0]), LengthMismatch, "expected 9 amplitudes"),
+    "state-nan": (lambda: PureState(1, [np.nan, 0, 0]), NonFiniteAmplitude, "finite"),
+    "unitary-shape": (lambda: Unitary3(np.eye(2)), LengthMismatch, "3x3"),
+    "unitary-inf": (lambda: Unitary3(np.diag([np.inf, 1, 1])), NonFiniteAmplitude, "finite"),
+    "density-shape": (lambda: DensityMatrix(1, np.eye(2) / 2), LengthMismatch, r"expected a 3x3 matrix"),
+    "digit": (lambda: basis_index([0, 3]), LabelOutOfRange, "0, 1 or 2"),
+    "outcome": (
+        lambda: project_subsystem(ghz_state(2), (1,), computational_family(1), 3),
+        LabelOutOfRange,
+        "outside family of 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_INPUT))
+def test_malformed_input_is_refused_with_its_own_error(case):
+    call, error, reason = _MALFORMED_INPUT[case]
+    with pytest.raises(error, match=reason):
+        call()
 
 
 @pytest.mark.parametrize(

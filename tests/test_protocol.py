@@ -745,6 +745,26 @@ def test_verdict_counts_per_basis():
     assert verdict.failure_rate_computational == 0.0
 
 
+def test_a_record_in_neither_basis_counts_only_in_the_totals():
+    odd = [CheckRecord("diagonal", (0, 1, 2), False), CheckRecord("diagonal", (0, 0, 0), True)]
+    verdict = verify_correlations(odd + [CheckRecord(FOURIER, (0, 1, 2), True)])
+    assert verdict.disturbed and verdict.total_rounds == 3
+    assert (verdict.rounds_computational, verdict.failures_computational) == (0, 0)
+    assert (verdict.rounds_fourier, verdict.failures_fourier, verdict.failure_rate_fourier) == (1, 0, 0.0)
+
+
+def test_a_check_round_refuses_an_unknown_basis():
+    with pytest.raises(ConfigInvalid, match="check basis must be one of"):
+        channel_check_round("diagonal", np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_a_session_refuses_a_wrong_count_of_forced_helpers(count):
+    cfg = SessionConfig(num_agents=3, designated=1, secret=basis_state([0]), seed=1)
+    with pytest.raises(ConfigInvalid, match=f"expected 2 forced helper outcomes, got {count}"):
+        run_sharing_session(cfg, forced_helpers=[0] * count)
+
+
 def test_verdict_empty_input():
     with pytest.raises(EmptyInput):
         verify_correlations([])
