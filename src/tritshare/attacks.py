@@ -14,7 +14,10 @@ GHZ register that all its trials share, and the dealer's measurement,
 whose rows differ between trials, gives each trial its own: one
 ``(B, 3, 3)`` array of the two agents' qutrits, the block's widest. It
 holds up to ``_BLOCK`` = 2,304 trials, so a 1,000-trial experiment is
-one block. A check block holds only the distinct registers its rounds
+one block. Its steps write their nine-wide arrays with ``out=`` into three
+buffers that each thread keeps across blocks and experiments
+(``_workspace``), so a run of experiments does not free and re-fault them
+each block. A check block holds only the distinct registers its rounds
 can be in, plus one register index per round; it starts as the one GHZ
 channel with every round at index 0. Eve's intercept and the check step
 group the rounds by (register, basis) pair, scattering small integer
@@ -45,6 +48,7 @@ the same steps on one register and one round:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
@@ -85,11 +89,13 @@ RANDOM_CHECK_BASIS = "random"
 #: peak memory. Over a warm 100-trial run in a fresh process, the peak RSS of a 4,000-trial
 #: inside experiment grew by 0 MiB at 256-trial blocks, 0.25 MiB at 1,024 and 1.2 MiB at
 #: 2,304, and that of a 1,000-trial one, a single block, by 0.1-0.25 MiB (2 cores, numpy 2.4).
+#: An inside block's nine-wide arrays live in its thread's workspace (``_workspace``), which a
+#: full block grows to 972 KiB and which then stays for the thread's later blocks.
 _BLOCK = 2304
 #: Widest array of an inside trial, in qutrits: the dealt register of the two agents' channel
 #: qutrits, 3 x 3 amplitudes (16 B each, so 324 KiB for a block of 2,304 trials). The dealer's
 #: step keeps no wider array: its Born weights are nine per trial and it gathers one 3 x 3 Bell
-#: block per trial.
+#: block per trial. Each of the workspace's three buffers holds one such array.
 _INSIDE_QUTRITS = 2
 
 # Columns of an inside trial's uniforms: six for the Haar secret, then the
@@ -188,8 +194,15 @@ def _fourier_flags(u: np.ndarray, random: bool, always: bool) -> np.ndarray:
 
 
 def _haar_secrets(u: np.ndarray) -> np.ndarray:
-    """Haar-random qutrits from six uniforms per row: three Box-Muller complex Gaussians, normalized."""
-    gaussians = np.sqrt(-2.0 * np.log1p(-u[:, 0:6:2])) * np.exp(2j * np.pi * u[:, 1:6:2])
+    """Haar-random qutrits from six uniforms per row: three Box-Muller complex Gaussians, normalized.
+    Each Gaussian's parts ``r cos(t)`` and ``r sin(t)`` are written into the ``float64`` view: the
+    same values as ``r * np.exp(1j * t)``, without its complex exponential."""
+    gaussians = np.empty((len(u), 3), dtype=np.complex128)
+    parts = gaussians.view(np.float64).reshape(len(u), 3, 2)
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0:6:2]))
+    angle = 2 * np.pi * u[:, 1:6:2]
+    np.multiply(radius, np.cos(angle), out=parts[:, :, 0])
+    np.multiply(radius, np.sin(angle), out=parts[:, :, 1])
     return gaussians / np.linalg.norm(gaussians, axis=1, keepdims=True)
 
 
@@ -200,6 +213,26 @@ class _InsideBlock(NamedTuple):
     announced: np.ndarray  # Fourier outcome the helper announces
     captured: np.ndarray  # the designated attacker's outcome on the captured qutrit, -1 if none
     fidelity: np.ndarray  # the designated agent's reconstruction against the secret
+
+
+#: Each thread's inside workspace, taken on its first inside block (never at import).
+_local = threading.local()
+
+
+def _workspace(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's three flat complex buffers of at least ``3**_INSIDE_QUTRITS`` amplitudes per
+    trial of a block of ``size`` inside trials, into which the block's steps write their per-trial
+    arrays: 3 x 9 x 16 B a trial, 972 KiB for a full block.
+
+    The buffers are kept from block to block and replaced by longer ones when a longer block
+    comes, so a run of experiments does not free and take them again each block, and glibc does
+    not trim and re-fault the heap they would leave. They are the thread's own: numpy releases the
+    GIL inside its products, so threads sharing them would overwrite each other's blocks."""
+    buffers = getattr(_local, "buffers", ())
+    width = 3**_INSIDE_QUTRITS * size
+    if not buffers or len(buffers[0]) < width:
+        buffers = _local.buffers = tuple(np.empty(width, dtype=np.complex128) for _ in range(3))
+    return buffers
 
 
 def _inside_block(secrets: np.ndarray, designated: np.ndarray, attack: InsideAttack, u: np.ndarray) -> _InsideBlock:
@@ -221,18 +254,20 @@ def _inside_block(secrets: np.ndarray, designated: np.ndarray, attack: InsideAtt
     and the victim reconstructs on the fake, which is what the dealer's
     comparison sees.
     """
-    bell, _, state = _deal(secrets, 2, u[:, _U_BELL])
+    work = _workspace(len(u))  # the dealt register stays in the third buffer until the helpers' step
+    bell, _, state = _deal(secrets, 2, u[:, _U_BELL], work)
     if attack.fake_state is None:
-        (announced,), kept = _help(state, u[:, _U_FIRST : _U_FIRST + 1])
+        (announced,), kept = _help(state, u[:, _U_FIRST : _U_FIRST + 1], work[:2])
         captured = np.full(len(u), -1, dtype=np.intp)
-        return _InsideBlock(bell, announced, captured, _reconstruction_fidelity(kept, secrets, bell, announced))
+        fid = _reconstruction_fidelity(kept, secrets, bell, announced, work[:2])
+        return _InsideBlock(bell, announced, captured, fid)
 
     theft = designated == attack.dishonest_agent
-    (outcome,), kept = _help(state, np.where(theft, u[:, _U_SECOND], u[:, _U_FIRST])[:, None])
+    (outcome,), kept = _help(state, np.where(theft, u[:, _U_SECOND], u[:, _U_FIRST])[:, None], work[:2])
     fake = attack.fake_state.amplitudes
     fake_weights = np.broadcast_to(np.abs(_XI_ROWS @ fake) ** 2, (len(u), 3))
     announced = np.where(theft, _sample(fake_weights, u[:, _U_FIRST])[0], outcome)
-    fid = _reconstruction_fidelity(np.where(theft[:, None], kept, fake), secrets, bell, outcome)
+    fid = _reconstruction_fidelity(np.where(theft[:, None], kept, fake), secrets, bell, outcome, work[:2])
     return _InsideBlock(bell, announced, np.where(theft, outcome, -1), fid)
 
 

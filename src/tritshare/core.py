@@ -50,6 +50,7 @@ are such families, and their members are trusted states too.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -366,7 +367,15 @@ def _grouped(block: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     return block.transpose(order).reshape(len(block), 3 ** len(axes), -1)
 
 
-def _contract(rows: np.ndarray, block: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+def _view(work: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray | None:
+    """The leading elements of the flat buffer ``work`` as a ``shape`` array, for a numpy ``out=``;
+    None without a buffer, so that numpy allocates the result."""
+    return None if work is None else work[: math.prod(shape)].reshape(shape)
+
+
+def _contract(
+    rows: np.ndarray, block: np.ndarray, axes: Sequence[int], work: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
     """``(B, m, rest)`` coefficients of ``m`` rows on the targets of each register.
 
     Rows that the registers share run as one 2-D matrix product:
@@ -377,10 +386,19 @@ def _contract(rows: np.ndarray, block: np.ndarray, axes: Sequence[int]) -> np.nd
     - per-register ``(B, m, 3**t)`` rows: one stacked product per register,
       ``rows @ (B, 3**t, rest)``, which broadcasts a one-register block
       against every row set.
+
+    ``work``, for shared rows, is two flat complex buffers that receive the moved block and the
+    product (``block.size`` and ``m * block.size / 3**t`` elements), so the step allocates
+    neither; the coefficients are then a view of the second.
     """
     if rows.ndim == 2:
-        flat = block.transpose([k + 1 for k in axes] + [0] + _others(block, axes)).reshape(rows.shape[1], -1)
-        return (rows @ flat).reshape(len(rows), len(block), -1).transpose(1, 0, 2)
+        moved, out = block.transpose([k + 1 for k in axes] + [0] + _others(block, axes)), None
+        if work is not None:
+            buffer = _view(work[0], moved.shape)
+            np.copyto(buffer, moved)
+            moved, out = buffer, _view(work[1], (len(rows), moved.size // rows.shape[1]))
+        product = np.matmul(rows, moved.reshape(rows.shape[1], -1), out=out)
+        return product.reshape(len(rows), len(block), -1).transpose(1, 0, 2)
     return rows @ _grouped(block, axes)
 
 
@@ -400,7 +418,11 @@ def _normalized(kept: np.ndarray, weight: np.ndarray) -> np.ndarray:
 
 
 def _measure(
-    block: np.ndarray, axes: Sequence[int], rows: np.ndarray, draw: np.ndarray
+    block: np.ndarray,
+    axes: Sequence[int],
+    rows: np.ndarray,
+    draw: np.ndarray,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Measure the targets of register b in the family whose conjugated members are ``rows``,
     sampling with uniform ``draw[b]`` or, where ``draw`` holds integers, forcing that outcome.
@@ -409,8 +431,8 @@ def _measure(
     The registers are those of the coefficients: a one-register block measured
     with B per-register row sets collapses into B registers. Every row meets every register
     (``_contract``), the weights are the coefficients' squared norms, and the drawn row's
-    coefficients are kept."""
-    coeffs = _contract(rows, block, axes)
+    coefficients are kept, a fresh array whatever ``work`` (``_contract``'s buffers) holds."""
+    coeffs = _contract(rows, block, axes, work)
     probs = _weights(coeffs)
     registers = np.arange(len(coeffs))
     if draw.dtype.kind in "iu":

@@ -35,6 +35,7 @@ from .core import (
     _normalized,
     _sample,
     _trusted_state,
+    _view,
     _weights,
     apply_single,
     fidelity,
@@ -197,7 +198,12 @@ _BELL_BLOCKS = _freeze(_BELL_ROWS.reshape(9, 3, 3))
 _BELL_FORMS = _freeze(np.einsum("kij,kIJ,r->iIrkjJ", _BELL_BLOCKS, _BELL_BLOCKS.conj(), [1, 1j]).reshape(18, 9, 9))
 
 
-def _deal(secrets: np.ndarray, num_agents: int, draw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _deal(
+    secrets: np.ndarray,
+    num_agents: int,
+    draw: np.ndarray,
+    work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The dealer's step: the dealer Bell-measures register b's secret ``secrets[b]`` with its own
     qutrit of a fresh GHZ(N+1) channel, drawing with ``draw[b]`` as ``core._measure`` does.
 
@@ -210,6 +216,11 @@ def _deal(secrets: np.ndarray, num_agents: int, draw: np.ndarray) -> tuple[np.nd
     a branch at ``ZERO_PROB_TOL`` and the normalization come from the kept row's squared norm.
     Returns the outcomes 3n + m, their Born weights and the agents' block, agent a's qutrit on
     axis a - 1.
+
+    ``work`` is three flat complex buffers of at least ``B * 3**N`` elements, into which the step
+    then writes its wide per-trial arrays: the outer products and then the secrets' rows into the
+    first, the gathered Bell blocks into the second, and the agents' block, which is returned as a
+    view, into the third.
     """
     channel = ghz_state(num_agents + 1).amplitudes.reshape(3, -1)
     density = np.empty((3, 3), dtype=np.complex128)
@@ -218,17 +229,24 @@ def _deal(secrets: np.ndarray, num_agents: int, draw: np.ndarray) -> tuple[np.nd
             density[i, j] = np.vdot(channel[j], channel[i])
             density[j, i] = np.conj(density[i, j])
     forms = (_BELL_FORMS @ density.reshape(9)).real
-    outer = (secrets[:, :, None] @ secrets.conj()[:, None, :]).reshape(-1, 9)
-    probs = outer.view(np.float64) @ forms
+    size = len(secrets)
+    first, second, third = work or (None, None, None)
+    outer = np.matmul(secrets[:, :, None], secrets.conj()[:, None, :], out=_view(first, (size, 3, 3)))
+    probs = outer.reshape(-1, 9).view(np.float64) @ forms
     outcome = draw if draw.dtype.kind in "iu" else _sample(probs, draw)[0]
-    kept = (secrets[:, None, :] @ _BELL_BLOCKS[outcome])[:, 0] @ channel
+    # The outcomes lie in 0..8; "clip" skips the temporary copy that "raise" makes with ``out``.
+    blocks = _BELL_BLOCKS.take(outcome, axis=0, out=_view(second, (size, 3, 3)), mode="clip")
+    rows = np.matmul(secrets[:, None, :], blocks, out=_view(first, (size, 1, 3)))
+    kept = np.matmul(rows[:, 0], channel, out=_view(third, (size, channel.shape[1])))
     weight = _weights(kept)
     if weight.min() <= ZERO_PROB_TOL:
         raise ZeroProbabilityBranchSampled(f"dealt branch has probability {float(weight.min())!r}")
     return outcome, weight, _normalized(kept, weight).reshape((len(kept),) + (3,) * num_agents)
 
 
-def _help(state: np.ndarray, draws: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+def _help(
+    state: np.ndarray, draws: np.ndarray, work: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[list[np.ndarray], np.ndarray]:
     """The helpers' step: the i-th helper Fourier-measures qutrit 0 of register b with
     ``draws[b, i]``. Returns each helper's outcomes, the i-th helper's of every register in the
     i-th array, and the block of the qutrits left.
@@ -236,20 +254,31 @@ def _help(state: np.ndarray, draws: np.ndarray) -> tuple[list[np.ndarray], np.nd
     Which agent holds which qutrit does not matter: the dealt register lies in the span of the
     |kk...k>, so it is symmetric, bit for bit, under every permutation of its qutrits, and each
     helper's measurement keeps it so. Every helper can therefore measure axis 0, whoever helps,
-    in any order, and the reconstructing agent holds whatever qutrit is left."""
+    in any order, and the reconstructing agent holds whatever qutrit is left. ``work`` is
+    ``core._contract``'s pair of buffers for every measurement; the block left is a fresh array."""
     outcomes = []
     for draw in draws.T:
-        outcome, _, state = _measure(state, (0,), _XI_ROWS, draw)
+        outcome, _, state = _measure(state, (0,), _XI_ROWS, draw, work)
         outcomes.append(outcome)
     return outcomes, state
 
 
 def _reconstruction_fidelity(
-    qutrits: np.ndarray, secrets: np.ndarray, bell: np.ndarray, helper_sum: np.ndarray
+    qutrits: np.ndarray,
+    secrets: np.ndarray,
+    bell: np.ndarray,
+    helper_sum: np.ndarray,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Fidelity ``|<secret|R|q>|^2`` of each register's reconstructing qutrit ``q`` (``(B, 3)``)
-    to its secret under the correction R that the Bell outcome and the helper sum select."""
-    rows = secrets.conj()[:, None, :] @ _recovery_table().reshape(27, 3, 3).take(3 * bell + helper_sum, axis=0)
+    to its secret under the correction R that the Bell outcome and the helper sum select.
+    ``work`` is two flat complex buffers of at least 9 B elements, for the gathered corrections
+    and the secrets' rows under them."""
+    size = len(secrets)
+    first, second = work or (None, None)
+    corrections = _recovery_table().reshape(27, 3, 3)
+    table = corrections.take(3 * bell + helper_sum, axis=0, out=_view(first, (size, 3, 3)), mode="clip")
+    rows = np.matmul(secrets.conj()[:, None, :], table, out=_view(second, (size, 1, 3)))
     return np.minimum(1.0, _weights(_contract(rows, qutrits, (0,)))[:, 0])
 
 

@@ -8,7 +8,9 @@ the designation coin flip.
 
 import functools
 import itertools
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -663,7 +665,9 @@ def test_a_full_twelve_party_check_block_allocates_a_few_registers():
 
 def test_inside_experiment_allocates_little():
     # A 1,000-trial experiment is one block whose widest arrays hold nine amplitudes or weights
-    # per trial; a (1000, 9, 9) coefficient array alone would be 1.2 MiB.
+    # per trial; a (1000, 9, 9) coefficient array alone would be 1.2 MiB. The warm-up also builds
+    # the thread's workspace, so the second run allocates only the block's smaller arrays: 377 KiB
+    # traced (numpy 2.4), against 654 KiB when each block took its nine-wide arrays afresh.
     attack = InsideAttack(1, FAKE_HAAR)
     run_inside_attack_experiment(1000, attack, SINGLE_COPY, seed=4)  # warms the caches it builds
     tracemalloc.start()
@@ -672,7 +676,49 @@ def test_inside_experiment_allocates_little():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**20
+    assert peak < 2**19
+
+
+#: Inside runs of more than one 2,304-trial block, so that a run's blocks use the workspace at two
+#: lengths: every fake (none, |0>, Haar) under both comparisons, by each dishonest agent.
+_THREADED_RUNS = [
+    (2305 + 700 * i, InsideAttack(1 + i % 2, fake), mode, 40 + i)
+    for i, (fake, mode) in enumerate(itertools.product((None, FAKE_ZERO, FAKE_HAAR), (EXACT, SINGLE_COPY)))
+]
+
+
+def test_inside_experiments_agree_across_threads():
+    # Each thread writes its blocks into a workspace of its own. numpy releases the GIL inside its
+    # products, so two threads sharing one would overwrite each other's blocks.
+    sequential = [run_inside_attack_experiment(*run) for run in _THREADED_RUNS * 5]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, between numpy calls too
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda run: run_inside_attack_experiment(*run), _THREADED_RUNS * 5, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == sequential
+
+
+def test_inside_results_share_no_memory_with_the_workspace():
+    u = attacks._stream(6).random((500, attacks._INSIDE_UNIFORMS))
+    secrets, designated = attacks._inside_inputs(u, None)
+    for fake in (None, FAKE_ZERO, FAKE_HAAR):
+        block = attacks._inside_block(secrets, designated, InsideAttack(1, fake), u)
+        assert not any(np.shares_memory(a, b) for a in block for b in attacks._workspace(len(u)))
+
+    secret = haar_random_state(np.random.default_rng(7))
+    outcome = run_inside_trial(secret, InsideAttack(1, FAKE_HAAR), 2, np.random.default_rng(8))
+    fields = (outcome.bell.n, outcome.bell.m, outcome.designated, outcome.reconstruction_fidelity)
+    assert all(type(field) in (int, float) for field in fields)  # built-in numbers, not workspace views
+    transcript = run_sharing_session(SessionConfig(2, 1, secret, 9))
+    reconstructed = transcript.reconstructed.amplitudes.copy()
+    for run in _THREADED_RUNS:
+        run_inside_attack_experiment(*run)
+    assert (outcome.bell.n, outcome.bell.m, outcome.designated, outcome.reconstruction_fidelity) == fields
+    assert np.array_equal(transcript.reconstructed.amplitudes, reconstructed)
+    assert all(buffer.flags.writeable for buffer in attacks._workspace(1))  # no block froze a view of it
 
 
 # ---------------------------------------------------------------------------
