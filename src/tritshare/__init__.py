@@ -62,7 +62,7 @@ from .protocol import (
     verify_correlations,
 )
 
-__version__ = "0.4.6"
+__version__ = "0.4.7"
 
 
 def __getattr__(name: str):

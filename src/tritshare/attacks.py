@@ -17,20 +17,31 @@ holds up to ``_BLOCK`` = 2,304 trials, so a 1,000-trial experiment is
 one block. Its steps write their nine-wide arrays with ``out=`` into three
 buffers that each thread keeps across blocks and experiments
 (``_workspace``), so a run of experiments does not free and re-fault them
-each block. A check block holds only the distinct registers its rounds
-can be in, plus one register index per round; it starts as the one GHZ
-channel with every round at index 0. Eve's intercept and the check step
-group the rounds by (register, basis) pair, scattering small integer
-keys into a table of flags (``core._distinct``), contract each pair once
-and sum its weights once, and every round draws against its pair's sums
-(``core._counts``). An intercept builds one register per (pair, outcome)
-that occurred, and the check step decodes only the joint outcomes its
-block drew. A check block under t targets thus builds at most 6**t
-registers; where those fit the amplitude budget, counting at least one,
-it holds ``_BLOCK`` rounds, so a 1,000-round experiment is one block at
-three parties under any attack, at four with three targets, and at any
-width with no Eve. ``check-channel`` tallies each block's flags into its
-verdict (``protocol._verdict``) and keeps no record per round.
+each block. A check round's draws depend only on its configuration: the
+party count, Eve's targets and bases, and the check bases. Each
+intercept and the check step have two parts, a per-pair part, the Born
+weights and cumulative sums of a (register, basis) pair and, for an
+intercept, the registers Eve resends, and a per-round draw against the
+round's pair's sums (``core._sample``). Where a configuration's complete
+register tree fits the amplitude budget of a block, at most
+``(3 * |Eve's bases|)**t * 3**n`` amplitudes under t targets, its
+per-pair parts are built once, for every pair, and kept read-only in a
+small cache (``_check_tables``): blocks and experiments then only draw,
+each round stepping from register to register through the tables, and
+the verdict of a joint outcome is one lookup (``protocol._passes``).
+Elsewhere a check block builds the pairs its rounds reach: it holds the
+distinct registers its rounds can be in, plus one register index per
+round, and groups its rounds by (register, basis) pair, scattering small
+integer keys into a table of flags (``core._distinct``). An intercept
+builds one register per (pair, outcome) that occurred, so a block under t
+targets builds at most 6**t registers; where those fit the amplitude
+budget, counting at least one, it holds ``_BLOCK`` rounds, so a
+1,000-round experiment is one block at three parties under any attack, at
+four with three targets, and at any width with no Eve. Both routes run
+the same steps on the same pairs, so they draw the same rounds.
+``check-channel`` tallies each block's flags into its verdict
+(``protocol._verdict``) and keeps no record per round; only
+``run_check_rounds`` decodes its rounds' joint outcomes into trits.
 Every trial consumes the same number K of uniform doubles, a multiple of
 the four doubles Philox yields per counter step, so trial ``t`` reads the
 K uniforms at counter ``t * K / 4``. Results are therefore identical for
@@ -50,18 +61,20 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .core import (
-    PureState, _axes, _block, _contract, _distinct, _integer, _normalized, _sample, _trusted_state, _weights, tensor,
+    ZERO_PROB_TOL, PureState, _axes, _block, _contract, _distinct, _freeze, _integer, _normalized, _sample,
+    _trusted_state, _weights, tensor,
 )
 from .errors import ConfigInvalid, LabelOutOfRange, SelfCapture
 from .operators import _COMPUTATIONAL_ROWS, _XI_ROWS, BellOutcome, ghz_state
 from .protocol import (
-    CHECK_BASES, COMPUTATIONAL, FOURIER, CheckRecord, _check_outcomes, _deal, _help, _pairs, _reconstruction_fidelity,
-    _validated_parties, _validated_seed,
+    CHECK_BASES, COMPUTATIONAL, FOURIER, CheckRecord, _check_outcomes, _deal, _help, _joint_weights, _pairs, _passed,
+    _reconstruction_fidelity, _trits, _validated_parties, _validated_seed,
 )
 
 ALWAYS_COMPUTATIONAL = "always_computational"
@@ -83,8 +96,12 @@ RANDOM_CHECK_BASIS = "random"
 #: share the few registers its intercepts can build, and no per-round array grows with a
 #: register, so where those registers fit the budget, counting at least one, it holds
 #: ``_BLOCK`` rounds too; where they do not, as many rounds as registers fit (``_block_sizes``).
-#: Traced peaks of a 2,304-round block: 190 KiB at three parties under two intercepts; 5.6
-#: registers at nine parties and 5.0 at twelve with no Eve (2 cores, numpy 2.4).
+#: A configuration whose complete register tree fits the same budget builds it once, into
+#: cached tables (``_check_tables``), and its blocks only draw; the budget, not the block, sets
+#: which configurations do, and the draws are the same either way.
+#: Traced peaks of a 2,304-round block once its tables are built: 152 KiB at three parties under
+#: two intercepts, 0.36 registers at nine parties with no Eve; 5.0 registers at twelve, whose
+#: blocks build theirs (2 cores, numpy 2.4).
 #: Smaller blocks are bound by numpy's per-call overhead; larger ones raise an experiment's
 #: peak memory. Over a warm 100-trial run in a fresh process, the peak RSS of a 4,000-trial
 #: inside experiment grew by 0 MiB at 256-trial blocks, 0.25 MiB at 1,024 and 1.2 MiB at
@@ -301,37 +318,127 @@ def _intercept(
     round's index into them.
 
     Only the distinct (register, basis) pairs are contracted, and each pair's cumulative weights
-    are summed once. Each round draws its outcome against its pair's sums, and one register is
-    built per (pair, outcome) that occurred."""
+    are summed once (``_intercept_pairs``). Each round draws its outcome against its pair's sums
+    (``core._sample``), and one register is built per (pair, outcome) that occurred (``_resent``)."""
     block, flags, pair = _pairs(registers, index, fourier)
-    rows = _basis_rows(flags)
+    rows, coeffs, weights, sums = _intercept_pairs(block, flags, axis)
+    outcome, _ = _sample(weights, u, pair, sums)
+    kinds, index = _distinct(pair * 3 + outcome, 3 * len(weights))
+    return _resent(rows, coeffs, weights, kinds, axis, registers.shape[1:]), index
+
+
+def _intercept_pairs(
+    block: np.ndarray, fourier: np.ndarray, axis: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The intercept step's per-pair part: Eve's rows on qutrit ``axis`` of pair p's register
+    ``block[p]``, in the Fourier basis where ``fourier[p]``, with their coefficients, Born weights
+    ``(P, 3)`` and cumulative sums."""
+    rows = _basis_rows(fourier)
     coeffs = _contract(rows, block, (axis,))
     weights = _weights(coeffs)
-    outcome, _ = _sample(weights, u, pair)
-    kinds, index = _distinct(pair * 3 + outcome, 3 * len(weights))
+    return rows, coeffs, weights, np.cumsum(weights, axis=1)
+
+
+def _resent(
+    rows: np.ndarray, coeffs: np.ndarray, weights: np.ndarray, kinds: np.ndarray, axis: int, shape: tuple[int, ...]
+) -> np.ndarray:
+    """The registers (each of ``shape``) that Eve resends, one per key ``3 p + k`` of ``kinds``:
+    pair p's register after outcome k, its kept coefficients normalized and member k of its basis
+    put back on ``axis``. Every key's weight lies above ``ZERO_PROB_TOL``."""
     p, k = kinds // 3, kinds % 3
     kept = _normalized(coeffs[p, k], weights[p, k])
     resent = kept.reshape(len(kinds), 3**axis, 1, -1) * rows[p, k].conj()[:, None, :, None]
-    return resent.reshape((len(kinds),) + registers.shape[1:]), index
+    return resent.reshape((len(kinds),) + shape)
+
+
+class _Tables(NamedTuple):
+    """A check configuration's complete register tree, reduced to what its rounds draw from. Per
+    intercept, pair ``2 r + f`` (``r`` where Eve's policy uses one basis) is register r in basis f:
+    its weights ``(P, 3)``, their sums, and for each outcome the index of the register it resends,
+    built only where the weight lies above ``ZERO_PROB_TOL`` (-1 elsewhere, as no draw takes such
+    an outcome). Then the check pairs of the last registers, numbered alike: their joint weights
+    ``(P, 3**n)`` and sums."""
+
+    intercepts: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    joint: tuple[np.ndarray, np.ndarray]
+
+
+def _bases(policy: str | None, fourier: str, random: str) -> tuple[bool, ...]:
+    """The basis flags (True for Fourier) that a per-round basis policy draws from: both under
+    ``random``, the Fourier basis alone under ``fourier``, the computational one under any other."""
+    return (False, True) if policy == random else (policy == fourier,)
+
+
+def _tables(attack: OutsideAttack | None, check_basis_policy: str, num_parties: int) -> _Tables | None:
+    """The configuration's tables (``_check_tables``) where its complete register tree fits the
+    amplitude budget of a block, ``(3 * |Eve's bases|)**t * 3**n`` amplitudes at most; else None,
+    and each block builds the registers its rounds reach."""
+    axes, eve = (), ()
+    if attack is not None:
+        axes = tuple(target - 1 for target in attack.target_qutrits)
+        eve = _bases(attack.measure_basis_policy, ALWAYS_FOURIER, RANDOM_PER_QUTRIT)
+    if (3 * len(eve)) ** len(axes) * 3**num_parties > _BLOCK * 3**_INSIDE_QUTRITS:
+        return None
+    return _check_tables(num_parties, axes, eve, _bases(check_basis_policy, FOURIER, RANDOM_CHECK_BASIS))
+
+
+#: Configurations whose tables stay cached. A configuration's tables fit the amplitude budget of a
+#: block, 20,736 amplitudes, so its joint weights and sums take at most 2 check bases x 20,736 x
+#: 16 B = 648 KiB and its intercepts at most 6 KiB (72 B per pair); the cache thus holds at most
+#: 16 x 654 KiB, 10.3 MiB, plus the pass flags of ``protocol._passes``. At three parties a
+#: configuration's tables take 5.2 KiB under one random intercept and 26 KiB under two.
+_TABLES = 16
+
+
+@lru_cache(maxsize=_TABLES)
+def _check_tables(num_parties: int, axes: tuple[int, ...], eve: tuple[bool, ...], check: tuple[bool, ...]) -> _Tables:
+    """Build a configuration's ``_Tables`` once: every register its rounds can reach under Eve's
+    intercepts on ``axes`` in the bases ``eve``, and every check pair in the bases ``check``. The
+    steps are the per-block route's (``_intercept_pairs``, ``_resent``, ``_joint_weights``), each on
+    whole levels of the tree, so a round draws what it draws there. The arrays are read-only and
+    shared by every thread."""
+    registers = _block(ghz_state(num_parties))
+    intercepts = []
+    for axis in axes:
+        block = np.repeat(registers, len(eve), axis=0)
+        rows, coeffs, weights, sums = _intercept_pairs(block, np.tile(eve, len(registers)), axis)
+        kinds = np.flatnonzero(weights > ZERO_PROB_TOL)
+        resent = np.full(weights.shape, -1, dtype=np.intp)
+        resent.reshape(-1)[kinds] = np.arange(len(kinds))
+        registers = _resent(rows, coeffs, weights, kinds, axis, registers.shape[1:])
+        intercepts.append((_freeze(weights), _freeze(sums), _freeze(resent)))
+    flat = np.repeat(registers.reshape(len(registers), -1), len(check), axis=0)
+    probs, sums = _joint_weights(flat, np.tile(check, len(registers)), num_parties)
+    return _Tables(tuple(intercepts), (_freeze(probs), _freeze(sums)))
 
 
 def _check_block(
     u: np.ndarray, attack: OutsideAttack | None, check_basis_policy: str, num_parties: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Play a block of check rounds; return per round the Fourier-basis flag, the parties' outcome
-    trits ``(B, num_parties)`` and the verdict. Each intercept builds only the registers that its
-    (register, basis, outcome) triples call for."""
+    """Play a block of check rounds; return per round the Fourier-basis flag, the parties' joint
+    outcome index (its base-3 digits are their trits, ``protocol._trits``) and the verdict. Where
+    the configuration's tables fit (``_tables``), every round only draws from them; elsewhere each
+    intercept builds only the registers that its (register, basis, outcome) triples call for."""
     fourier = _fourier_flags(u[:, 0], check_basis_policy == RANDOM_CHECK_BASIS, check_basis_policy == FOURIER)
-    registers = _block(ghz_state(num_parties))
-    index = np.zeros(len(u), dtype=np.intp)
-
     targets = attack.target_qutrits if attack is not None else ()
-    for i, target in enumerate(targets):
-        policy = attack.measure_basis_policy
-        eve = _fourier_flags(u[:, 1 + 2 * i], policy == RANDOM_PER_QUTRIT, policy == ALWAYS_FOURIER)
-        registers, index = _intercept(registers, index, target - 1, eve, u[:, 2 + 2 * i])
-    trits, passed = _check_outcomes(registers, index, fourier, u[:, 1 + 2 * len(targets)])
-    return fourier, trits, passed
+    policy = attack.measure_basis_policy if attack is not None else None
+    random, always = policy == RANDOM_PER_QUTRIT, policy == ALWAYS_FOURIER
+    eve = [_fourier_flags(u[:, 1 + 2 * i], random, always) for i in range(len(targets))]
+    last = u[:, 1 + 2 * len(targets)]
+    tables = _tables(attack, check_basis_policy, num_parties)
+    if tables is None:
+        registers, index = _block(ghz_state(num_parties)), np.zeros(len(u), dtype=np.intp)
+        for i, target in enumerate(targets):
+            registers, index = _intercept(registers, index, target - 1, eve[i], u[:, 2 + 2 * i])
+        return (fourier,) + _check_outcomes(registers, index, fourier, last)
+    index = np.zeros(len(u), dtype=np.intp)
+    for i, (weights, sums, resent) in enumerate(tables.intercepts):
+        pair = index * 2 + eve[i] if random else index
+        outcome, _ = _sample(weights, u[:, 2 + 2 * i], pair, sums)
+        index = resent[pair, outcome]
+    pair = index * 2 + fourier if check_basis_policy == RANDOM_CHECK_BASIS else index
+    joint, _ = _sample(tables.joint[0], last, pair, tables.joint[1])
+    return fourier, joint, _passed(joint, fourier, num_parties)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +505,8 @@ def run_check_rounds(
     blocks = _check_blocks(rounds, "rounds", "check round", attack, check_basis_policy, seed, num_parties)
     return [
         CheckRecord(FOURIER if f else COMPUTATIONAL, tuple(t), p)
-        for fourier, trits, passed in blocks
-        for f, t, p in zip(fourier.tolist(), trits.tolist(), passed.tolist())
+        for fourier, joint, passed in blocks
+        for f, t, p in zip(fourier.tolist(), _trits(joint, num_parties).tolist(), passed.tolist())
     ]
 
 

@@ -24,7 +24,9 @@ pair, scattering their small integer keys into a table of flags
 ``_weights``) each pair once, takes each pair's cumulative sums once, and
 draws every round against its own pair's (``_sample`` with a row per draw)
 by a binary search that all rounds step through together (``_counts``), so
-no array of the draw grows as rounds times outcomes.
+no array of the draw grows as rounds times outcomes. Where a
+configuration's pairs all fit, the kernel keeps their sums across blocks
+and only draws.
 
 Born weights are ``np.vecdot`` of the coefficients' ``float64`` view with
 itself. A sampled draw returns the weights it drew (``_sample``), so they
@@ -501,13 +503,17 @@ def _checked_weights(probs: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _sample(probs: np.ndarray, u: np.ndarray, row: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _sample(
+    probs: np.ndarray, u: np.ndarray, row: np.ndarray | None = None, sums: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """``sample_indices``' draws and the drawn entries' weights, which its refusal gathers anyway.
 
     With ``row``, draw b is from row ``row[b]`` of ``probs``, as ``sample_indices(probs[row], u)``
     draws, but each row's cumulative sums are taken once, by ``np.cumsum``, and no per-draw row
-    is gathered (``_counts``). A sequential sum of non-negative weights is flat across a zero
-    weight, so such a draw never lands on one. The product sums of a row of up to
+    is gathered (``_counts``). ``sums``, with ``row``, are those sums taken before: the check
+    kernel takes them once per block, or once per configuration and keeps them, and every draw
+    of its rounds comes through here. A sequential sum of non-negative weights is flat across a
+    zero weight, so such a draw never lands on one. The product sums of a row of up to
     ``_PRODUCT_CUMSUM_WIDTH`` outcomes can step there, as OpenBLAS's small-matrix kernels sum out
     of order; a draw that lands on a weight at or below ``ZERO_PROB_TOL`` is redrawn from its
     row's sequential sums, and refused only if that weight is zero too. A draw therefore differs
@@ -520,7 +526,7 @@ def _sample(probs: np.ndarray, u: np.ndarray, row: np.ndarray | None = None) -> 
     if product:
         k = np.sum(probs @ _upper_ones(n) <= u[:, None], axis=1)
     else:
-        k = _counts(np.cumsum(probs, axis=1), u, row)
+        k = _counts(np.cumsum(probs, axis=1) if sums is None else sums, u, row)
     if k.max() >= n:
         overflow = k >= n
         positive = probs[row[overflow]] > ZERO_PROB_TOL

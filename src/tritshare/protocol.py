@@ -145,23 +145,30 @@ def _check_outcomes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The check step on a block: in round r every party measures register ``index[r]`` in the
     Fourier basis where ``fourier[r]``, else the computational one, and the joint outcome is drawn
-    with ``u[r]``. Returns the trits ``(R, parties)`` and whether each round kept the GHZ
-    correlation: a Fourier round passes when they sum to 0 mod 3, a computational one when they
-    all agree.
+    with ``u[r]``. Returns each round's joint outcome index, whose base-3 digits are the parties'
+    trits (``_trits``), and whether the round kept the GHZ correlation (``_passed``).
 
-    Born weights and their cumulative sums are computed once per distinct (register, basis) pair,
-    from the pair's flat ``3**n`` amplitudes, and each round draws against its pair's sums
-    (``_sample`` with the rounds' pairs as rows) by a search that gathers no round's row. The
-    step's widest arrays are the P pairs' ``3**n`` weights, so 2,304 rounds of nine parties with
-    no Eve take a few registers, not a ``(2304, 3**9)`` table. A computational pair's weights are
-    those of its raw register. Only the Fourier pairs' registers are turned: one product per party
-    turns the last qutrit, ``(P * 3**(n-1), 3) @ rows.T``, and rotates it to the front, so n turns
-    leave the qutrits in order. Only the distinct joint indices the block drew are decoded, and
-    each round gathers its own index's trits and verdict. The trits are the base-3 digits of the
-    index, and the digits all agree exactly at the multiples of ``(3**n - 1) // 2``, the index of
-    |11...1>."""
-    n = registers.ndim - 1
+    Born weights and their cumulative sums are computed once per distinct (register, basis) pair
+    (``_joint_weights``), and each round draws against its pair's sums (``core._sample``) by a
+    search that gathers no round's row. The step's widest arrays are the P pairs' ``3**n``
+    weights, so 2,304 rounds of nine parties with no Eve take a few registers, not a
+    ``(2304, 3**9)`` table."""
     flat, turn, pair = _pairs(registers.reshape(len(registers), -1), index, fourier)
+    n = registers.ndim - 1
+    probs, sums = _joint_weights(flat, turn, n)
+    joint, _ = _sample(probs, u, pair, sums)
+    return joint, _passed(joint, fourier, n)
+
+
+def _joint_weights(flat: np.ndarray, turn: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The check step's per-pair part: the Born weights ``(P, 3**n)`` of every joint outcome of the
+    flat n-qutrit registers, measured in the Fourier basis where ``turn``, else the computational
+    one, and their cumulative sums.
+
+    A computational pair's weights are those of its raw register. Only the Fourier pairs'
+    registers are turned: one product per party turns the last qutrit,
+    ``(P * 3**(n-1), 3) @ rows.T``, and rotates it to the front, so n turns leave the qutrits in
+    order."""
     probs = flat.real**2 + flat.imag**2
     if turn.any():
         turned = flat[turn]
@@ -169,10 +176,34 @@ def _check_outcomes(
             turned = (turned.reshape(-1, 3) @ _XI_ROWS.T).reshape(len(turned), -1, 3).transpose(0, 2, 1)
             turned = turned.reshape(len(turned), -1)
         probs[turn] = turned.real**2 + turned.imag**2
-    joint, kind = _distinct(_sample(probs, u, pair)[0], 3**n)
-    trits = joint[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3
-    agree, balanced = joint % ((3**n - 1) // 2) == 0, trits.sum(axis=1) % 3 == 0
-    return trits[kind], np.where(fourier, balanced[kind], agree[kind])
+    return probs, np.cumsum(probs, axis=1)
+
+
+@lru_cache(maxsize=None)
+def _passes(n: int) -> np.ndarray:
+    """``(2, 3**n)``: whether each joint outcome index of n parties keeps the GHZ correlation, in the
+    computational basis (row 0: the trits all agree, exactly at the multiples of
+    ``(3**n - 1) // 2``, the index of |11...1>) and in the Fourier one (row 1: they sum to 0 mod
+    3). Read-only; 1 MiB at twelve parties, 1.6 MiB for every party count."""
+    residue = np.zeros(1, dtype=np.int8)  # digit sum mod 3 of each index, one digit more per pass
+    for _ in range(n):
+        residue = ((residue[:, None] + np.arange(3, dtype=np.int8)) % 3).reshape(-1)
+    passes = np.zeros((2, 3**n), dtype=bool)
+    passes[0, :: (3**n - 1) // 2] = True
+    passes[1] = residue == 0
+    return _freeze(passes)
+
+
+def _passed(joint: np.ndarray, fourier: np.ndarray, n: int) -> np.ndarray:
+    """Whether each round's joint outcome index kept the correlation of its basis (``_passes``)."""
+    return _passes(n).reshape(-1)[fourier * 3**n + joint]
+
+
+def _trits(joint: np.ndarray, n: int) -> np.ndarray:
+    """Each round's trits ``(R, n)``, the base-3 digits of its joint outcome index; only the
+    distinct indices drawn are decoded."""
+    joint, kind = _distinct(joint, 3**n)
+    return (joint[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3)[kind]
 
 
 # The correction table is built on first use, so that importing the package
@@ -365,8 +396,8 @@ def channel_check_round(
     if basis not in CHECK_BASES:
         raise ConfigInvalid(f"check basis must be one of {CHECK_BASES}, got {basis!r}")
     channel = _block(ghz_state(_validated_parties(num_parties)))
-    trits, passed = _check_outcomes(channel, np.zeros(1, dtype=np.intp), np.array([basis == FOURIER]), rng.random(1))
-    return CheckRecord(basis, tuple(trits[0].tolist()), bool(passed[0]))
+    joint, passed = _check_outcomes(channel, np.zeros(1, dtype=np.intp), np.array([basis == FOURIER]), rng.random(1))
+    return CheckRecord(basis, tuple(_trits(joint, channel.ndim - 1)[0].tolist()), bool(passed[0]))
 
 
 def _verdict(blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> ChannelVerdict:

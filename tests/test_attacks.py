@@ -555,25 +555,48 @@ def _outside_attack(setting, num_parties):
     return OutsideAttack(targets, policy)
 
 
+#: A uniform past the rounded total of every row whose sums round below 1, so that its draw falls
+#: to the row's last positive weight.
+_NEAR_ONE = np.nextafter(1.0, 0.0)
+
+
+def _per_block_route(monkeypatch):
+    """Make every check block build its registers, as where a configuration's tables do not fit."""
+    monkeypatch.setattr(attacks, "_tables", lambda *args: None)
+
+
 @pytest.mark.parametrize("rounds", [1, 7, 256, 768, 1000])
 @pytest.mark.parametrize("num_parties", [2, 3, 4, 5, 6])
-def test_check_kernel_matches_the_per_round_oracle(num_parties, rounds):
+def test_check_kernel_matches_the_per_round_oracle(monkeypatch, num_parties, rounds):
+    """Both routes of the check kernel, the configuration's tables where they fit and the registers
+    a block builds, draw what every round's own register draws. A third of the rounds take their
+    joint outcome, and every other round Eve's outcomes, with a uniform just below 1."""
     configs = itertools.product(OUTSIDE_SETTINGS, CHECK_POLICIES)
     for seed, (setting, policy) in enumerate(configs, start=10 * num_parties):
         attack = _outside_attack(setting, num_parties)
         u = attacks._stream(seed).random((rounds, attacks._check_uniforms(attack)))
-        got = attacks._check_block(u, attack, policy, num_parties)
+        targets = len(attack.target_qutrits) if attack is not None else 0
+        u[1::2, 2 : 2 + 2 * targets : 2] = _NEAR_ONE
+        u[::3, 1 + 2 * targets] = _NEAR_ONE
         want = _per_round_check_block(u, attack, policy, num_parties)
-        for name, a, b in zip(("bases", "trits", "verdicts"), got, want):
-            assert np.array_equal(a, b), (name, attack, policy)
+        fits = attacks._tables(attack, policy, num_parties) is not None
+        routes = ["tables", "per block"] if fits else ["per block"]
+        for route in routes:
+            with monkeypatch.context() as patch:
+                if route == "per block":
+                    _per_block_route(patch)
+                fourier, joint, passed = attacks._check_block(u, attack, policy, num_parties)
+            got = fourier, protocol._trits(joint, num_parties), passed
+            for name, a, b in zip(("bases", "trits", "verdicts"), got, want):
+                assert np.array_equal(a, b), (route, name, attack, policy)
 
 
 @pytest.mark.parametrize("rounds", [1, 3])
 @pytest.mark.parametrize("num_parties", [7, 9, 12])
-def test_check_kernel_matches_the_per_round_oracle_on_wide_registers(num_parties, rounds):
+def test_check_kernel_matches_the_per_round_oracle_on_wide_registers(monkeypatch, num_parties, rounds):
     """The same comparison on the widest joint rows, 3**7 to 3**12 weights, whose cumulative sums
     come from ``np.cumsum``; a block there holds 9 rounds or fewer."""
-    test_check_kernel_matches_the_per_round_oracle(num_parties, rounds)
+    test_check_kernel_matches_the_per_round_oracle(monkeypatch, num_parties, rounds)
 
 
 def test_a_twelve_party_check_block_allocates_a_few_registers():
@@ -594,26 +617,110 @@ def test_a_twelve_party_check_block_allocates_a_few_registers():
 
 @pytest.mark.parametrize("policy", EVE_SETTINGS[1:])
 def test_a_one_target_block_holds_at_most_six_registers(monkeypatch, policy):
-    """A 2,304-round three-party block under one intercept holds one register per (basis, outcome)
-    that occurred, never one per round, and its check step meets at most 12 (register, basis) pairs."""
-    intercepts, checks = [], []
-    intercept, check_outcomes = attacks._intercept, attacks._check_outcomes
+    """A three-party configuration under one intercept has one register per (basis, outcome), 3 per
+    basis of Eve's, and under random check bases its check step meets 6 (register, basis) pairs per
+    basis of Eve's. Its tables hold those, built once for three 2,304-round blocks, and no block
+    builds a register: blocks only draw."""
+    blocks, resent = [], []
+    check_block, resend = attacks._check_block, attacks._resent
 
-    def counting_intercept(*args):
-        registers, index = intercept(*args)
-        intercepts.append(len(registers))
-        return registers, index
+    def counting_check_block(u, *args):
+        blocks.append(len(u))
+        return check_block(u, *args)
 
-    def counting_check_outcomes(registers, index, fourier, u):
-        checks.append((len(index), len(registers), len(np.unique(index * 2 + fourier))))
-        return check_outcomes(registers, index, fourier, u)
+    def counting_resent(*args):
+        registers = resend(*args)
+        resent.append(len(registers))
+        return registers
 
-    monkeypatch.setattr(attacks, "_intercept", counting_intercept)
-    monkeypatch.setattr(attacks, "_check_outcomes", counting_check_outcomes)
-    run_check_rounds(3 * 2304, OutsideAttack((2,), policy), "random", seed=72)
+    def refused(*args):
+        raise AssertionError("a block built registers")
+
+    monkeypatch.setattr(attacks, "_check_block", counting_check_block)
+    monkeypatch.setattr(attacks, "_resent", counting_resent)
+    monkeypatch.setattr(attacks, "_intercept", refused)
+    monkeypatch.setattr(attacks, "_check_outcomes", refused)
+    attacks._check_tables.cache_clear()
+    attack = OutsideAttack((2,), policy)
+    run_check_rounds(3 * 2304, attack, "random", seed=72)
+    info = attacks._check_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
     bases = 2 if policy == RANDOM_PER_QUTRIT else 1
-    assert intercepts == [3 * bases] * 3
-    assert checks == [(2304, 3 * bases, 6 * bases)] * 3
+    assert blocks == [2304] * 3
+    assert resent == [3 * bases]
+    tables = attacks._tables(attack, "random", 3)
+    ((weights, sums, index),) = tables.intercepts
+    assert weights.shape == sums.shape == index.shape == (bases, 3)
+    assert sorted(index.reshape(-1)) == list(range(3 * bases))
+    assert tables.joint[0].shape == tables.joint[1].shape == (6 * bases, 27)
+
+
+def _table_configurations():
+    """Every check configuration of 2-7 parties whose tables fit the budget: no Eve, and each Eve
+    policy on the first, the last and all transit qutrits, under each check policy."""
+    settings = OUTSIDE_SETTINGS + [(policy, "last target") for policy in EVE_SETTINGS[1:]]
+    for num_parties, setting, policy in itertools.product(range(2, 8), settings, CHECK_POLICIES):
+        attack = _outside_attack(setting, num_parties)
+        if attacks._tables(attack, policy, num_parties) is not None:
+            yield attack, policy, num_parties
+
+
+def test_check_rounds_agree_from_cold_and_warm_tables_and_per_block(monkeypatch):
+    """Every configuration whose tables fit records the same rounds over three blocks on its first
+    run, which builds its tables, on a second, which finds them cached, under the budget of
+    64-trial blocks, and with each block building its own registers. The configurations run one
+    after another on one cache, cleared once, so tables that one configuration took for another's
+    would show. A run's draws thus depend neither on its blocks nor on what ran before it. Under
+    the smaller budget, a block of five or more parties under Eve holds one round, so that case
+    runs the first 64 of its blocks and one round more."""
+    configurations = list(_table_configurations())
+    assert len(configurations) > 100
+    rounds = 2 * 2304 + 1
+    attacks._check_tables.cache_clear()
+    for seed, (attack, policy, num_parties) in enumerate(configurations):
+        cold = run_check_rounds(rounds, attack, policy, seed, num_parties)
+        assert run_check_rounds(rounds, attack, policy, seed, num_parties) == cold, (attack, policy, num_parties)
+        with monkeypatch.context() as patch:
+            patch.setattr(attacks, "_BLOCK", 64)
+            targets = len(attack.target_qutrits) if attack is not None else 0
+            short = min(rounds, 64 * next(attacks._block_sizes(rounds, num_parties, targets)) + 1)
+            assert run_check_rounds(short, attack, policy, seed, num_parties) == cold[:short], (attack, policy)
+        with monkeypatch.context() as patch:
+            _per_block_route(patch)
+            assert run_check_rounds(rounds, attack, policy, seed, num_parties) == cold, (attack, policy, num_parties)
+
+
+#: Check runs of three blocks whose tables fit: every Eve policy, one and two targets, 3-5 parties.
+_THREADED_CHECKS = [
+    (2 * 2304 + 1, OutsideAttack((2,), ALWAYS_COMPUTATIONAL), "random", 61, 3),
+    (2 * 2304 + 1, OutsideAttack((3,), ALWAYS_FOURIER), "random", 62, 3),
+    (2 * 2304 + 1, OutsideAttack((2, 3), RANDOM_PER_QUTRIT), "random", 63, 3),
+    (2 * 2304 + 1, OutsideAttack((4,), RANDOM_PER_QUTRIT), FOURIER, 64, 4),
+    (2 * 2304 + 1, OutsideAttack((2, 5), RANDOM_PER_QUTRIT), "random", 65, 5),
+    (2 * 2304 + 1, OutsideAttack((3, 4), ALWAYS_FOURIER), COMPUTATIONAL, 66, 4),
+    (2 * 2304 + 1, None, "random", 67, 5),
+    (2 * 2304 + 1, None, FOURIER, 68, 3),
+]
+
+
+def test_check_rounds_agree_across_threads_on_shared_tables():
+    """Threads build and share the cached tables, read-only, and record what sequential runs do."""
+    sequential = [run_check_rounds(*run) for run in _THREADED_CHECKS * 5]
+    attacks._check_tables.cache_clear()
+    protocol._passes.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, between numpy calls too
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda run: run_check_rounds(*run), _THREADED_CHECKS * 5, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == sequential
+    for _, attack, policy, _, num_parties in _THREADED_CHECKS:
+        tables = attacks._tables(attack, policy, num_parties)
+        arrays = [array for level in tables.intercepts for array in level] + list(tables.joint)
+        arrays.append(protocol._passes(num_parties))
+        assert not any(array.flags.writeable for array in arrays)
 
 
 #: (width, targets, rounds per block). Targets None: a register per trial. A check block under t

@@ -58,6 +58,7 @@ from tritshare.protocol import (
     _check_outcomes,
     _deal,
     _help,
+    _trits,
 )
 from tritshare.operators import _XI_ROWS
 
@@ -680,7 +681,8 @@ def test_check_step_matches_per_round_basis_rows(num_parties):
     for fourier in (rng.random(rounds) < 0.5, np.zeros(rounds, bool), np.ones(rounds, bool)):
         u = rng.random(rounds)
         for name, (registers, index) in inputs.items():
-            trits, passed = _check_outcomes(registers, index, fourier, u)
+            joint, passed = _check_outcomes(registers, index, fourier, u)
+            trits = _trits(joint, num_parties)
             trits_ref, passed_ref = _reference_check_outcomes(registers[index], fourier, u)
             assert np.array_equal(trits, trits_ref), name
             assert np.array_equal(passed, passed_ref), name
@@ -702,7 +704,9 @@ def test_check_trits_and_verdicts_at_every_joint_index(num_parties):
     for start in range(0, size, 243):  # a draw holds a (rounds, 3**n) weight array
         joint = np.tile(np.arange(start, min(start + 243, size)), 2)
         fourier = np.arange(len(joint)) >= len(joint) // 2
-        trits, passed = _check_outcomes(block, np.zeros(len(joint), np.intp), fourier, (joint + 0.5) / size)
+        drawn, passed = _check_outcomes(block, np.zeros(len(joint), np.intp), fourier, (joint + 0.5) / size)
+        assert np.array_equal(drawn, joint)
+        trits = _trits(drawn, num_parties)
         digits = np.stack(np.unravel_index(joint, (3,) * num_parties), axis=1)
         assert np.array_equal(trits, digits)
         agree = np.all(digits == digits[:, :1], axis=1)
