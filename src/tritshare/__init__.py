@@ -62,7 +62,7 @@ from .protocol import (
     verify_correlations,
 )
 
-__version__ = "0.4.7"
+__version__ = "0.4.8"
 
 
 def __getattr__(name: str):

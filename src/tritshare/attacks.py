@@ -14,31 +14,31 @@ GHZ register that all its trials share, and the dealer's measurement,
 whose rows differ between trials, gives each trial its own: one
 ``(B, 3, 3)`` array of the two agents' qutrits, the block's widest. It
 holds up to ``_BLOCK`` = 2,304 trials, so a 1,000-trial experiment is
-one block. Its steps write their nine-wide arrays with ``out=`` into three
-buffers that each thread keeps across blocks and experiments
-(``_workspace``), so a run of experiments does not free and re-fault them
-each block. A check round's draws depend only on its configuration: the
-party count, Eve's targets and bases, and the check bases. Each
-intercept and the check step have two parts, a per-pair part, the Born
-weights and cumulative sums of a (register, basis) pair and, for an
-intercept, the registers Eve resends, and a per-round draw against the
-round's pair's sums (``core._sample``). Where a configuration's complete
-register tree fits the amplitude budget of a block, at most
-``(3 * |Eve's bases|)**t * 3**n`` amplitudes under t targets, its
-per-pair parts are built once, for every pair, and kept read-only in a
-small cache (``_check_tables``): blocks and experiments then only draw,
+one block. Its steps write their nine-wide arrays with ``out=`` into
+three buffers that each thread keeps across blocks and experiments
+(``_workspace``), so a run of experiments does not free and re-fault
+them each block. A check round's draws depend only on its configuration:
+the party count, Eve's target axes, the bases her policy draws from and
+the check bases, which ``_check_blocks`` resolves once per run, after
+validation. Each intercept and the check step have two parts, a per-pair
+part, the Born weights and cumulative sums of a (register, basis) pair
+and, for an intercept, the registers Eve resends, and a per-round draw
+against the round's pair's sums (``core._sample``). One budget rule
+picks a run's route and block size: where its complete register tree,
+``(3 * |Eve's bases|)**t * 3**n`` amplitudes under t targets, fits the
+amplitude budget of a block (``_BLOCK``), its per-pair parts are built
+once, for every pair, and kept read-only in a small cache
+(``_check_tables``): its blocks of ``_BLOCK`` rounds then only draw,
 each round stepping from register to register through the tables, and
 the verdict of a joint outcome is one lookup (``protocol._passes``).
 Elsewhere a check block builds the pairs its rounds reach: it holds the
 distinct registers its rounds can be in, plus one register index per
 round, and groups its rounds by (register, basis) pair, scattering small
 integer keys into a table of flags (``core._distinct``). An intercept
-builds one register per (pair, outcome) that occurred, so a block under t
-targets builds at most 6**t registers; where those fit the amplitude
-budget, counting at least one, it holds ``_BLOCK`` rounds, so a
-1,000-round experiment is one block at three parties under any attack, at
-four with three targets, and at any width with no Eve. Both routes run
-the same steps on the same pairs, so they draw the same rounds.
+builds one register per (pair, outcome) that occurred, at most one per
+round, so such a block holds as many rounds as registers fit the budget,
+or ``_BLOCK`` rounds where no qutrit is targeted. Both routes run the
+same steps on the same pairs, so they draw the same rounds.
 ``check-channel`` tallies each block's flags into its verdict
 (``protocol._verdict``) and keeps no record per round; only
 ``run_check_rounds`` decodes its rounds' joint outcomes into trits.
@@ -92,13 +92,14 @@ EXACT_COMPARISON_THRESHOLD = 1.0 - 1e-9
 RANDOM_CHECK_BASIS = "random"
 
 #: Inside trials simulated together as one array; with ``_INSIDE_QUTRITS`` it sets the one
-#: amplitude budget of every block, ``_BLOCK * 3**_INSIDE_QUTRITS``. A check block's rounds
-#: share the few registers its intercepts can build, and no per-round array grows with a
-#: register, so where those registers fit the budget, counting at least one, it holds
-#: ``_BLOCK`` rounds too; where they do not, as many rounds as registers fit (``_block_sizes``).
-#: A configuration whose complete register tree fits the same budget builds it once, into
-#: cached tables (``_check_tables``), and its blocks only draw; the budget, not the block, sets
-#: which configurations do, and the draws are the same either way.
+#: amplitude budget of every block, ``_BLOCK * 3**_INSIDE_QUTRITS`` = 20,736 amplitudes. A check run
+#: whose complete register tree fits it, ``(3 * |Eve's bases|)**t * 3**n`` amplitudes under t
+#: targets, builds the tree once, into cached tables (``_check_tables``), and its blocks of
+#: ``_BLOCK`` rounds only draw. Elsewhere a block builds its own registers, at most one per round
+#: at each intercept, so it holds as many rounds as registers of 3**n fit, counting at least one:
+#: 85 at five parties, 28 at six, 9 at seven, 3 at eight and 1 from nine up. An honest run's rounds
+#: share one register, so its blocks hold ``_BLOCK`` rounds. ``_check_blocks`` applies this rule
+#: once per run, and the draws are the same on either route and at any block size.
 #: Traced peaks of a 2,304-round block once its tables are built: 152 KiB at three parties under
 #: two intercepts, 0.36 registers at nine parties with no Eve; 5.0 registers at twelve, whose
 #: blocks build theirs (2 cores, numpy 2.4).
@@ -190,26 +191,6 @@ def _stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_validated_seed(seed)))
 
 
-def _block_sizes(total: int, width: int, targets: int | None = None) -> Iterator[int]:
-    """Trial counts of the consecutive blocks covering ``total`` trials.
-
-    Every block keeps to the amplitudes of ``_BLOCK`` inside trials: as many registers of
-    ``width`` qutrits as fit, counting at least one. Where every trial has a register of its own
-    (``targets`` None), a block holds that many trials. A check block under ``targets`` intercepts
-    builds at most 6**targets registers, one per (register, basis, outcome) of each intercept;
-    where those fit, it holds ``_BLOCK`` rounds, and otherwise as many rounds as registers fit.
-    """
-    fit = max(1, _BLOCK * 3**_INSIDE_QUTRITS // 3**width)
-    step = _BLOCK if targets is not None and 6**targets <= fit else fit
-    for start in range(0, total, step):
-        yield min(step, total - start)
-
-
-def _fourier_flags(u: np.ndarray, random: bool, always: bool) -> np.ndarray:
-    """Per-trial basis choice: Fourier on a 50/50 draw when ``random``, else everywhere or nowhere."""
-    return u >= 0.5 if random else np.full(len(u), always)
-
-
 def _haar_secrets(u: np.ndarray) -> np.ndarray:
     """Haar-random qutrits from six uniforms per row: three Box-Muller complex Gaussians, normalized.
     Each Gaussian's parts ``r cos(t)`` and ``r sin(t)`` are written into the ``float64`` view: the
@@ -297,13 +278,6 @@ def _inside_inputs(u: np.ndarray, force_designate: int | None) -> tuple[np.ndarr
     return _haar_secrets(u), designated
 
 
-def _check_uniforms(attack: OutsideAttack | None) -> int:
-    """Uniforms per check round, rounded up to whole Philox steps: the check
-    basis, Eve's basis and outcome on each target, the joint outcome."""
-    used = 2 + (2 * len(attack.target_qutrits) if attack is not None else 0)
-    return -(-used // 4) * 4
-
-
 def _basis_rows(fourier: np.ndarray) -> np.ndarray:
     """Per-register measurement rows: the Fourier basis where flagged, else computational."""
     return np.where(fourier[:, None, None], _XI_ROWS, _COMPUTATIONAL_ROWS)
@@ -353,7 +327,7 @@ def _resent(
 
 class _Tables(NamedTuple):
     """A check configuration's complete register tree, reduced to what its rounds draw from. Per
-    intercept, pair ``2 r + f`` (``r`` where Eve's policy uses one basis) is register r in basis f:
+    intercept, pair ``r * len(bases) + p`` is register r in position p of Eve's bases (``_flags``):
     its weights ``(P, 3)``, their sums, and for each outcome the index of the register it resends,
     built only where the weight lies above ``ZERO_PROB_TOL`` (-1 elsewhere, as no draw takes such
     an outcome). Then the check pairs of the last registers, numbered alike: their joint weights
@@ -363,23 +337,16 @@ class _Tables(NamedTuple):
     joint: tuple[np.ndarray, np.ndarray]
 
 
-def _bases(policy: str | None, fourier: str, random: str) -> tuple[bool, ...]:
-    """The basis flags (True for Fourier) that a per-round basis policy draws from: both under
-    ``random``, the Fourier basis alone under ``fourier``, the computational one under any other."""
-    return (False, True) if policy == random else (policy == fourier,)
+def _flags(u: np.ndarray, bases: tuple[bool, ...]) -> np.ndarray:
+    """Each round's position in ``bases``, the basis flags (True for Fourier) that a per-round policy
+    draws from: a 50/50 draw between ``(False, True)``, else 0. Position p's flag ``bases[p]`` is
+    ``p ^ bases[0]``, as the bases are ``(False,)``, ``(True,)`` or ``(False, True)``."""
+    return u >= 0.5 if len(bases) == 2 else np.zeros(len(u), dtype=bool)
 
 
-def _tables(attack: OutsideAttack | None, check_basis_policy: str, num_parties: int) -> _Tables | None:
-    """The configuration's tables (``_check_tables``) where its complete register tree fits the
-    amplitude budget of a block, ``(3 * |Eve's bases|)**t * 3**n`` amplitudes at most; else None,
-    and each block builds the registers its rounds reach."""
-    axes, eve = (), ()
-    if attack is not None:
-        axes = tuple(target - 1 for target in attack.target_qutrits)
-        eve = _bases(attack.measure_basis_policy, ALWAYS_FOURIER, RANDOM_PER_QUTRIT)
-    if (3 * len(eve)) ** len(axes) * 3**num_parties > _BLOCK * 3**_INSIDE_QUTRITS:
-        return None
-    return _check_tables(num_parties, axes, eve, _bases(check_basis_policy, FOURIER, RANDOM_CHECK_BASIS))
+#: A check run's configuration, which alone decides its draws: the party count, Eve's target axes,
+#: the bases her policy draws from (none without Eve) and the check bases (``_check_blocks``).
+_Config = tuple[int, tuple[int, ...], tuple[bool, ...], tuple[bool, ...]]
 
 
 #: Configurations whose tables stay cached. A configuration's tables fit the amplitude budget of a
@@ -412,32 +379,28 @@ def _check_tables(num_parties: int, axes: tuple[int, ...], eve: tuple[bool, ...]
     return _Tables(tuple(intercepts), (_freeze(probs), _freeze(sums)))
 
 
-def _check_block(
-    u: np.ndarray, attack: OutsideAttack | None, check_basis_policy: str, num_parties: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Play a block of check rounds; return per round the Fourier-basis flag, the parties' joint
-    outcome index (its base-3 digits are their trits, ``protocol._trits``) and the verdict. Where
-    the configuration's tables fit (``_tables``), every round only draws from them; elsewhere each
-    intercept builds only the registers that its (register, basis, outcome) triples call for."""
-    fourier = _fourier_flags(u[:, 0], check_basis_policy == RANDOM_CHECK_BASIS, check_basis_policy == FOURIER)
-    targets = attack.target_qutrits if attack is not None else ()
-    policy = attack.measure_basis_policy if attack is not None else None
-    random, always = policy == RANDOM_PER_QUTRIT, policy == ALWAYS_FOURIER
-    eve = [_fourier_flags(u[:, 1 + 2 * i], random, always) for i in range(len(targets))]
-    last = u[:, 1 + 2 * len(targets)]
-    tables = _tables(attack, check_basis_policy, num_parties)
-    if tables is None:
-        registers, index = _block(ghz_state(num_parties)), np.zeros(len(u), dtype=np.intp)
-        for i, target in enumerate(targets):
-            registers, index = _intercept(registers, index, target - 1, eve[i], u[:, 2 + 2 * i])
-        return (fourier,) + _check_outcomes(registers, index, fourier, last)
+def _check_block(u: np.ndarray, config: _Config, tables: _Tables | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Play a block of check rounds of ``config``; return per round the Fourier-basis flag, the
+    parties' joint outcome index (its base-3 digits are their trits, ``protocol._trits``) and the
+    verdict. Round r reads ``u[r]``: its check basis, Eve's basis and outcome on each target, then
+    its joint outcome. With the configuration's ``tables`` every round only draws from them; with
+    None each intercept builds only the registers that its (register, basis, outcome) triples call
+    for. Both levels number a round's pair ``index * len(bases) + position`` (``_flags``)."""
+    num_parties, axes, eve, check = config
+    position = _flags(u[:, 0], check)
+    fourier = position ^ check[0]
+    last = u[:, 1 + 2 * len(axes)]
     index = np.zeros(len(u), dtype=np.intp)
-    for i, (weights, sums, resent) in enumerate(tables.intercepts):
-        pair = index * 2 + eve[i] if random else index
-        outcome, _ = _sample(weights, u[:, 2 + 2 * i], pair, sums)
+    if tables is None:
+        registers = _block(ghz_state(num_parties))
+        for axis, basis, drawn in zip(axes, u[:, 1::2].T, u[:, 2::2].T):
+            registers, index = _intercept(registers, index, axis, _flags(basis, eve) ^ eve[0], drawn)
+        return (fourier,) + _check_outcomes(registers, index, fourier, last)
+    for (weights, sums, resent), basis, drawn in zip(tables.intercepts, u[:, 1::2].T, u[:, 2::2].T):
+        pair = index * len(eve) + _flags(basis, eve)
+        outcome, _ = _sample(weights, drawn, pair, sums)
         index = resent[pair, outcome]
-    pair = index * 2 + fourier if check_basis_policy == RANDOM_CHECK_BASIS else index
-    joint, _ = _sample(tables.joint[0], last, pair, tables.joint[1])
+    joint, _ = _sample(tables.joint[0], last, index * len(check) + position, tables.joint[1])
     return fourier, joint, _passed(joint, fourier, num_parties)
 
 
@@ -445,17 +408,15 @@ def _check_block(
 # experiments
 
 
-def _uniform_blocks(
-    count: int, name: str, unit: str, seed: int, width: int, uniforms: int, targets: int | None = None
-) -> Iterator[np.ndarray]:
+def _uniform_blocks(count: int, name: str, unit: str, seed: int, step: int, uniforms: int) -> Iterator[np.ndarray]:
     """Validate a run of ``count`` trials (``name`` as the caller spells the argument, one ``unit``
-    each) and return its blocks' ``(size, uniforms)`` draws, in trial order, from the seed's stream;
-    ``width`` and ``targets`` size the blocks (``_block_sizes``)."""
+    each) and return its blocks' ``(size, uniforms)`` draws, in trial order, from the seed's stream:
+    ``step`` trials a block, the last one what is left."""
     count = _integer(count, ConfigInvalid, name)
     if count < 1:
         raise ConfigInvalid(f"at least one {unit} is required")
     rng = _stream(seed)
-    return (rng.random((size, uniforms)) for size in _block_sizes(count, width, targets))
+    return (rng.random((min(step, count - start), uniforms)) for start in range(0, count, step))
 
 
 def _attack_stats(blocks: Iterable[tuple[int, int, int]], seed: int) -> AttackStats:
@@ -475,17 +436,29 @@ def _agent(value: int, name: str) -> int:
 def _check_blocks(
     count: int, name: str, unit: str, attack: OutsideAttack | None, check_basis_policy: str, seed: int, num_parties: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Validate a run of check rounds and return ``_check_block``'s arrays block by block."""
+    """Validate a run of check rounds, resolve its configuration once and return ``_check_block``'s
+    arrays block by block. One budget rule decides the route and the block size (see ``_BLOCK``);
+    a refused run builds no tables."""
     if check_basis_policy not in CHECK_BASES + (RANDOM_CHECK_BASIS,):
         raise ConfigInvalid(f"unknown check basis policy {check_basis_policy!r}")
     num_parties = _validated_parties(num_parties)
+    axes, eve = (), ()
     if attack is not None:
         for target in attack.target_qutrits:
             if not 2 <= target <= num_parties:
                 raise LabelOutOfRange(f"target {target} is not a transit qutrit (2..{num_parties})")
-    targets = len(attack.target_qutrits) if attack is not None else 0
-    blocks = _uniform_blocks(count, name, unit, seed, num_parties, _check_uniforms(attack), targets)
-    return (_check_block(u, attack, check_basis_policy, num_parties) for u in blocks)
+        axes = tuple(target - 1 for target in attack.target_qutrits)
+        policy = attack.measure_basis_policy
+        eve = (False, True) if policy == RANDOM_PER_QUTRIT else (policy == ALWAYS_FOURIER,)
+    check = (False, True) if check_basis_policy == RANDOM_CHECK_BASIS else (check_basis_policy == FOURIER,)
+    budget = _BLOCK * 3**_INSIDE_QUTRITS
+    fits = (3 * len(eve)) ** len(axes) * 3**num_parties <= budget
+    step = _BLOCK if fits or not axes else max(1, budget // 3**num_parties)
+    # a round's uniforms (see ``_check_block``), in whole Philox steps
+    blocks = _uniform_blocks(count, name, unit, seed, step, -(-(2 + 2 * len(axes)) // 4) * 4)
+    config = (num_parties, axes, eve, check)
+    tables = _check_tables(*config) if fits else None
+    return (_check_block(u, config, tables) for u in blocks)
 
 
 def run_check_rounds(
@@ -617,7 +590,7 @@ def run_inside_attack_experiment(
     fidelity below 1 - 1e-9, ``single_copy`` flags with probability
     1 - fidelity.
     """
-    blocks = _uniform_blocks(trials, "trials", "trial", seed, _INSIDE_QUTRITS, _INSIDE_UNIFORMS)
+    blocks = _uniform_blocks(trials, "trials", "trial", seed, _BLOCK, _INSIDE_UNIFORMS)
     if comparison_mode not in COMPARISON_MODES:
         raise ConfigInvalid(f"comparison mode must be one of {COMPARISON_MODES}")
     if force_designate is not None:

@@ -529,14 +529,19 @@ def _per_round_check_outcomes(state, fourier, u):
     return trits, np.where(fourier, trits.sum(axis=1) % 3 == 0, joint % ((3**n - 1) // 2) == 0)
 
 
+def _per_round_flags(u, policy, random, fourier):
+    """Each round's Fourier flag: a 50/50 draw under the ``random`` policy, else all ``fourier`` or none."""
+    return u >= 0.5 if policy == random else np.full(len(u), policy == fourier)
+
+
 def _per_round_check_block(u, attack, check_basis_policy, num_parties):
-    fourier = attacks._fourier_flags(u[:, 0], check_basis_policy == "random", check_basis_policy == FOURIER)
+    fourier = _per_round_flags(u[:, 0], check_basis_policy, "random", FOURIER)
     state = ghz_state(num_parties).amplitudes.reshape((1,) + (3,) * num_parties)
     targets = attack.target_qutrits if attack is not None else ()
     for i, target in enumerate(targets):
-        policy = attack.measure_basis_policy
-        eve = attacks._fourier_flags(u[:, 1 + 2 * i], policy == RANDOM_PER_QUTRIT, policy == ALWAYS_FOURIER)
-        state = _per_round_intercept(state, target - 1, attacks._basis_rows(eve), u[:, 2 + 2 * i])
+        eve = _per_round_flags(u[:, 1 + 2 * i], attack.measure_basis_policy, RANDOM_PER_QUTRIT, ALWAYS_FOURIER)
+        rows = np.where(eve[:, None, None], _XI_ROWS, np.eye(3))
+        state = _per_round_intercept(state, target - 1, rows, u[:, 2 + 2 * i])
     trits, passed = _per_round_check_outcomes(state, fourier, u[:, 1 + 2 * len(targets)])
     return fourier, trits, passed
 
@@ -560,32 +565,44 @@ def _outside_attack(setting, num_parties):
 _NEAR_ONE = np.nextafter(1.0, 0.0)
 
 
+def _handed(attack, policy, num_parties, rounds=1, seed=0):
+    """What ``_check_blocks`` hands each block of a run, ``(uniforms, configuration, tables)``, the
+    tables None on the per-block route; no block is played."""
+    handed = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(attacks, "_check_block", lambda *args: handed.append(args))
+        for _ in attacks._check_blocks(rounds, "rounds", "check round", attack, policy, seed, num_parties):
+            pass
+    return handed
+
+
 def _per_block_route(monkeypatch):
-    """Make every check block build its registers, as where a configuration's tables do not fit."""
-    monkeypatch.setattr(attacks, "_tables", lambda *args: None)
+    """Hand every check block no tables, so that it builds its registers, as where a
+    configuration's tables do not fit."""
+    check_block = attacks._check_block
+    monkeypatch.setattr(attacks, "_check_block", lambda u, config, tables: check_block(u, config, None))
 
 
 @pytest.mark.parametrize("rounds", [1, 7, 256, 768, 1000])
 @pytest.mark.parametrize("num_parties", [2, 3, 4, 5, 6])
-def test_check_kernel_matches_the_per_round_oracle(monkeypatch, num_parties, rounds):
+def test_check_kernel_matches_the_per_round_oracle(num_parties, rounds):
     """Both routes of the check kernel, the configuration's tables where they fit and the registers
-    a block builds, draw what every round's own register draws. A third of the rounds take their
-    joint outcome, and every other round Eve's outcomes, with a uniform just below 1."""
+    a block builds when it is given none, draw what every round's own register draws. A third of
+    the rounds take their joint outcome, and every other round Eve's outcomes, with a uniform just
+    below 1."""
     configs = itertools.product(OUTSIDE_SETTINGS, CHECK_POLICIES)
     for seed, (setting, policy) in enumerate(configs, start=10 * num_parties):
         attack = _outside_attack(setting, num_parties)
-        u = attacks._stream(seed).random((rounds, attacks._check_uniforms(attack)))
+        handed = _handed(attack, policy, num_parties, rounds, seed)
+        u = np.concatenate([block for block, _, _ in handed])
+        _, config, tables = handed[0]
         targets = len(attack.target_qutrits) if attack is not None else 0
         u[1::2, 2 : 2 + 2 * targets : 2] = _NEAR_ONE
         u[::3, 1 + 2 * targets] = _NEAR_ONE
         want = _per_round_check_block(u, attack, policy, num_parties)
-        fits = attacks._tables(attack, policy, num_parties) is not None
-        routes = ["tables", "per block"] if fits else ["per block"]
-        for route in routes:
-            with monkeypatch.context() as patch:
-                if route == "per block":
-                    _per_block_route(patch)
-                fourier, joint, passed = attacks._check_block(u, attack, policy, num_parties)
+        routes = {"tables": tables, "per block": None} if tables is not None else {"per block": None}
+        for route, given in routes.items():
+            fourier, joint, passed = attacks._check_block(u, config, given)
             got = fourier, protocol._trits(joint, num_parties), passed
             for name, a, b in zip(("bases", "trits", "verdicts"), got, want):
                 assert np.array_equal(a, b), (route, name, attack, policy)
@@ -593,10 +610,10 @@ def test_check_kernel_matches_the_per_round_oracle(monkeypatch, num_parties, rou
 
 @pytest.mark.parametrize("rounds", [1, 3])
 @pytest.mark.parametrize("num_parties", [7, 9, 12])
-def test_check_kernel_matches_the_per_round_oracle_on_wide_registers(monkeypatch, num_parties, rounds):
+def test_check_kernel_matches_the_per_round_oracle_on_wide_registers(num_parties, rounds):
     """The same comparison on the widest joint rows, 3**7 to 3**12 weights, whose cumulative sums
-    come from ``np.cumsum``; a block there holds 9 rounds or fewer."""
-    test_check_kernel_matches_the_per_round_oracle(monkeypatch, num_parties, rounds)
+    come from ``np.cumsum``; a block there whose tables do not fit holds 9 rounds or fewer."""
+    test_check_kernel_matches_the_per_round_oracle(num_parties, rounds)
 
 
 def test_a_twelve_party_check_block_allocates_a_few_registers():
@@ -604,11 +621,12 @@ def test_a_twelve_party_check_block_allocates_a_few_registers():
     check turns a copy of the register and decodes only the joint outcome it drew, so its traced
     peak stays below four registers (3.5 here); a (3**12, 12) int64 table of trits alone would
     take six."""
-    u = attacks._stream(3).random((1, attacks._check_uniforms(None)))
-    attacks._check_block(u, None, FOURIER, 12)  # builds the cached channel
+    ((u, config, tables),) = _handed(None, FOURIER, 12, seed=3)
+    assert tables is None
+    attacks._check_block(u, config, tables)  # builds the cached channel
     tracemalloc.start()
     try:
-        attacks._check_block(u, None, FOURIER, 12)
+        attacks._check_block(u, config, tables)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -619,8 +637,8 @@ def test_a_twelve_party_check_block_allocates_a_few_registers():
 def test_a_one_target_block_holds_at_most_six_registers(monkeypatch, policy):
     """A three-party configuration under one intercept has one register per (basis, outcome), 3 per
     basis of Eve's, and under random check bases its check step meets 6 (register, basis) pairs per
-    basis of Eve's. Its tables hold those, built once for three 2,304-round blocks, and no block
-    builds a register: blocks only draw."""
+    basis of Eve's. Its tables hold those, built once for two runs of three 2,304-round blocks, and
+    no block builds a register: blocks only draw."""
     blocks, resent = [], []
     check_block, resend = attacks._check_block, attacks._resent
 
@@ -642,13 +660,14 @@ def test_a_one_target_block_holds_at_most_six_registers(monkeypatch, policy):
     monkeypatch.setattr(attacks, "_check_outcomes", refused)
     attacks._check_tables.cache_clear()
     attack = OutsideAttack((2,), policy)
-    run_check_rounds(3 * 2304, attack, "random", seed=72)
-    info = attacks._check_tables.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    for run in range(2):
+        run_check_rounds(3 * 2304, attack, "random", seed=72 + run)
+        info = attacks._check_tables.cache_info()
+        assert (info.misses, info.hits) == (1, run)
     bases = 2 if policy == RANDOM_PER_QUTRIT else 1
-    assert blocks == [2304] * 3
+    assert blocks == [2304] * 6
     assert resent == [3 * bases]
-    tables = attacks._tables(attack, "random", 3)
+    ((_, _, tables),) = _handed(attack, "random", 3)
     ((weights, sums, index),) = tables.intercepts
     assert weights.shape == sums.shape == index.shape == (bases, 3)
     assert sorted(index.reshape(-1)) == list(range(3 * bases))
@@ -661,7 +680,7 @@ def _table_configurations():
     settings = OUTSIDE_SETTINGS + [(policy, "last target") for policy in EVE_SETTINGS[1:]]
     for num_parties, setting, policy in itertools.product(range(2, 8), settings, CHECK_POLICIES):
         attack = _outside_attack(setting, num_parties)
-        if attacks._tables(attack, policy, num_parties) is not None:
+        if _handed(attack, policy, num_parties)[0][2] is not None:
             yield attack, policy, num_parties
 
 
@@ -671,8 +690,8 @@ def test_check_rounds_agree_from_cold_and_warm_tables_and_per_block(monkeypatch)
     64-trial blocks, and with each block building its own registers. The configurations run one
     after another on one cache, cleared once, so tables that one configuration took for another's
     would show. A run's draws thus depend neither on its blocks nor on what ran before it. Under
-    the smaller budget, a block of five or more parties under Eve holds one round, so that case
-    runs the first 64 of its blocks and one round more."""
+    the smaller budget, a block of five or more parties under Eve holds one or two rounds, so that
+    case runs the first 64 of its blocks and one round more."""
     configurations = list(_table_configurations())
     assert len(configurations) > 100
     rounds = 2 * 2304 + 1
@@ -682,8 +701,8 @@ def test_check_rounds_agree_from_cold_and_warm_tables_and_per_block(monkeypatch)
         assert run_check_rounds(rounds, attack, policy, seed, num_parties) == cold, (attack, policy, num_parties)
         with monkeypatch.context() as patch:
             patch.setattr(attacks, "_BLOCK", 64)
-            targets = len(attack.target_qutrits) if attack is not None else 0
-            short = min(rounds, 64 * next(attacks._block_sizes(rounds, num_parties, targets)) + 1)
+            step = len(_handed(attack, policy, num_parties, 64)[0][0])
+            short = min(rounds, 64 * step + 1)
             assert run_check_rounds(short, attack, policy, seed, num_parties) == cold[:short], (attack, policy)
         with monkeypatch.context() as patch:
             _per_block_route(patch)
@@ -717,34 +736,87 @@ def test_check_rounds_agree_across_threads_on_shared_tables():
         sys.setswitchinterval(interval)
     assert threaded == sequential
     for _, attack, policy, _, num_parties in _THREADED_CHECKS:
-        tables = attacks._tables(attack, policy, num_parties)
+        ((_, _, tables),) = _handed(attack, policy, num_parties)
         arrays = [array for level in tables.intercepts for array in level] + list(tables.joint)
         arrays.append(protocol._passes(num_parties))
         assert not any(array.flags.writeable for array in arrays)
 
 
-#: (width, targets, rounds per block). Targets None: a register per trial. A check block under t
-#: targets holds at most 6**t registers; where they fit the budget, counting at least one
-#: register, it holds 2,304 rounds.
-_BLOCK_PINS = [(2, None, 2304), (3, None, 768), (4, None, 256), (5, None, 85), (12, None, 1)]
-_BLOCK_PINS += [(attacks._INSIDE_QUTRITS, None, 2304)]
-_BLOCK_PINS += [(3, 0, 2304), (3, 1, 2304), (3, 2, 2304), (4, 3, 2304), (6, 2, 28), (10, 0, 2304), (12, 0, 2304)]
+#: (parties, targets, Eve's policy, rounds per block, whether the tables route is taken). A run
+#: whose complete register tree, (3 * |Eve's bases|)**t * 3**n amplitudes, fits the budget of a
+#: block draws from tables in 2,304-round blocks; elsewhere a block builds at most one register per
+#: round at each intercept and holds as many rounds as registers of 3**n fit, counting at least one.
+#: An honest run's rounds share one register, so its blocks hold 2,304 rounds at every width.
+_BLOCK_PINS = [
+    (parties, tuple(range(2, 2 + targets)), policy, 2304, True)
+    for parties, targets in ((5, 3), (5, 4), (6, 2), (6, 3), (7, 2), (8, 1))
+    for policy in (ALWAYS_COMPUTATIONAL, ALWAYS_FOURIER)
+]
+_BLOCK_PINS += [(3, (2, 3), RANDOM_PER_QUTRIT, 2304, True), (4, (2, 3, 4), RANDOM_PER_QUTRIT, 2304, True)]
+_BLOCK_PINS += [(6, (2, 3), RANDOM_PER_QUTRIT, 28, False), (5, (2, 3, 4), RANDOM_PER_QUTRIT, 85, False)]
+_BLOCK_PINS += [(7, (2, 3, 4), ALWAYS_FOURIER, 9, False), (8, (2,), RANDOM_PER_QUTRIT, 3, False)]
+_BLOCK_PINS += [(parties, (parties,), policy, 1, False) for parties in (9, 10, 12) for policy in EVE_SETTINGS[1:]]
+_BLOCK_PINS += [(9, tuple(range(2, 10)), RANDOM_PER_QUTRIT, 1, False)]
+_BLOCK_PINS += [(parties, (), None, 2304, parties <= 9) for parties in range(2, 13)]
 
 
 @pytest.mark.parametrize(
-    "width,targets,step",
-    [pytest.param(*pin, id=f"{pin[0]}-{pin[2]}" if pin[1] is None else None) for pin in _BLOCK_PINS],
+    "parties,targets,policy,step,tables",
+    [pytest.param(*pin, id=f"{pin[0]}-{len(pin[1])}-{pin[2]}-{pin[3]}") for pin in _BLOCK_PINS],
 )
-def test_block_sizes_keep_one_amplitude_budget(width, targets, step):
-    assert list(attacks._block_sizes(2 * step + 1, width, targets)) == [step, step, 1]
+def test_block_sizes_keep_one_amplitude_budget(parties, targets, policy, step, tables):
+    """A run's configuration, route and block size are resolved once: every block gets the same
+    configuration and the same tables."""
+    attack = OutsideAttack(targets, policy) if targets else None
+    handed = _handed(attack, "random", parties, 2 * step + 1)
+    assert [len(u) for u, _, _ in handed] == [step, step, 1]
+    _, config, table = handed[0]
+    assert all(c is config and t is table for _, c, t in handed)
+    assert (table is not None) == tables
 
 
-def _block_peak(u, attack, num_parties):
-    """Traced peak of one check block, after a first run has built the cached channel."""
-    attacks._check_block(u, attack, "random", num_parties)
+def test_inside_blocks_hold_2304_trials(monkeypatch):
+    sizes = []
+    uniform_blocks = attacks._uniform_blocks
+
+    def recorded(*args):
+        for u in uniform_blocks(*args):
+            sizes.append(len(u))
+            yield u
+
+    monkeypatch.setattr(attacks, "_uniform_blocks", recorded)
+    run_inside_attack_experiment(2 * 2304 + 1, InsideAttack(1, FAKE_ZERO), EXACT, seed=1)
+    assert sizes == [2304, 2304, 1]
+
+
+#: A check run refused for its count, check policy, party count or target, with its error.
+_CHECK_REFUSALS = [
+    ((0, OutsideAttack((2,), RANDOM_PER_QUTRIT), "random", 1), ConfigInvalid, "at least one"),
+    ((2.5, OutsideAttack((2,), RANDOM_PER_QUTRIT), "random", 1), ConfigInvalid, "is not an integer"),
+    ((10, OutsideAttack((2,), RANDOM_PER_QUTRIT), "diagonal", 1), ConfigInvalid, "unknown check basis policy"),
+    ((10, None, "random", 1, 13), ConfigInvalid, "needs 2..12 parties, got 13"),
+    ((10, OutsideAttack((2, 4)), "random", 1, 3), LabelOutOfRange, "target 4 is not a transit qutrit"),
+]
+
+
+@pytest.mark.parametrize("run", [run_check_rounds, run_outside_attack_experiment])
+def test_a_refused_check_run_builds_no_tables(run):
+    attacks._check_tables.cache_clear()
+    for args, error, reason in _CHECK_REFUSALS:
+        with pytest.raises(error, match=reason):
+            run(*args)
+        info = attacks._check_tables.cache_info()
+        assert (info.currsize, info.misses) == (0, 0), args
+
+
+def _block_peak(attack, num_parties, seed):
+    """Traced peak of one 2,304-round check block under random check bases, after a first run has
+    built the cached channel."""
+    ((u, config, tables),) = _handed(attack, "random", num_parties, 2304, seed)
+    attacks._check_block(u, config, tables)
     tracemalloc.start()
     try:
-        attacks._check_block(u, attack, "random", num_parties)
+        attacks._check_block(u, config, tables)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -755,19 +827,15 @@ def test_a_full_check_block_allocates_no_table_per_round():
     under two intercepts its peak stays below 512 KiB (a (2304, 27) table of weights alone takes
     486 KiB); at nine parties with no Eve, below eight registers of 3**9 amplitudes, where one
     (2304, 3**9) table of weights would take 346 MiB."""
-    attack = OutsideAttack((2, 3), RANDOM_PER_QUTRIT)
-    u = attacks._stream(6).random((2304, attacks._check_uniforms(attack)))
-    assert _block_peak(u, attack, 3) < 512 * 1024
-    u = attacks._stream(7).random((2304, attacks._check_uniforms(None)))
-    assert _block_peak(u, None, 9) < 8 * 16 * 3**9
+    assert _block_peak(OutsideAttack((2, 3), RANDOM_PER_QUTRIT), 3, seed=6) < 512 * 1024
+    assert _block_peak(None, 9, seed=7) < 8 * 16 * 3**9
 
 
 def test_a_full_twelve_party_check_block_allocates_a_few_registers():
     """An honest 12-party block holds 2,304 rounds on one register of 3**12 amplitudes, 8.5 MB.
     Under random check bases it meets two (register, basis) pairs, and its traced peak stays below
     six registers (5.0 here); a one-round block's Fourier check alone takes 3.5."""
-    u = attacks._stream(8).random((2304, attacks._check_uniforms(None)))
-    assert _block_peak(u, None, 12) < 6 * 16 * 3**12
+    assert _block_peak(None, 12, seed=8) < 6 * 16 * 3**12
 
 
 def test_inside_experiment_allocates_little():

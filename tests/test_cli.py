@@ -616,7 +616,7 @@ def test_library_import_leaves_the_command_line_unloaded():
 # ---------------------------------------------------------------------------
 # the conformance check, the one validator of a report, against jsonschema as an oracle
 
-#: The command forms that CI's console-script step runs, apart from the CSV ``share`` refusal.
+#: The command forms that ``.github/console-script-forms.sh`` runs, apart from the CSV ``share`` refusal.
 CI_COMMANDS = (
     "share --agents 3 --seed 7",
     "share --secret 1,0;0,0;0,0 --seed 3",
