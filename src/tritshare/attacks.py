@@ -7,17 +7,19 @@ qutrit and substitutes a fake one; the dealer's random designation then
 decides whether the theft pays off silently or shows up when the
 reconstruction is compared against the secret.
 
-The experiments run blocks of trials through ``core``'s batched engine,
-the one every ``PureState`` operation runs on, and draw from one
-``Philox`` stream keyed by the seed. An inside block starts from one
-GHZ register that all its trials share, and the dealer's measurement,
-whose rows differ between trials, gives each trial its own: one
-``(B, 3, 3)`` array of the two agents' qutrits, the block's widest. It
-holds up to ``_BLOCK`` = 2,304 trials, so a 1,000-trial experiment is
-one block. Its steps write their nine-wide arrays with ``out=`` into
-three buffers that each thread keeps across blocks and experiments
-(``_workspace``), so a run of experiments does not free and re-fault
-them each block. A check round's draws depend only on its configuration:
+The experiments run blocks of trials and draw from one ``Philox`` stream
+keyed by the seed. An inside block holds up to ``_BLOCK`` = 2,304
+trials, so a 1,000-trial experiment is one block. The register the
+dealer's step leaves, sum_k a_k |kk>, has three coefficients, so the
+block holds each trial's as a column of a trial-last ``(3, B)`` array and
+every step runs along rows of B trials: the dealer's nine Bell weights are
+one real form in the secret's features, the drawn member's row and the
+correction are gathers from monomial tables built once
+(``_span_tables``), and a helper's weights are ``|xi_l|^2 @ |a|^2``. Its
+widest arrays are the nine Bell features and weights per trial; each
+step allocates its own and writes in place where it can. The check
+blocks run ``core``'s batched engine, the one every ``PureState``
+operation runs on. A check round's draws depend only on its configuration:
 the party count, Eve's target axes, the bases her policy draws from and
 the check bases, which ``_check_blocks`` resolves once per run, after
 validation. Each intercept and the check step have two parts, a per-pair
@@ -48,8 +50,10 @@ K uniforms at counter ``t * K / 4``. Results are therefore identical for
 any block size, and trial ``t`` alone can be replayed from a generator
 advanced by ``t * K / 4``. One driver, ``_uniform_blocks``, validates a
 run's length, opens its stream and cuts it into blocks for both
-experiments. The inside kernel runs the sharing steps of ``protocol``
-(the dealer's, then the helpers') on the dealt register. The
+experiments. The inside kernel plays the sharing steps of ``protocol``
+(the dealer's, then the helpers') on the dealt register's span
+coefficients, and draws what the dense steps draw except where a uniform
+lies within the last bits of a boundary. The
 fake is an unentangled qutrit, so it never joins the register: the victim
 measures it, or reconstructs on it, alone. The one-register functions are
 the same steps on one register and one round:
@@ -59,7 +63,6 @@ the same steps on one register and one round:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
@@ -70,11 +73,11 @@ from .core import (
     ZERO_PROB_TOL, PureState, _axes, _block, _contract, _distinct, _freeze, _integer, _normalized, _sample,
     _trusted_state, _weights, tensor,
 )
-from .errors import ConfigInvalid, LabelOutOfRange, SelfCapture
+from .errors import ConfigInvalid, LabelOutOfRange, SelfCapture, ZeroProbabilityBranchSampled
 from .operators import _COMPUTATIONAL_ROWS, _XI_ROWS, BellOutcome, ghz_state
 from .protocol import (
-    CHECK_BASES, COMPUTATIONAL, FOURIER, CheckRecord, _check_outcomes, _deal, _help, _joint_weights, _pairs, _passed,
-    _reconstruction_fidelity, _trits, _validated_parties, _validated_seed,
+    _BELL_BLOCKS, CHECK_BASES, COMPUTATIONAL, FOURIER, CheckRecord, _check_outcomes, _dealer_forms, _joint_weights,
+    _pairs, _passed, _recovery_table, _trits, _validated_parties, _validated_seed,
 )
 
 ALWAYS_COMPUTATIONAL = "always_computational"
@@ -107,13 +110,13 @@ RANDOM_CHECK_BASIS = "random"
 #: peak memory. Over a warm 100-trial run in a fresh process, the peak RSS of a 4,000-trial
 #: inside experiment grew by 0 MiB at 256-trial blocks, 0.25 MiB at 1,024 and 1.2 MiB at
 #: 2,304, and that of a 1,000-trial one, a single block, by 0.1-0.25 MiB (2 cores, numpy 2.4).
-#: An inside block's nine-wide arrays live in its thread's workspace (``_workspace``), which a
-#: full block grows to 972 KiB and which then stays for the thread's later blocks.
+#: Those figures were taken when an inside trial held a 3 x 3 register; it now holds three span
+#: coefficients, and a warm 1,000-trial experiment's traced peak is 380 KiB.
 _BLOCK = 2304
-#: Widest array of an inside trial, in qutrits: the dealt register of the two agents' channel
-#: qutrits, 3 x 3 amplitudes (16 B each, so 324 KiB for a block of 2,304 trials). The dealer's
-#: step keeps no wider array: its Born weights are nine per trial and it gathers one 3 x 3 Bell
-#: block per trial. Each of the workspace's three buffers holds one such array.
+#: Qutrits per register of the amplitude budget: the two agents' channel qutrits of a three-party
+#: session, 3 x 3 amplitudes (16 B each, so 324 KiB for 2,304 registers), the register the dense
+#: dealer's step (``protocol._deal``) builds. The inside kernel keeps three amplitudes per trial,
+#: on the GHZ span, and nine Bell features and weights (8 B each, 162 KiB a full block per array).
 _INSIDE_QUTRITS = 2
 
 # Columns of an inside trial's uniforms: six for the Haar secret, then the
@@ -194,14 +197,16 @@ def _stream(seed: int) -> np.random.Generator:
 def _haar_secrets(u: np.ndarray) -> np.ndarray:
     """Haar-random qutrits from six uniforms per row: three Box-Muller complex Gaussians, normalized.
     Each Gaussian's parts ``r cos(t)`` and ``r sin(t)`` are written into the ``float64`` view: the
-    same values as ``r * np.exp(1j * t)``, without its complex exponential."""
-    gaussians = np.empty((len(u), 3), dtype=np.complex128)
-    parts = gaussians.view(np.float64).reshape(len(u), 3, 2)
-    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0:6:2]))
-    angle = 2 * np.pi * u[:, 1:6:2]
+    same values as ``r * np.exp(1j * t)``, without its complex exponential. The ``(B, 3)`` result
+    is the transpose of a ``(3, B)`` array, the layout the inside kernel works in."""
+    gaussians = np.empty((3, len(u)), dtype=np.complex128)
+    parts = gaussians.view(np.float64).reshape(3, len(u), 2)
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0:6:2].T))
+    angle = 2 * np.pi * u[:, 1:6:2].T
     np.multiply(radius, np.cos(angle), out=parts[:, :, 0])
     np.multiply(radius, np.sin(angle), out=parts[:, :, 1])
-    return gaussians / np.linalg.norm(gaussians, axis=1, keepdims=True)
+    gaussians /= np.linalg.norm(gaussians, axis=0)
+    return gaussians.T
 
 
 class _InsideBlock(NamedTuple):
@@ -213,24 +218,129 @@ class _InsideBlock(NamedTuple):
     fidelity: np.ndarray  # the designated agent's reconstruction against the secret
 
 
-#: Each thread's inside workspace, taken on its first inside block (never at import).
-_local = threading.local()
+class _SpanTables(NamedTuple):
+    """The inside kernel's constants, on the dealt register's three coefficients on the GHZ span
+    (``_span_tables``). A monomial gather ``(column, entry)`` holds ``(3, K)`` tables: row i of
+    matrix k times a column x is ``entry[i, k] * x[column[i, k]]``."""
+
+    bell_forms: np.ndarray  # (9, 9): Bell outcome k's weight as a form in the secret's features (``_features``)
+    bell: tuple[np.ndarray, np.ndarray]  # member k's row on the dealer's qutrit, times the channel's coefficients
+    xi_weights: np.ndarray  # (3, 3): |<xi_l|k>|^2, a helper's outcome weights on |a_k|^2
+    xi_columns: np.ndarray  # (3, 3): column l is the Fourier row l, the helper's factor on a_k
+    correction: tuple[np.ndarray, np.ndarray]  # the correction for Bell outcome b and helper sum L, at 3b + L
 
 
-def _workspace(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """This thread's three flat complex buffers of at least ``3**_INSIDE_QUTRITS`` amplitudes per
-    trial of a block of ``size`` inside trials, into which the block's steps write their per-trial
-    arrays: 3 x 9 x 16 B a trial, 972 KiB for a full block.
+def _monomial(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(K, 3, 3)`` monomial matrices, one nonzero entry in each row and each column, as the
+    gather ``(column, entry)`` of ``_SpanTables``; any other matrix is refused."""
+    nonzero = matrices != 0
+    if not ((nonzero.sum(axis=1) == 1).all() and (nonzero.sum(axis=2) == 1).all()):
+        raise ValueError("the inside kernel's span step needs monomial matrices")
+    column = np.argmax(nonzero, axis=2)
+    entry = np.take_along_axis(matrices, column[:, :, None], axis=2)[:, :, 0]
+    return _freeze(np.ascontiguousarray(column.T)), _freeze(np.ascontiguousarray(entry.T))
 
-    The buffers are kept from block to block and replaced by longer ones when a longer block
-    comes, so a run of experiments does not free and take them again each block, and glibc does
-    not trim and re-fault the heap they would leave. They are the thread's own: numpy releases the
-    GIL inside its products, so threads sharing them would overwrite each other's blocks."""
-    buffers = getattr(_local, "buffers", ())
-    width = 3**_INSIDE_QUTRITS * size
-    if not buffers or len(buffers[0]) < width:
-        buffers = _local.buffers = tuple(np.empty(width, dtype=np.complex128) for _ in range(3))
-    return buffers
+
+#: The secret's features that its Bell weights are linear in: |s_i|^2, then the real and the
+#: imaginary parts of ``s_i conj(s_j)`` for the pairs (i, j) = (0, 1), (0, 2), (1, 2).
+_PAIRS = ((0, 0, 1), (1, 2, 2))
+
+
+def _feature_forms(forms: np.ndarray) -> np.ndarray:
+    """``(9, 9)``: the dealer's ``(18, 9)`` forms (``protocol._dealer_forms``) as a map from a
+    secret's features (``_features``) to its nine Bell weights. Rows 2p and 2p + 1 of the forms
+    weigh the real and imaginary parts of ``s_i conj(s_j)`` at p = 3i + j; the pair (j, i) holds the
+    conjugate, so a pair's real part takes both rows 2p and its imaginary part their difference."""
+    combine = np.zeros((9, 18))
+    for i in range(3):
+        combine[i, 8 * i] = 1.0
+    for f, (i, j) in enumerate(zip(*_PAIRS)):
+        combine[3 + f, [6 * i + 2 * j, 6 * j + 2 * i]] = 1.0, 1.0
+        combine[6 + f, [6 * i + 2 * j + 1, 6 * j + 2 * i + 1]] = 1.0, -1.0
+    return np.ascontiguousarray((combine @ forms).T)
+
+
+# Built on first use, as the correction table it reads is.
+@lru_cache(maxsize=None)
+def _span_tables() -> _SpanTables:
+    """The inside kernel's tables, from the sharing steps' own constants: the dealer's forms on
+    the three-party channel (``protocol._dealer_forms``), the Bell blocks and the correction
+    table. The channel holds the agents' qutrits at |kk> with coefficient ``c_k`` when the
+    dealer's qutrit reads k, so the dealt register is ``(s @ S_k)_k c_k`` on the |kk>."""
+    channel = ghz_state(3).amplitudes.reshape(3, 9)
+    column, entry = _monomial(_BELL_BLOCKS.transpose(0, 2, 1))
+    return _SpanTables(
+        bell_forms=_freeze(_feature_forms(_dealer_forms(channel))),
+        bell=(column, _freeze(entry * channel[[0, 1, 2], [0, 4, 8]][:, None])),  # c_k, at |kk>
+        xi_weights=_freeze(_XI_ROWS.real**2 + _XI_ROWS.imag**2),
+        xi_columns=_freeze(np.ascontiguousarray(_XI_ROWS.T)),
+        correction=_monomial(_recovery_table().reshape(27, 3, 3)),
+    )
+
+
+def _features(s: np.ndarray) -> np.ndarray:
+    """``(9, B)``: the features of ``_PAIRS`` of the secrets ``s``, ``(3, B)``."""
+    features = np.empty((9, s.shape[1]))
+    features[:3] = s.real**2 + s.imag**2
+    pairs, other = s[list(_PAIRS[0])], s[list(_PAIRS[1])]
+    pairs *= np.conjugate(other, out=other)
+    features[3:6] = pairs.real
+    features[6:] = pairs.imag
+    return features
+
+
+def _gather(table: tuple[np.ndarray, np.ndarray], index: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Matrix ``index[b]`` of a monomial gather (``_SpanTables``) times column b of ``x``, ``(3, B)``.
+    The entries are taken through flat indices, about twice as fast as ``np.take_along_axis``."""
+    column, entry = table
+    flat = column.take(index, axis=1)
+    flat *= x.shape[1]
+    flat += np.arange(x.shape[1])
+    product = x.reshape(-1).take(flat)
+    product *= entry.take(index, axis=1)
+    return product
+
+
+def _scale(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Divide column b of the fresh complex ``(3, B)`` array ``x`` by ``sqrt(weight[b])`` in place,
+    by one real multiply through its ``float64`` view."""
+    x.view(np.float64).reshape(3, -1, 2)[...] *= (1.0 / np.sqrt(weight))[:, None]
+    return x
+
+
+def _span_deal(tables: _SpanTables, s: np.ndarray, draw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dealer's step (``protocol._deal``) on the span: draws each trial's Bell outcome from its
+    nine weights, one real form in its secret's features, and returns the outcomes, the dealt
+    coefficients a, normalized, and their squared moduli."""
+    bell, _ = _sample((tables.bell_forms @ _features(s)).T, draw)
+    dealt = _gather(tables.bell, bell, s)
+    moduli = dealt.real**2 + dealt.imag**2
+    weight = moduli.sum(axis=0)
+    if weight.min() <= ZERO_PROB_TOL:
+        raise ZeroProbabilityBranchSampled(f"dealt branch has probability {float(weight.min())!r}")
+    moduli /= weight
+    return bell, _scale(dealt, weight), moduli
+
+
+def _span_help(tables: _SpanTables, dealt: np.ndarray, moduli: np.ndarray, draw: np.ndarray) -> np.ndarray:
+    """One helper's step (``protocol._help``) on the span: outcome l has weight ``|xi_l|^2 @ |a|^2``
+    and leaves the other qutrit in ``xi_l * a``, normalized, which overwrites ``dealt``. Returns the
+    outcomes."""
+    outcome, chosen = _sample((tables.xi_weights @ moduli).T, draw)
+    dealt *= tables.xi_columns.take(outcome, axis=1)
+    _scale(dealt, chosen)
+    return outcome
+
+
+def _span_fidelity(tables: _SpanTables, s: np.ndarray, correction: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """``|<s|R q>|^2`` of each trial's qutrit q under the correction R at index ``3 b + L``.
+    It is taken as ``|sum_i s_i conj((R q)_i)|^2``, in place and summed over the three rows: a
+    third of the time of ``np.vecdot(s, R q, axis=0)``, which runs its length-3 loop per trial."""
+    overlap = _gather(tables.correction, correction, kept)
+    np.conjugate(overlap, out=overlap)
+    overlap *= s
+    overlap = overlap.sum(axis=0)
+    return np.minimum(1.0, overlap.real**2 + overlap.imag**2)
 
 
 def _inside_block(secrets: np.ndarray, designated: np.ndarray, attack: InsideAttack, u: np.ndarray) -> _InsideBlock:
@@ -241,10 +351,19 @@ def _inside_block(secrets: np.ndarray, designated: np.ndarray, attack: InsideAtt
     dealer's step, the helpers' step and the fidelity step each run once
     per block, whatever the designations.
 
+    The steps are the sharing steps of ``protocol`` (``_deal``, ``_help``)
+    on the dealt register's three coefficients a_k on the span of |00>,
+    |11> and |22>, each a trial-last ``(3, B)`` array, so that every
+    operation runs along rows of B trials. The dealer's nine Bell weights
+    are one real form in the secret's nine features, and the drawn
+    member's row is a gather from a monomial table; a helper's weights
+    are ``|xi_l|^2 @ |a|^2`` and it keeps ``xi_l * a``; the correction is
+    a monomial gather too, and the fidelity one sum over three rows.
+
     After the capture the attacker holds both qutrits of the dealt
     register, and the victim holds the fake, an unentangled qutrit that
     never joins the register. The two dealt qutrits are alike (see
-    ``protocol._help``), so one measurement at axis 0 serves both cases.
+    ``protocol._help``), so one measurement serves both cases.
     Where the attacker is designated, it is their private Fourier
     measurement of the captured qutrit: they recover the secret on their
     own and ignore the victim's announcement, which comes off the fake.
@@ -252,21 +371,22 @@ def _inside_block(secrets: np.ndarray, designated: np.ndarray, attack: InsideAtt
     and the victim reconstructs on the fake, which is what the dealer's
     comparison sees.
     """
-    work = _workspace(len(u))  # the dealt register stays in the third buffer until the helpers' step
-    bell, _, state = _deal(secrets, 2, u[:, _U_BELL], work)
+    tables = _span_tables()
+    s = np.ascontiguousarray(secrets.T)
+    bell, kept, moduli = _span_deal(tables, s, u[:, _U_BELL])
     if attack.fake_state is None:
-        (announced,), kept = _help(state, u[:, _U_FIRST : _U_FIRST + 1], work[:2])
-        captured = np.full(len(u), -1, dtype=np.intp)
-        fid = _reconstruction_fidelity(kept, secrets, bell, announced, work[:2])
-        return _InsideBlock(bell, announced, captured, fid)
-
-    theft = designated == attack.dishonest_agent
-    (outcome,), kept = _help(state, np.where(theft, u[:, _U_SECOND], u[:, _U_FIRST])[:, None], work[:2])
-    fake = attack.fake_state.amplitudes
-    fake_weights = np.broadcast_to(np.abs(_XI_ROWS @ fake) ** 2, (len(u), 3))
-    announced = np.where(theft, _sample(fake_weights, u[:, _U_FIRST])[0], outcome)
-    fid = _reconstruction_fidelity(np.where(theft[:, None], kept, fake), secrets, bell, outcome, work[:2])
-    return _InsideBlock(bell, announced, np.where(theft, outcome, -1), fid)
+        outcome = _span_help(tables, kept, moduli, u[:, _U_FIRST])
+        captured, announced = np.full(len(u), -1, dtype=np.intp), outcome
+    else:
+        theft = designated == attack.dishonest_agent
+        outcome = _span_help(tables, kept, moduli, np.where(theft, u[:, _U_SECOND], u[:, _U_FIRST]))
+        fake = attack.fake_state.amplitudes
+        fake_weights = np.broadcast_to(np.abs(_XI_ROWS @ fake) ** 2, (len(u), 3))
+        announced = np.where(theft, _sample(fake_weights, u[:, _U_FIRST])[0], outcome)
+        captured = np.where(theft, outcome, -1)
+        np.copyto(kept, fake[:, None], where=~theft)
+    fid = _span_fidelity(tables, s, 3 * bell + outcome, kept)
+    return _InsideBlock(bell, announced, captured, fid)
 
 
 def _inside_inputs(u: np.ndarray, force_designate: int | None) -> tuple[np.ndarray, np.ndarray]:

@@ -8,15 +8,18 @@ explicit ``numpy.random.Generator``.
 
 One private batched engine (``_contract``, ``_weights``, ``_measure``)
 acts on B registers held as one ``(B, 3, ..., 3)`` array. The
-``PureState`` operations validate and run it on one register; the steps
-in ``protocol`` and the kernels in ``attacks`` run it on blocks of trials.
+``PureState`` operations validate and run it on one register, a sharing
+session's steps in ``protocol`` on its one register, and the check
+kernel on blocks of rounds. The inside kernel (``attacks._inside_block``)
+holds each trial's register as its three coefficients on the GHZ span
+and takes only its draws from here (``_sample``).
 ``apply_single`` turns one register's qutrit by a matrix product of its
 own, and the check kernel turns its Fourier pairs on flat registers of
 its own.
 A step whose rows every register shares runs as one 2-D matrix product;
-per-register rows run one stacked product. The sharing steps hold one
-register until the dealer's step (``protocol._deal``), whose rows differ
-between trials, gives each trial its own register.
+per-register rows run one stacked product. The sharing steps start from
+one channel register, and the dealer's step (``protocol._deal``), whose
+rows differ between secrets, gives each secret its own register.
 The check kernel does not collapse per trial: it keeps the few distinct
 registers its rounds can be in and groups its rounds by (register, rows)
 pair, scattering their small integer keys into a table of flags
@@ -52,7 +55,6 @@ are such families, and their members are trusted states too.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -369,15 +371,7 @@ def _grouped(block: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     return block.transpose(order).reshape(len(block), 3 ** len(axes), -1)
 
 
-def _view(work: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray | None:
-    """The leading elements of the flat buffer ``work`` as a ``shape`` array, for a numpy ``out=``;
-    None without a buffer, so that numpy allocates the result."""
-    return None if work is None else work[: math.prod(shape)].reshape(shape)
-
-
-def _contract(
-    rows: np.ndarray, block: np.ndarray, axes: Sequence[int], work: tuple[np.ndarray, np.ndarray] | None = None
-) -> np.ndarray:
+def _contract(rows: np.ndarray, block: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     """``(B, m, rest)`` coefficients of ``m`` rows on the targets of each register.
 
     Rows that the registers share run as one 2-D matrix product:
@@ -388,19 +382,10 @@ def _contract(
     - per-register ``(B, m, 3**t)`` rows: one stacked product per register,
       ``rows @ (B, 3**t, rest)``, which broadcasts a one-register block
       against every row set.
-
-    ``work``, for shared rows, is two flat complex buffers that receive the moved block and the
-    product (``block.size`` and ``m * block.size / 3**t`` elements), so the step allocates
-    neither; the coefficients are then a view of the second.
     """
     if rows.ndim == 2:
-        moved, out = block.transpose([k + 1 for k in axes] + [0] + _others(block, axes)), None
-        if work is not None:
-            buffer = _view(work[0], moved.shape)
-            np.copyto(buffer, moved)
-            moved, out = buffer, _view(work[1], (len(rows), moved.size // rows.shape[1]))
-        product = np.matmul(rows, moved.reshape(rows.shape[1], -1), out=out)
-        return product.reshape(len(rows), len(block), -1).transpose(1, 0, 2)
+        flat = block.transpose([k + 1 for k in axes] + [0] + _others(block, axes)).reshape(rows.shape[1], -1)
+        return (rows @ flat).reshape(len(rows), len(block), -1).transpose(1, 0, 2)
     return rows @ _grouped(block, axes)
 
 
@@ -424,7 +409,6 @@ def _measure(
     axes: Sequence[int],
     rows: np.ndarray,
     draw: np.ndarray,
-    work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Measure the targets of register b in the family whose conjugated members are ``rows``,
     sampling with uniform ``draw[b]`` or, where ``draw`` holds integers, forcing that outcome.
@@ -433,8 +417,8 @@ def _measure(
     The registers are those of the coefficients: a one-register block measured
     with B per-register row sets collapses into B registers. Every row meets every register
     (``_contract``), the weights are the coefficients' squared norms, and the drawn row's
-    coefficients are kept, a fresh array whatever ``work`` (``_contract``'s buffers) holds."""
-    coeffs = _contract(rows, block, axes, work)
+    coefficients are kept."""
+    coeffs = _contract(rows, block, axes)
     probs = _weights(coeffs)
     registers = np.arange(len(coeffs))
     if draw.dtype.kind in "iu":
@@ -474,7 +458,8 @@ _PRODUCT_CUMSUM_WIDTH = 81
 
 @lru_cache(maxsize=None)
 def _upper_ones(n: int) -> np.ndarray:
-    """``(n, n)`` upper-triangular ones: ``probs @`` it gives each row's cumulative sums."""
+    """``(n, n)`` upper-triangular ones: ``probs @`` it gives each row's cumulative sums, and
+    ``_upper_ones(n).T @ probs.T`` the same sums with one column per row of ``probs``."""
     return _freeze(np.triu(np.ones((n, n))))
 
 
@@ -518,13 +503,17 @@ def _sample(
     of order; a draw that lands on a weight at or below ``ZERO_PROB_TOL`` is redrawn from its
     row's sequential sums, and refused only if that weight is zero too. A draw therefore differs
     from a sequential sum's only where a uniform lies within the last bit of a boundary. The
-    fallback past a row's rounded total and the refusals look only at the rows drawn from."""
+    fallback past a row's rounded total and the refusals look only at the rows drawn from.
+
+    The product sums are taken draw-last, ``_upper_ones(n).T @ probs.T``, so that the comparisons
+    and the count run along rows as long as the draws. The inside kernel, whose weights are
+    ``(n, B)``, passes them transposed, and the product then reads them as they lie."""
     n = probs.shape[1]
     product = row is None and n <= _PRODUCT_CUMSUM_WIDTH
     if row is None:
         row = np.arange(len(u))
     if product:
-        k = np.sum(probs @ _upper_ones(n) <= u[:, None], axis=1)
+        k = np.sum(_upper_ones(n).T @ probs.T <= u, axis=0)
     else:
         k = _counts(np.cumsum(probs, axis=1) if sums is None else sums, u, row)
     if k.max() >= n:

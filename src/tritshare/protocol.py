@@ -1,16 +1,21 @@
 """Sharing-session choreography and GHZ channel verification.
 
-The choreography exists once, as two block steps: the dealer's Bell
+A session runs two steps on its one register: the dealer's Bell
 measurement of the secret with its qutrit of a fresh GHZ channel
 (``_deal``), then the helpers' Fourier measurements (``_help``). The
 dealer's Bell rows absorb the secret first, so the dealer measures the
-bare channel, one register that every trial shares, and no
-secret-and-channel register is built. Its nine Born weights per trial
-come from the 3 x 3 reduced density of the dealer's channel qutrit, and
-only each trial's drawn row meets the channel. The dealt register is
+bare channel and no secret-and-channel register is built. Its nine Born
+weights come from the 3 x 3 reduced density of the dealer's channel
+qutrit, and only the drawn row meets the channel. The dealt register is
 symmetric under every permutation of the agents' qutrits, so the helpers
-measure its qutrits in turn and nobody tracks who holds which. Sessions
-run the steps on one register, the inside attack on blocks of trials.
+measure its qutrits in turn and nobody tracks who holds which.
+The inside attack's kernel (``attacks._inside_block``) plays the same
+steps on the three coefficients the dealt register has on the GHZ span,
+sum_k a_k |k...k>, from the same Bell forms, channel density and
+correction table; it draws what these steps draw except where a uniform
+lies within the last bits of a boundary. Sessions keep the dense steps
+until the session benchmark can judge a faster session path (ROADMAP,
+item 1); the two paths then meet again on the span.
 Check rounds consume dedicated GHZ copies and feed a compare-and-abort
 verdict.
 """
@@ -27,7 +32,6 @@ from .core import (
     ZERO_PROB_TOL,
     PureState,
     _block,
-    _contract,
     _distinct,
     _freeze,
     _integer,
@@ -35,7 +39,6 @@ from .core import (
     _normalized,
     _sample,
     _trusted_state,
-    _view,
     _weights,
     apply_single,
     fidelity,
@@ -229,55 +232,45 @@ _BELL_BLOCKS = _freeze(_BELL_ROWS.reshape(9, 3, 3))
 _BELL_FORMS = _freeze(np.einsum("kij,kIJ,r->iIrkjJ", _BELL_BLOCKS, _BELL_BLOCKS.conj(), [1, 1j]).reshape(18, 9, 9))
 
 
-def _deal(
-    secrets: np.ndarray,
-    num_agents: int,
-    draw: np.ndarray,
-    work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The dealer's step: the dealer Bell-measures register b's secret ``secrets[b]`` with its own
-    qutrit of a fresh GHZ(N+1) channel, drawing with ``draw[b]`` as ``core._measure`` does.
-
-    No secret ⊗ channel register is built: member k's row absorbs the secret as ``s @ S_k`` and
-    meets the bare channel g, ``(3, 3**N)``. Its Born weight ``s Q_k s^dagger`` needs only the
-    qutrit's density ``M = g g^dagger``, from pairwise ``np.vdot`` of g's rows (several times
-    faster than ``g @ g.conj().T`` on wide channels), so a block's weights are one product of its
-    secrets' outer products with the nine forms, and only each drawn row meets the channel. The
-    nine rows form a Parseval frame, so the weights sum to 1. The recorded weight, the refusal of
-    a branch at ``ZERO_PROB_TOL`` and the normalization come from the kept row's squared norm.
-    Returns the outcomes 3n + m, their Born weights and the agents' block, agent a's qutrit on
-    axis a - 1.
-
-    ``work`` is three flat complex buffers of at least ``B * 3**N`` elements, into which the step
-    then writes its wide per-trial arrays: the outer products and then the secrets' rows into the
-    first, the gathered Bell blocks into the second, and the agents' block, which is returned as a
-    view, into the third.
-    """
-    channel = ghz_state(num_agents + 1).amplitudes.reshape(3, -1)
+def _dealer_forms(channel: np.ndarray) -> np.ndarray:
+    """``(18, 9)``: the dealer's Born forms on the channel g, ``(3, 3**N)`` with the dealer's qutrit
+    first. The qutrit's density ``M = g g^dagger`` comes from pairwise ``np.vdot`` of g's rows
+    (several times faster than ``g @ g.conj().T`` on wide channels) and passes through
+    ``_BELL_FORMS``, so the ``float64`` view of a secret's outer product times the forms gives its
+    nine Bell weights."""
     density = np.empty((3, 3), dtype=np.complex128)
     for i in range(3):
         for j in range(i, 3):
             density[i, j] = np.vdot(channel[j], channel[i])
             density[j, i] = np.conj(density[i, j])
-    forms = (_BELL_FORMS @ density.reshape(9)).real
-    size = len(secrets)
-    first, second, third = work or (None, None, None)
-    outer = np.matmul(secrets[:, :, None], secrets.conj()[:, None, :], out=_view(first, (size, 3, 3)))
-    probs = outer.reshape(-1, 9).view(np.float64) @ forms
+    return (_BELL_FORMS @ density.reshape(9)).real
+
+
+def _deal(secrets: np.ndarray, num_agents: int, draw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dealer's step: the dealer Bell-measures register b's secret ``secrets[b]`` with its own
+    qutrit of a fresh GHZ(N+1) channel, drawing with ``draw[b]`` as ``core._measure`` does.
+
+    No secret ⊗ channel register is built: member k's row absorbs the secret as ``s @ S_k`` and
+    meets the bare channel g, ``(3, 3**N)``. Its Born weight ``s Q_k s^dagger`` needs only the
+    qutrit's density (``_dealer_forms``), so a block's weights are one product of its secrets'
+    outer products with the nine forms, and only each drawn row meets the channel. The nine rows
+    form a Parseval frame, so the weights sum to 1. The recorded weight, the refusal of a branch
+    at ``ZERO_PROB_TOL`` and the normalization come from the kept row's squared norm. Returns the
+    outcomes 3n + m, their Born weights and the agents' block, agent a's qutrit on axis a - 1.
+    """
+    channel = ghz_state(num_agents + 1).amplitudes.reshape(3, -1)
+    outer = secrets[:, :, None] @ secrets.conj()[:, None, :]
+    probs = outer.reshape(-1, 9).view(np.float64) @ _dealer_forms(channel)
     outcome = draw if draw.dtype.kind in "iu" else _sample(probs, draw)[0]
-    # The outcomes lie in 0..8; "clip" skips the temporary copy that "raise" makes with ``out``.
-    blocks = _BELL_BLOCKS.take(outcome, axis=0, out=_view(second, (size, 3, 3)), mode="clip")
-    rows = np.matmul(secrets[:, None, :], blocks, out=_view(first, (size, 1, 3)))
-    kept = np.matmul(rows[:, 0], channel, out=_view(third, (size, channel.shape[1])))
+    rows = secrets[:, None, :] @ _BELL_BLOCKS[outcome]
+    kept = rows[:, 0] @ channel
     weight = _weights(kept)
     if weight.min() <= ZERO_PROB_TOL:
         raise ZeroProbabilityBranchSampled(f"dealt branch has probability {float(weight.min())!r}")
     return outcome, weight, _normalized(kept, weight).reshape((len(kept),) + (3,) * num_agents)
 
 
-def _help(
-    state: np.ndarray, draws: np.ndarray, work: tuple[np.ndarray, np.ndarray] | None = None
-) -> tuple[list[np.ndarray], np.ndarray]:
+def _help(state: np.ndarray, draws: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """The helpers' step: the i-th helper Fourier-measures qutrit 0 of register b with
     ``draws[b, i]``. Returns each helper's outcomes, the i-th helper's of every register in the
     i-th array, and the block of the qutrits left.
@@ -285,32 +278,12 @@ def _help(
     Which agent holds which qutrit does not matter: the dealt register lies in the span of the
     |kk...k>, so it is symmetric, bit for bit, under every permutation of its qutrits, and each
     helper's measurement keeps it so. Every helper can therefore measure axis 0, whoever helps,
-    in any order, and the reconstructing agent holds whatever qutrit is left. ``work`` is
-    ``core._contract``'s pair of buffers for every measurement; the block left is a fresh array."""
+    in any order, and the reconstructing agent holds whatever qutrit is left."""
     outcomes = []
     for draw in draws.T:
-        outcome, _, state = _measure(state, (0,), _XI_ROWS, draw, work)
+        outcome, _, state = _measure(state, (0,), _XI_ROWS, draw)
         outcomes.append(outcome)
     return outcomes, state
-
-
-def _reconstruction_fidelity(
-    qutrits: np.ndarray,
-    secrets: np.ndarray,
-    bell: np.ndarray,
-    helper_sum: np.ndarray,
-    work: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Fidelity ``|<secret|R|q>|^2`` of each register's reconstructing qutrit ``q`` (``(B, 3)``)
-    to its secret under the correction R that the Bell outcome and the helper sum select.
-    ``work`` is two flat complex buffers of at least 9 B elements, for the gathered corrections
-    and the secrets' rows under them."""
-    size = len(secrets)
-    first, second = work or (None, None)
-    corrections = _recovery_table().reshape(27, 3, 3)
-    table = corrections.take(3 * bell + helper_sum, axis=0, out=_view(first, (size, 3, 3)), mode="clip")
-    rows = np.matmul(secrets.conj()[:, None, :], table, out=_view(second, (size, 1, 3)))
-    return np.minimum(1.0, _weights(_contract(rows, qutrits, (0,)))[:, 0])
 
 
 def _validate_config(cfg: SessionConfig) -> None:

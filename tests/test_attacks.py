@@ -8,6 +8,7 @@ the designation coin flip.
 
 import functools
 import itertools
+import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -839,10 +840,11 @@ def test_a_full_twelve_party_check_block_allocates_a_few_registers():
 
 
 def test_inside_experiment_allocates_little():
-    # A 1,000-trial experiment is one block whose widest arrays hold nine amplitudes or weights
-    # per trial; a (1000, 9, 9) coefficient array alone would be 1.2 MiB. The warm-up also builds
-    # the thread's workspace, so the second run allocates only the block's smaller arrays: 377 KiB
-    # traced (numpy 2.4), against 654 KiB when each block took its nine-wide arrays afresh.
+    # A 1,000-trial experiment is one block. It holds each trial's register as three span
+    # coefficients, and its widest arrays are the nine Bell features and weights per trial; a
+    # (1000, 9, 9) coefficient array alone would be 1.2 MiB. The warm-up builds the kernel's
+    # tables, and the second run's traced peak is 380 KiB (numpy 2.4): the uniforms, the secrets
+    # and a few (3, B) and (9, B) arrays, written in place where a step allows it.
     attack = InsideAttack(1, FAKE_HAAR)
     run_inside_attack_experiment(1000, attack, SINGLE_COPY, seed=4)  # warms the caches it builds
     tracemalloc.start()
@@ -854,8 +856,8 @@ def test_inside_experiment_allocates_little():
     assert peak < 2**19
 
 
-#: Inside runs of more than one 2,304-trial block, so that a run's blocks use the workspace at two
-#: lengths: every fake (none, |0>, Haar) under both comparisons, by each dishonest agent.
+#: Inside runs of more than one 2,304-trial block, so that a run holds blocks of two lengths: every
+#: fake (none, |0>, Haar) under both comparisons, by each dishonest agent.
 _THREADED_RUNS = [
     (2305 + 700 * i, InsideAttack(1 + i % 2, fake), mode, 40 + i)
     for i, (fake, mode) in enumerate(itertools.product((None, FAKE_ZERO, FAKE_HAAR), (EXACT, SINGLE_COPY)))
@@ -876,24 +878,102 @@ def test_inside_experiments_agree_across_threads():
     assert threaded == sequential
 
 
-def test_inside_results_share_no_memory_with_the_workspace():
+def _arrays(value):
+    """Every array in a nest of tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    return [a for item in value for a in _arrays(item)]
+
+
+def test_inside_results_share_no_memory_with_their_inputs_or_tables():
     u = attacks._stream(6).random((500, attacks._INSIDE_UNIFORMS))
     secrets, designated = attacks._inside_inputs(u, None)
+    constants = _arrays(tuple(attacks._span_tables())) + [protocol._recovery_table()]
+    assert all(not table.flags.writeable for table in constants)
     for fake in (None, FAKE_ZERO, FAKE_HAAR):
         block = attacks._inside_block(secrets, designated, InsideAttack(1, fake), u)
-        assert not any(np.shares_memory(a, b) for a in block for b in attacks._workspace(len(u)))
+        for i, a in enumerate(block):
+            assert not any(np.shares_memory(a, b) for b in [secrets, designated, u] + constants)
+            assert not any(np.shares_memory(a, b) for b in block[i + 1 :])
 
     secret = haar_random_state(np.random.default_rng(7))
     outcome = run_inside_trial(secret, InsideAttack(1, FAKE_HAAR), 2, np.random.default_rng(8))
     fields = (outcome.bell.n, outcome.bell.m, outcome.designated, outcome.reconstruction_fidelity)
-    assert all(type(field) in (int, float) for field in fields)  # built-in numbers, not workspace views
+    assert all(type(field) in (int, float) for field in fields)  # built-in numbers, not array views
     transcript = run_sharing_session(SessionConfig(2, 1, secret, 9))
     reconstructed = transcript.reconstructed.amplitudes.copy()
     for run in _THREADED_RUNS:
         run_inside_attack_experiment(*run)
     assert (outcome.bell.n, outcome.bell.m, outcome.designated, outcome.reconstruction_fidelity) == fields
     assert np.array_equal(transcript.reconstructed.amplitudes, reconstructed)
-    assert all(buffer.flags.writeable for buffer in attacks._workspace(1))  # no block froze a view of it
+
+
+def _dense_inside_block(secrets, designated, attack, u):
+    """The inside block by the dense sharing steps: ``protocol._deal`` and ``protocol._help`` on the
+    (B, 3, 3) register, the fake drawn by ``sample_indices``, and each trial's fidelity computed
+    from the correction table with ``np.vdot``."""
+    bell, _, state = protocol._deal(secrets, 2, u[:, attacks._U_BELL])
+    theft = designated == attack.dishonest_agent
+    if attack.fake_state is None:
+        theft[:] = False
+    draw = np.where(theft, u[:, attacks._U_SECOND], u[:, attacks._U_FIRST])
+    (outcome,), kept = protocol._help(state, draw[:, None])
+    announced, captured = outcome.copy(), np.full(len(u), -1)
+    if attack.fake_state is not None:
+        fake = attack.fake_state.amplitudes
+        weights = np.tile(np.abs(_XI_ROWS @ fake) ** 2, (len(u), 1))
+        announced[theft] = sample_indices(weights, u[:, attacks._U_FIRST])[theft]
+        captured[theft] = outcome[theft]
+        kept[~theft] = fake
+    table = protocol._recovery_table()
+    fid = [
+        min(1.0, abs(np.vdot(s, table[b // 3, b % 3, l] @ q)) ** 2)
+        for s, b, l, q in zip(secrets, bell.tolist(), outcome.tolist(), kept)
+    ]
+    return bell, announced, captured, np.array(fid)
+
+
+@pytest.mark.parametrize("seed", [61, 62, 63, 64, 65])
+def test_inside_span_block_matches_the_dense_steps(seed):
+    """The span kernel draws what the dense sharing steps draw, on full blocks, for every fake and
+    both dishonest agents. Every fourth row's Bell, helper and fake-draw uniforms are the largest
+    double below 1, which runs past each row's rounded total."""
+    u = attacks._stream(seed).random((2304, attacks._INSIDE_UNIFORMS))
+    u[::4, [attacks._U_BELL, attacks._U_FIRST, attacks._U_SECOND]] = np.nextafter(1.0, 0.0)
+    secrets, designated = attacks._inside_inputs(u, None)
+    for fake, agent in itertools.product((None, FAKE_ZERO, FAKE_HAAR), (1, 2)):
+        attack = InsideAttack(agent, fake)
+        block = attacks._inside_block(secrets, designated, attack, u)
+        bell, announced, captured, fid = _dense_inside_block(secrets, designated, attack, u)
+        assert np.array_equal(block.bell, bell)
+        assert np.array_equal(block.announced, announced)
+        assert np.array_equal(block.captured, captured)
+        assert np.abs(block.fidelity - fid).max() < 1e-12
+
+
+def test_span_bell_weights_are_the_dealers_forms_on_any_density():
+    """The nine features carry the whole Born weight, also where the dealer's qutrit has a density
+    with off-diagonal entries, which no span channel gives: a Haar channel on three qutrits."""
+    rng = np.random.default_rng(71)
+    channel = haar_random_state(rng, 3).amplitudes.reshape(3, 9)
+    forms = protocol._dealer_forms(channel)
+    secrets = np.array([haar_random_state(rng).amplitudes for _ in range(200)])
+    outer = secrets[:, :, None] * secrets.conj()[:, None, :]
+    dense = outer.reshape(-1, 9).view(np.float64) @ forms
+    span = attacks._feature_forms(forms) @ attacks._features(np.ascontiguousarray(secrets.T))
+    assert np.abs(span.T - dense).max() < 1e-15
+    assert np.abs(dense - 1 / 9).max() > 0.01  # the channel's weights depend on the secret
+
+
+def test_span_tables_are_monomial_gathers_built_on_first_use():
+    code = "import tritshare.attacks as a; print(a._span_tables.cache_info().currsize)"
+    assert subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout == "0\n"
+    with pytest.raises(ValueError, match="monomial"):
+        attacks._monomial(_XI_ROWS[None])
+    column, entry = attacks._monomial(protocol._recovery_table().reshape(27, 3, 3))
+    x = np.arange(3) + 1j * np.arange(3, 6)
+    for k, matrix in enumerate(protocol._recovery_table().reshape(27, 3, 3)):
+        assert np.array_equal(entry[:, k] * x[column[:, k]], matrix @ x)
 
 
 # ---------------------------------------------------------------------------

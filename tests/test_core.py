@@ -588,6 +588,30 @@ def test_distinct_matches_np_unique(case):
     assert np.array_equal(position, inverse)
 
 
+@pytest.mark.parametrize("width", [3, 9, 27, 81])
+def test_product_sums_are_taken_draw_last(width):
+    """``_sample``'s product route sums ``_upper_ones(n).T @ probs.T``, one column per draw. At 3
+    and 9 outcomes, the widths of the sharing steps, those sums equal ``probs @ _upper_ones(n)``
+    bit for bit, for C-ordered weights and for the transposed views the inside kernel passes; at
+    27 and 81 they may differ in the last bit, and the draws here are still the same. At 3 and 9,
+    some uniforms equal a sum exactly, which counts that outcome as passed."""
+    rng = np.random.default_rng(width)
+    upper = core._upper_ones(width)
+    for size in (1, 7, 120, 1000, 2304):
+        weights = rng.random((size, width))
+        weights /= weights.sum(axis=1, keepdims=True)
+        u = rng.random(size)
+        u[::5] = np.nextafter(1.0, 0.0)
+        if width <= 9:
+            u[1::5] = (weights @ upper)[1::5, width // 2]
+        for probs in (weights, np.ascontiguousarray(weights.T).T):
+            rowwise = probs @ upper
+            if width <= 9:
+                assert np.array_equal((upper.T @ probs.T).T, rowwise), (size, probs.flags.c_contiguous)
+            drawn = np.minimum(np.sum(rowwise <= u[:, None], axis=1), width - 1)
+            assert np.array_equal(_sample(probs, u)[0], drawn), (size, probs.flags.c_contiguous)
+
+
 @pytest.mark.parametrize("width", [3, 9, 27, 81, 243, 729, 3**9])
 def test_row_indexed_sample_matches_the_gathered_rows(width):
     """Draws from hundreds of distinct rows (a dozen of 3**9 outcomes), each round naming its row,
