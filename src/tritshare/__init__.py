@@ -62,7 +62,7 @@ from .protocol import (
     verify_correlations,
 )
 
-__version__ = "0.4.9"
+__version__ = "0.4.10"
 
 
 def __getattr__(name: str):

@@ -13,35 +13,32 @@ trials, so a 1,000-trial experiment is one block. The register the
 dealer's step leaves, sum_k a_k |kk>, has three coefficients, so the
 block holds each trial's as a column of a trial-last ``(3, B)`` array and
 every step runs along rows of B trials: the dealer's nine Bell weights are
-one real form in the secret's features, the drawn member's row and the
+one real form in the secret's three moduli, the drawn member's row and the
 correction are gathers from monomial tables built once
 (``_span_tables``), and a helper's weights are ``|xi_l|^2 @ |a|^2``. Its
-widest arrays are the nine Bell features and weights per trial; each
-step allocates its own and writes in place where it can. The check
-blocks run ``core``'s batched engine, the one every ``PureState``
-operation runs on. A check round's draws depend only on its configuration:
-the party count, Eve's target axes, the bases her policy draws from and
-the check bases, which ``_check_blocks`` resolves once per run, after
-validation. Each intercept and the check step have two parts, a per-pair
-part, the Born weights and cumulative sums of a (register, basis) pair
-and, for an intercept, the registers Eve resends, and a per-round draw
-against the round's pair's sums (``core._sample``). One budget rule
-picks a run's route and block size: where its complete register tree,
-``(3 * |Eve's bases|)**t * 3**n`` amplitudes under t targets, fits the
-amplitude budget of a block (``_BLOCK``), its per-pair parts are built
-once, for every pair, and kept read-only in a small cache
-(``_check_tables``): its blocks of ``_BLOCK`` rounds then only draw,
-each round stepping from register to register through the tables, and
-the verdict of a joint outcome is one lookup (``protocol._passes``).
-Elsewhere a check block builds the pairs its rounds reach: it holds the
-distinct registers its rounds can be in, plus one register index per
-round, and groups its rounds by (register, basis) pair, scattering small
-integer keys into a table of flags (``core._distinct``). An intercept
-builds one register per (pair, outcome) that occurred, at most one per
-round, so such a block holds as many rounds as registers fit the budget,
-or ``_BLOCK`` rounds where no qutrit is targeted. Both routes run the
-same steps on the same pairs, so they draw the same rounds.
-``check-channel`` tallies each block's flags into its verdict
+widest arrays are the nine Bell weights per trial; each step allocates its
+own and writes in place where it can.
+
+A check round's register is on the GHZ span too: one of six span states,
+``c_k w^{qk}`` or ``e_j``, on the parties nobody intercepted, times Eve's
+resent member on each target (``protocol._span_model``). Its draws depend
+only on its configuration: the party count, Eve's target axes, the bases
+her policy draws from and the check bases, which ``_check_blocks``
+resolves once per run, after validation. Every intercept is a three-way
+draw from Eve's table, the same on both routes, and each check block
+holds ``_BLOCK`` rounds. One budget rule picks a run's route: where its
+complete tree, ``(3 * |Eve's bases|)**t`` leaves of ``3**n`` joint
+outcomes under t targets, fits the amplitude budget of a block
+(``_BLOCK``), the party walk (``protocol._walk``) is evaluated over
+every leaf's digit strings once, into joint weights, their cumulative
+sums and pass flags kept read-only in a small cache (``_check_tables``),
+and each round draws its joint outcome from its leaf's row
+(``core._sample``). Elsewhere the check step draws each round's digits
+one by one from its span state and members (``protocol._check_step``),
+and no array of ``3**n`` amplitudes or weights is built. Both routes
+draw the joint outcome that the round's uniform draws over the ``3**n``
+outcomes in index order, except where it lies within the last bits of a
+boundary. ``check-channel`` tallies each block's flags into its verdict
 (``protocol._verdict``) and keeps no record per round; only
 ``run_check_rounds`` decodes its rounds' joint outcomes into trits.
 Every trial consumes the same number K of uniform doubles, a multiple of
@@ -55,10 +52,10 @@ experiments. The inside kernel plays the sharing steps of ``protocol``
 coefficients, and draws what the dense steps draw except where a uniform
 lies within the last bits of a boundary. The
 fake is an unentangled qutrit, so it never joins the register: the victim
-measures it, or reconstructs on it, alone. The one-register functions are
-the same steps on one register and one round:
-``outside_intercept_resend`` runs the intercept step,
-``protocol.channel_check_round`` the check step.
+measures it, or reconstructs on it, alone. ``protocol.channel_check_round``
+is the check step on one honest round; ``outside_intercept_resend`` takes
+any register, so it runs the dense engine's measurement and stays an
+independent reference for the intercept.
 """
 
 from __future__ import annotations
@@ -69,15 +66,12 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .core import (
-    ZERO_PROB_TOL, PureState, _axes, _block, _contract, _distinct, _freeze, _integer, _normalized, _sample,
-    _trusted_state, _weights, tensor,
-)
+from .core import ZERO_PROB_TOL, PureState, _axes, _block, _freeze, _integer, _measure, _sample, _trusted_state, tensor
 from .errors import ConfigInvalid, LabelOutOfRange, SelfCapture, ZeroProbabilityBranchSampled
 from .operators import _COMPUTATIONAL_ROWS, _XI_ROWS, BellOutcome, ghz_state
 from .protocol import (
-    _BELL_BLOCKS, CHECK_BASES, COMPUTATIONAL, FOURIER, CheckRecord, _check_outcomes, _dealer_forms, _joint_weights,
-    _pairs, _passed, _recovery_table, _trits, _validated_parties, _validated_seed,
+    _BELL_BLOCKS, CHECK_BASES, COMPUTATIONAL, FOURIER, CheckRecord, _check_step, _dealer_forms, _passes,
+    _recovery_table, _span_model, _trits, _validated_parties, _validated_seed, _walk,
 )
 
 ALWAYS_COMPUTATIONAL = "always_computational"
@@ -94,18 +88,15 @@ EXACT_COMPARISON_THRESHOLD = 1.0 - 1e-9
 
 RANDOM_CHECK_BASIS = "random"
 
-#: Inside trials simulated together as one array; with ``_INSIDE_QUTRITS`` it sets the one
-#: amplitude budget of every block, ``_BLOCK * 3**_INSIDE_QUTRITS`` = 20,736 amplitudes. A check run
-#: whose complete register tree fits it, ``(3 * |Eve's bases|)**t * 3**n`` amplitudes under t
-#: targets, builds the tree once, into cached tables (``_check_tables``), and its blocks of
-#: ``_BLOCK`` rounds only draw. Elsewhere a block builds its own registers, at most one per round
-#: at each intercept, so it holds as many rounds as registers of 3**n fit, counting at least one:
-#: 85 at five parties, 28 at six, 9 at seven, 3 at eight and 1 from nine up. An honest run's rounds
-#: share one register, so its blocks hold ``_BLOCK`` rounds. ``_check_blocks`` applies this rule
-#: once per run, and the draws are the same on either route and at any block size.
-#: Traced peaks of a 2,304-round block once its tables are built: 152 KiB at three parties under
-#: two intercepts, 0.36 registers at nine parties with no Eve; 5.0 registers at twelve, whose
-#: blocks build theirs (2 cores, numpy 2.4).
+#: Inside trials and check rounds simulated together as one array; with ``_INSIDE_QUTRITS`` it sets
+#: the amplitude budget of a block, ``_BLOCK * 3**_INSIDE_QUTRITS`` = 20,736. A check run whose
+#: complete tree fits it, ``(3 * |Eve's bases|)**t * 3**n`` joint outcomes under t targets, draws
+#: from tables built once (``_check_tables``); elsewhere its rounds are drawn digit by digit. That
+#: is the budget's only job: every check block holds ``_BLOCK`` rounds, and the draws are the same
+#: on either route and at any block size. Traced peaks of a 2,304-round check block once its
+#: tables are built: 225 KiB at three parties under two intercepts, 114 KiB at nine parties with no
+#: Eve; at twelve, digit by digit, 414 KiB with no Eve and 669 KiB with every transit qutrit
+#: targeted (2 cores, numpy 2.4).
 #: Smaller blocks are bound by numpy's per-call overhead; larger ones raise an experiment's
 #: peak memory. Over a warm 100-trial run in a fresh process, the peak RSS of a 4,000-trial
 #: inside experiment grew by 0 MiB at 256-trial blocks, 0.25 MiB at 1,024 and 1.2 MiB at
@@ -116,7 +107,7 @@ _BLOCK = 2304
 #: Qutrits per register of the amplitude budget: the two agents' channel qutrits of a three-party
 #: session, 3 x 3 amplitudes (16 B each, so 324 KiB for 2,304 registers), the register the dense
 #: dealer's step (``protocol._deal``) builds. The inside kernel keeps three amplitudes per trial,
-#: on the GHZ span, and nine Bell features and weights (8 B each, 162 KiB a full block per array).
+#: on the GHZ span, and nine Bell weights (8 B each, 162 KiB a full block).
 _INSIDE_QUTRITS = 2
 
 # Columns of an inside trial's uniforms: six for the Haar secret, then the
@@ -176,12 +167,16 @@ class AttackStats:
 
 def outside_intercept_resend(state: PureState, label: int, basis: str, rng: np.random.Generator) -> PureState:
     """Measure one transit qutrit in the given basis and forward the observed basis state:
-    the Lüders projection onto the member that fired, renormalized. This is the check-round
-    kernel's intercept step run on one register; it draws one uniform from ``rng``."""
+    the Lüders projection onto the member that fired, renormalized. It takes any register, so it
+    runs the dense engine's measurement (``core._measure``) and puts the member back on the
+    qutrit's axis, independently of the check kernel's span model; it draws one uniform from
+    ``rng``."""
     (axis,) = _axes(state, (label,), outside=LabelOutOfRange)
     if basis not in CHECK_BASES:
         raise ConfigInvalid(f"basis must be one of {CHECK_BASES}, got {basis!r}")
-    resent, _ = _intercept(_block(state), np.zeros(1, dtype=np.intp), axis, np.array([basis == FOURIER]), rng.random(1))
+    rows = _XI_ROWS if basis == FOURIER else _COMPUTATIONAL_ROWS
+    outcome, _, kept = _measure(_block(state), (axis,), rows, rng.random(1))
+    resent = kept.reshape(3**axis, 1, -1) * rows[outcome[0]].conj()[:, None]
     return _trusted_state(state.num_qutrits, resent)
 
 
@@ -223,7 +218,7 @@ class _SpanTables(NamedTuple):
     (``_span_tables``). A monomial gather ``(column, entry)`` holds ``(3, K)`` tables: row i of
     matrix k times a column x is ``entry[i, k] * x[column[i, k]]``."""
 
-    bell_forms: np.ndarray  # (9, 9): Bell outcome k's weight as a form in the secret's features (``_features``)
+    bell_forms: np.ndarray  # (9, 3): Bell outcome k's weight as a form in the secret's moduli |s_i|^2
     bell: tuple[np.ndarray, np.ndarray]  # member k's row on the dealer's qutrit, times the channel's coefficients
     xi_weights: np.ndarray  # (3, 3): |<xi_l|k>|^2, a helper's outcome weights on |a_k|^2
     xi_columns: np.ndarray  # (3, 3): column l is the Fourier row l, the helper's factor on a_k
@@ -241,52 +236,28 @@ def _monomial(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _freeze(np.ascontiguousarray(column.T)), _freeze(np.ascontiguousarray(entry.T))
 
 
-#: The secret's features that its Bell weights are linear in: |s_i|^2, then the real and the
-#: imaginary parts of ``s_i conj(s_j)`` for the pairs (i, j) = (0, 1), (0, 2), (1, 2).
-_PAIRS = ((0, 0, 1), (1, 2, 2))
-
-
-def _feature_forms(forms: np.ndarray) -> np.ndarray:
-    """``(9, 9)``: the dealer's ``(18, 9)`` forms (``protocol._dealer_forms``) as a map from a
-    secret's features (``_features``) to its nine Bell weights. Rows 2p and 2p + 1 of the forms
-    weigh the real and imaginary parts of ``s_i conj(s_j)`` at p = 3i + j; the pair (j, i) holds the
-    conjugate, so a pair's real part takes both rows 2p and its imaginary part their difference."""
-    combine = np.zeros((9, 18))
-    for i in range(3):
-        combine[i, 8 * i] = 1.0
-    for f, (i, j) in enumerate(zip(*_PAIRS)):
-        combine[3 + f, [6 * i + 2 * j, 6 * j + 2 * i]] = 1.0, 1.0
-        combine[6 + f, [6 * i + 2 * j + 1, 6 * j + 2 * i + 1]] = 1.0, -1.0
-    return np.ascontiguousarray((combine @ forms).T)
-
-
 # Built on first use, as the correction table it reads is.
 @lru_cache(maxsize=None)
 def _span_tables() -> _SpanTables:
     """The inside kernel's tables, from the sharing steps' own constants: the dealer's forms on
     the three-party channel (``protocol._dealer_forms``), the Bell blocks and the correction
     table. The channel holds the agents' qutrits at |kk> with coefficient ``c_k`` when the
-    dealer's qutrit reads k, so the dealt register is ``(s @ S_k)_k c_k`` on the |kk>."""
+    dealer's qutrit reads k, so the dealt register is ``(s @ S_k)_k c_k`` on the |kk>. Its dealer
+    qutrit's density is diag(|c_k|^2), so the forms weigh only the secret's moduli: the columns of
+    its pairs ``s_i conj(s_j)``, i != j, are exactly zero, and a channel where they are not is
+    refused."""
     channel = ghz_state(3).amplitudes.reshape(3, 9)
+    forms = _dealer_forms(channel).reshape(3, 3, 2, 9)  # at (i, j, real or imaginary part, k)
+    if forms[~np.eye(3, dtype=bool)].any():
+        raise ValueError("the inside kernel's span step needs a channel on the GHZ span")
     column, entry = _monomial(_BELL_BLOCKS.transpose(0, 2, 1))
     return _SpanTables(
-        bell_forms=_freeze(_feature_forms(_dealer_forms(channel))),
+        bell_forms=_freeze(np.ascontiguousarray(forms[[0, 1, 2], [0, 1, 2], 0].T)),
         bell=(column, _freeze(entry * channel[[0, 1, 2], [0, 4, 8]][:, None])),  # c_k, at |kk>
         xi_weights=_freeze(_XI_ROWS.real**2 + _XI_ROWS.imag**2),
         xi_columns=_freeze(np.ascontiguousarray(_XI_ROWS.T)),
         correction=_monomial(_recovery_table().reshape(27, 3, 3)),
     )
-
-
-def _features(s: np.ndarray) -> np.ndarray:
-    """``(9, B)``: the features of ``_PAIRS`` of the secrets ``s``, ``(3, B)``."""
-    features = np.empty((9, s.shape[1]))
-    features[:3] = s.real**2 + s.imag**2
-    pairs, other = s[list(_PAIRS[0])], s[list(_PAIRS[1])]
-    pairs *= np.conjugate(other, out=other)
-    features[3:6] = pairs.real
-    features[6:] = pairs.imag
-    return features
 
 
 def _gather(table: tuple[np.ndarray, np.ndarray], index: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -310,9 +281,9 @@ def _scale(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
 
 def _span_deal(tables: _SpanTables, s: np.ndarray, draw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The dealer's step (``protocol._deal``) on the span: draws each trial's Bell outcome from its
-    nine weights, one real form in its secret's features, and returns the outcomes, the dealt
+    nine weights, one real form in its secret's moduli, and returns the outcomes, the dealt
     coefficients a, normalized, and their squared moduli."""
-    bell, _ = _sample((tables.bell_forms @ _features(s)).T, draw)
+    bell, _ = _sample((tables.bell_forms @ (s.real**2 + s.imag**2)).T, draw)
     dealt = _gather(tables.bell, bell, s)
     moduli = dealt.real**2 + dealt.imag**2
     weight = moduli.sum(axis=0)
@@ -355,7 +326,7 @@ def _inside_block(secrets: np.ndarray, designated: np.ndarray, attack: InsideAtt
     on the dealt register's three coefficients a_k on the span of |00>,
     |11> and |22>, each a trial-last ``(3, B)`` array, so that every
     operation runs along rows of B trials. The dealer's nine Bell weights
-    are one real form in the secret's nine features, and the drawn
+    are one real form in the secret's three moduli, and the drawn
     member's row is a gather from a monomial table; a helper's weights
     are ``|xi_l|^2 @ |a|^2`` and it keeps ``xi_l * a``; the correction is
     a monomial gather too, and the fidelity one sum over three rows.
@@ -398,65 +369,6 @@ def _inside_inputs(u: np.ndarray, force_designate: int | None) -> tuple[np.ndarr
     return _haar_secrets(u), designated
 
 
-def _basis_rows(fourier: np.ndarray) -> np.ndarray:
-    """Per-register measurement rows: the Fourier basis where flagged, else computational."""
-    return np.where(fourier[:, None, None], _XI_ROWS, _COMPUTATIONAL_ROWS)
-
-
-def _intercept(
-    registers: np.ndarray, index: np.ndarray, axis: int, fourier: np.ndarray, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The intercept step: in round r Eve measures qutrit ``axis`` of register ``index[r]`` with
-    uniform ``u[r]``, in the Fourier basis where ``fourier[r]``, else the computational one, and
-    resends the member she saw in the same slot. Returns the new distinct registers and each
-    round's index into them.
-
-    Only the distinct (register, basis) pairs are contracted, and each pair's cumulative weights
-    are summed once (``_intercept_pairs``). Each round draws its outcome against its pair's sums
-    (``core._sample``), and one register is built per (pair, outcome) that occurred (``_resent``)."""
-    block, flags, pair = _pairs(registers, index, fourier)
-    rows, coeffs, weights, sums = _intercept_pairs(block, flags, axis)
-    outcome, _ = _sample(weights, u, pair, sums)
-    kinds, index = _distinct(pair * 3 + outcome, 3 * len(weights))
-    return _resent(rows, coeffs, weights, kinds, axis, registers.shape[1:]), index
-
-
-def _intercept_pairs(
-    block: np.ndarray, fourier: np.ndarray, axis: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The intercept step's per-pair part: Eve's rows on qutrit ``axis`` of pair p's register
-    ``block[p]``, in the Fourier basis where ``fourier[p]``, with their coefficients, Born weights
-    ``(P, 3)`` and cumulative sums."""
-    rows = _basis_rows(fourier)
-    coeffs = _contract(rows, block, (axis,))
-    weights = _weights(coeffs)
-    return rows, coeffs, weights, np.cumsum(weights, axis=1)
-
-
-def _resent(
-    rows: np.ndarray, coeffs: np.ndarray, weights: np.ndarray, kinds: np.ndarray, axis: int, shape: tuple[int, ...]
-) -> np.ndarray:
-    """The registers (each of ``shape``) that Eve resends, one per key ``3 p + k`` of ``kinds``:
-    pair p's register after outcome k, its kept coefficients normalized and member k of its basis
-    put back on ``axis``. Every key's weight lies above ``ZERO_PROB_TOL``."""
-    p, k = kinds // 3, kinds % 3
-    kept = _normalized(coeffs[p, k], weights[p, k])
-    resent = kept.reshape(len(kinds), 3**axis, 1, -1) * rows[p, k].conj()[:, None, :, None]
-    return resent.reshape((len(kinds),) + shape)
-
-
-class _Tables(NamedTuple):
-    """A check configuration's complete register tree, reduced to what its rounds draw from. Per
-    intercept, pair ``r * len(bases) + p`` is register r in position p of Eve's bases (``_flags``):
-    its weights ``(P, 3)``, their sums, and for each outcome the index of the register it resends,
-    built only where the weight lies above ``ZERO_PROB_TOL`` (-1 elsewhere, as no draw takes such
-    an outcome). Then the check pairs of the last registers, numbered alike: their joint weights
-    ``(P, 3**n)`` and sums."""
-
-    intercepts: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    joint: tuple[np.ndarray, np.ndarray]
-
-
 def _flags(u: np.ndarray, bases: tuple[bool, ...]) -> np.ndarray:
     """Each round's position in ``bases``, the basis flags (True for Fourier) that a per-round policy
     draws from: a 50/50 draw between ``(False, True)``, else 0. Position p's flag ``bases[p]`` is
@@ -470,58 +382,81 @@ _Config = tuple[int, tuple[int, ...], tuple[bool, ...], tuple[bool, ...]]
 
 
 #: Configurations whose tables stay cached. A configuration's tables fit the amplitude budget of a
-#: block, 20,736 amplitudes, so its joint weights and sums take at most 2 check bases x 20,736 x
-#: 16 B = 648 KiB and its intercepts at most 6 KiB (72 B per pair); the cache thus holds at most
-#: 16 x 654 KiB, 10.3 MiB, plus the pass flags of ``protocol._passes``. At three parties a
-#: configuration's tables take 5.2 KiB under one random intercept and 26 KiB under two.
+#: block, 20,736 weights per check basis, so its joint weights and sums take at most 2 check bases
+#: x 20,736 x 16 B = 648 KiB, and its pass flags 2 x 3**n B, 38 KiB at nine parties; the cache thus
+#: holds at most 16 x 686 KiB, 10.7 MiB. At three parties a configuration's tables take 5.1 KiB
+#: under one random intercept and 30 KiB under two.
 _TABLES = 16
 
 
 @lru_cache(maxsize=_TABLES)
-def _check_tables(num_parties: int, axes: tuple[int, ...], eve: tuple[bool, ...], check: tuple[bool, ...]) -> _Tables:
-    """Build a configuration's ``_Tables`` once: every register its rounds can reach under Eve's
-    intercepts on ``axes`` in the bases ``eve``, and every check pair in the bases ``check``. The
-    steps are the per-block route's (``_intercept_pairs``, ``_resent``, ``_joint_weights``), each on
-    whole levels of the tree, so a round draws what it draws there. The arrays are read-only and
+def _check_tables(
+    num_parties: int, axes: tuple[int, ...], eve: tuple[bool, ...], check: tuple[bool, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A configuration's joint tables: the party walk (``protocol._walk``) evaluated over the 3**n
+    digit strings of every leaf of its tree, once. A leaf is the mixed-radix number of Eve's codes
+    ``3 * position + outcome`` (position in ``eve``, ``_flags``), target by target; row
+    ``leaf * len(check) + position`` holds the weight of each joint outcome in the check basis at
+    that position of ``check``, the product of its digits' weights in their rows. Returns those
+    weights, their cumulative sums and the pass flags ``(len(check), 3**n)`` of every joint
+    outcome. Leaves that take a zero-weight outcome are never drawn. The arrays are read-only and
     shared by every thread."""
-    registers = _block(ghz_state(num_parties))
-    intercepts = []
-    for axis in axes:
-        block = np.repeat(registers, len(eve), axis=0)
-        rows, coeffs, weights, sums = _intercept_pairs(block, np.tile(eve, len(registers)), axis)
-        kinds = np.flatnonzero(weights > ZERO_PROB_TOL)
-        resent = np.full(weights.shape, -1, dtype=np.intp)
-        resent.reshape(-1)[kinds] = np.arange(len(kinds))
-        registers = _resent(rows, coeffs, weights, kinds, axis, registers.shape[1:])
-        intercepts.append((_freeze(weights), _freeze(sums), _freeze(resent)))
-    flat = np.repeat(registers.reshape(len(registers), -1), len(check), axis=0)
-    probs, sums = _joint_weights(flat, np.tile(check, len(registers)), num_parties)
-    return _Tables(tuple(intercepts), (_freeze(probs), _freeze(sums)))
+    rows, following = _span_model().digits[0], _span_model().eve[2]
+    radix = 3 * len(eve)
+    leaf = np.arange(radix ** len(axes))
+    state, members = np.zeros(len(leaf), dtype=np.intp), np.empty((len(axes), len(leaf)), dtype=np.intp)
+    for i in range(len(axes)):
+        code = leaf // radix ** (len(axes) - 1 - i) % radix
+        basis = np.array(eve)[code // 3]
+        state = following[6 * basis + state, code % 3]
+        members[i] = 3 * basis + code % 3
+    fourier = np.tile(check, len(leaf))[:, None]
+    digits = _trits(np.arange(3**num_parties), num_parties).T
+    weights = np.ones((len(fourier), 3**num_parties))
+
+    def weigh(axis: int, row: np.ndarray) -> np.ndarray:
+        weights[...] *= rows[row, digits[axis]]
+        return digits[axis]
+
+    state, members = np.repeat(state, len(check))[:, None], np.repeat(members, len(check), axis=1)[:, :, None]
+    _walk(num_parties, axes, state, members, fourier, weigh)
+    passes = _passes(digits, np.array(check)[:, None])
+    return _freeze(weights), _freeze(np.cumsum(weights, axis=1)), _freeze(passes)
 
 
-def _check_block(u: np.ndarray, config: _Config, tables: _Tables | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _check_block(
+    u: np.ndarray, config: _Config, tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Play a block of check rounds of ``config``; return per round the Fourier-basis flag, the
     parties' joint outcome index (its base-3 digits are their trits, ``protocol._trits``) and the
     verdict. Round r reads ``u[r]``: its check basis, Eve's basis and outcome on each target, then
-    its joint outcome. With the configuration's ``tables`` every round only draws from them; with
-    None each intercept builds only the registers that its (register, basis, outcome) triples call
-    for. Both levels number a round's pair ``index * len(bases) + position`` (``_flags``)."""
+    its joint outcome. Every round starts in the channel's span state, and each intercept draws
+    from Eve's table (``protocol._span_model``). With the configuration's ``tables`` the joint
+    outcome is drawn from the row of the round's leaf; with None the check step draws it digit by
+    digit from the round's span state and members (``protocol._check_step``)."""
     num_parties, axes, eve, check = config
     position = _flags(u[:, 0], check)
     fourier = position ^ check[0]
+    weights, sums, following = _span_model().eve
+    state, leaf = 0, 0  # the channel's state, q = 0, and the tree's root
+    members = np.empty((len(axes), len(u)), dtype=np.intp) if tables is None else None
+    for i, (basis, drawn) in enumerate(zip(u[:, 1 : 1 + 2 * len(axes) : 2].T, u[:, 2::2].T)):
+        flag = _flags(basis, eve)  # Eve's basis is flag ^ eve[0], as flag is False where she has one
+        row = 6 * flag + (state + 6 * eve[0])
+        outcome, _ = _sample(weights, drawn, row, sums)
+        if tables is None:
+            members[i] = 3 * (flag + eve[0]) + outcome
+        else:
+            leaf = leaf * 3 * len(eve) + 3 * flag + outcome
+        if tables is None or i + 1 < len(axes):  # the tables need a state only for a next intercept
+            state = following.take(3 * row + outcome)
     last = u[:, 1 + 2 * len(axes)]
-    index = np.zeros(len(u), dtype=np.intp)
     if tables is None:
-        registers = _block(ghz_state(num_parties))
-        for axis, basis, drawn in zip(axes, u[:, 1::2].T, u[:, 2::2].T):
-            registers, index = _intercept(registers, index, axis, _flags(basis, eve) ^ eve[0], drawn)
-        return (fourier,) + _check_outcomes(registers, index, fourier, last)
-    for (weights, sums, resent), basis, drawn in zip(tables.intercepts, u[:, 1::2].T, u[:, 2::2].T):
-        pair = index * len(eve) + _flags(basis, eve)
-        outcome, _ = _sample(weights, drawn, pair, sums)
-        index = resent[pair, outcome]
-    joint, _ = _sample(tables.joint[0], last, index * len(check) + position, tables.joint[1])
-    return fourier, joint, _passed(joint, fourier, num_parties)
+        digits, passed = _check_step(num_parties, axes, state, members, fourier, last)
+        return fourier, 3 ** np.arange(num_parties - 1, -1, -1) @ digits, passed
+    joint_weights, joint_sums, passes = tables
+    joint, _ = _sample(joint_weights, last, leaf * len(check) + position, joint_sums)
+    return fourier, joint, passes.reshape(-1)[position * 3**num_parties + joint]
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +492,8 @@ def _check_blocks(
     count: int, name: str, unit: str, attack: OutsideAttack | None, check_basis_policy: str, seed: int, num_parties: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Validate a run of check rounds, resolve its configuration once and return ``_check_block``'s
-    arrays block by block. One budget rule decides the route and the block size (see ``_BLOCK``);
-    a refused run builds no tables."""
+    arrays block by block, ``_BLOCK`` rounds a block. One budget rule decides the route (see
+    ``_BLOCK``); a refused run builds no tables."""
     if check_basis_policy not in CHECK_BASES + (RANDOM_CHECK_BASIS,):
         raise ConfigInvalid(f"unknown check basis policy {check_basis_policy!r}")
     num_parties = _validated_parties(num_parties)
@@ -571,11 +506,9 @@ def _check_blocks(
         policy = attack.measure_basis_policy
         eve = (False, True) if policy == RANDOM_PER_QUTRIT else (policy == ALWAYS_FOURIER,)
     check = (False, True) if check_basis_policy == RANDOM_CHECK_BASIS else (check_basis_policy == FOURIER,)
-    budget = _BLOCK * 3**_INSIDE_QUTRITS
-    fits = (3 * len(eve)) ** len(axes) * 3**num_parties <= budget
-    step = _BLOCK if fits or not axes else max(1, budget // 3**num_parties)
+    fits = (3 * len(eve)) ** len(axes) * 3**num_parties <= _BLOCK * 3**_INSIDE_QUTRITS
     # a round's uniforms (see ``_check_block``), in whole Philox steps
-    blocks = _uniform_blocks(count, name, unit, seed, step, -(-(2 + 2 * len(axes)) // 4) * 4)
+    blocks = _uniform_blocks(count, name, unit, seed, _BLOCK, -(-(2 + 2 * len(axes)) // 4) * 4)
     config = (num_parties, axes, eve, check)
     tables = _check_tables(*config) if fits else None
     return (_check_block(u, config, tables) for u in blocks)

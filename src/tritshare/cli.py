@@ -37,8 +37,9 @@ from .protocol import MAX_AGENTS, SessionConfig, _validated_seed, _verdict, run_
 #: Secrets whose squared norm is off by more than this are rejected outright.
 GROSS_NORM_TOL = 1e-3
 #: Largest ``--rounds`` / ``--trials`` a command accepts. Every command keeps only its blocks'
-#: tallies, so this bounds time alone: in-process, 10**6 check rounds took 0.13 s honest and
-#: 0.18 s under a random intercept, and 10**6 outside trials 0.17 s (2 cores, numpy 2.4).
+#: tallies, so this bounds time alone: in-process, 10**6 three-party check rounds took 0.07 s
+#: honest and 0.09 s under a random intercept, and 10**6 outside trials 0.08 s (2 cores, one
+#: OpenBLAS thread, numpy 2.4).
 MAX_TRIALS = 10**6
 
 _EVE_POLICIES = {

@@ -8,28 +8,21 @@ explicit ``numpy.random.Generator``.
 
 One private batched engine (``_contract``, ``_weights``, ``_measure``)
 acts on B registers held as one ``(B, 3, ..., 3)`` array. The
-``PureState`` operations validate and run it on one register, a sharing
-session's steps in ``protocol`` on its one register, and the check
-kernel on blocks of rounds. The inside kernel (``attacks._inside_block``)
-holds each trial's register as its three coefficients on the GHZ span
-and takes only its draws from here (``_sample``).
+``PureState`` operations validate and run it on one register, and a
+sharing session's steps in ``protocol`` on its one register. The inside
+kernel (``attacks._inside_block``) and the check kernel hold each trial's
+or round's register on the GHZ span and take only their draws from here
+(``_sample``): the check kernel draws every round against a row of its
+own among a few tables whose cumulative sums it took once (``_sample``
+with a row per draw), by a binary search that all rounds step through
+together (``_counts``), so no array of the draw grows as rounds times
+outcomes.
 ``apply_single`` turns one register's qutrit by a matrix product of its
-own, and the check kernel turns its Fourier pairs on flat registers of
-its own.
+own.
 A step whose rows every register shares runs as one 2-D matrix product;
 per-register rows run one stacked product. The sharing steps start from
 one channel register, and the dealer's step (``protocol._deal``), whose
 rows differ between secrets, gives each secret its own register.
-The check kernel does not collapse per trial: it keeps the few distinct
-registers its rounds can be in and groups its rounds by (register, rows)
-pair, scattering their small integer keys into a table of flags
-(``_distinct``) instead of sorting them. It contracts (``_contract``,
-``_weights``) each pair once, takes each pair's cumulative sums once, and
-draws every round against its own pair's (``_sample`` with a row per draw)
-by a binary search that all rounds step through together (``_counts``), so
-no array of the draw grows as rounds times outcomes. Where a
-configuration's pairs all fit, the kernel keeps their sums across blocks
-and only draws.
 
 Born weights are ``np.vecdot`` of the coefficients' ``float64`` view with
 itself. A sampled draw returns the weights it drew (``_sample``), so they
@@ -496,8 +489,8 @@ def _sample(
     With ``row``, draw b is from row ``row[b]`` of ``probs``, as ``sample_indices(probs[row], u)``
     draws, but each row's cumulative sums are taken once, by ``np.cumsum``, and no per-draw row
     is gathered (``_counts``). ``sums``, with ``row``, are those sums taken before: the check
-    kernel takes them once per block, or once per configuration and keeps them, and every draw
-    of its rounds comes through here. A sequential sum of non-negative weights is flat across a
+    kernel takes them once, for its span model and for each configuration's tables, and every
+    draw of its rounds comes through here. A sequential sum of non-negative weights is flat across a
     zero weight, so such a draw never lands on one. The product sums of a row of up to
     ``_PRODUCT_CUMSUM_WIDTH`` outcomes can step there, as OpenBLAS's small-matrix kernels sum out
     of order; a draw that lands on a weight at or below ``ZERO_PROB_TOL`` is redrawn from its
@@ -553,20 +546,6 @@ def _counts(sums: np.ndarray, u: np.ndarray, row: np.ndarray) -> np.ndarray:
         position += half * (flat[position + half] <= u)
         m -= half
     return position + (flat[position] <= u) - row * n
-
-
-def _distinct(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(keys, return_inverse=True)`` for integer keys in [0, ``size``): the distinct keys
-    in ascending order and each key's position among them. A scatter into a table of ``size``
-    flags finds them, where ``np.unique`` sorts every key. The check kernel's keys are small: below
-    2 K for K registers and two bases, 3 P for P pairs and three outcomes, or 3**n for joint
-    outcomes of n parties, one flag and one position each."""
-    seen = np.zeros(size, dtype=bool)
-    seen[keys] = True
-    distinct = np.flatnonzero(seen)
-    position = np.empty(size, dtype=np.intp)
-    position[distinct] = np.arange(len(distinct))
-    return distinct, position[keys]
 
 
 def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:

@@ -17,22 +17,27 @@ lies within the last bits of a boundary. Sessions keep the dense steps
 until the session benchmark can judge a faster session path (ROADMAP,
 item 1); the two paths then meet again on the span.
 Check rounds consume dedicated GHZ copies and feed a compare-and-abort
-verdict.
+verdict. A check register stays on the span as well: one of six span
+states on the parties nobody intercepted, ``c_k w^{qk}`` or ``e_j``, times
+the basis member Eve resent on each target (``_span_model``). The check
+step walks the parties in order (``_walk``): each party's digit is
+drawn from one of eight three-wide rows, chosen by the span state, the
+members and the digits before it, so no register of 3^n amplitudes is
+built. ``attacks._check_tables`` evaluates the same walk over every digit
+string of a small configuration, once, and draws from the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import (
     ZERO_PROB_TOL,
     PureState,
-    _block,
-    _distinct,
     _freeze,
     _integer,
     _measure,
@@ -46,6 +51,7 @@ from .core import (
 from .errors import ConfigInvalid, DimensionMismatch, EmptyInput, ZeroProbabilityBranchSampled
 from .operators import (
     _BELL_ROWS,
+    _COMPUTATIONAL_ROWS,
     _XI_ROWS,
     MAX_GHZ_QUTRITS,
     BellOutcome,
@@ -136,77 +142,113 @@ def _validated_parties(num_parties: int) -> int:
     return num_parties
 
 
-def _pairs(registers: np.ndarray, index: np.ndarray, flags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group the rounds of a block by (register ``index[r]``, basis flag ``flags[r]``). Returns each
-    distinct pair's register and flag, and each round's pair."""
-    pairs, pair = _distinct(index * 2 + flags, 2 * len(registers))
-    return registers[pairs // 2], pairs % 2 == 1, pair
+class _SpanModel(NamedTuple):
+    """The check kernel's constants (``_span_model``). A check register is one of six span states
+    on the parties nobody intercepted, ``c_k w^{qk}`` (state q = 0, 1, 2) or ``e_j`` (state 3 + j),
+    times Eve's resent member on each target, coded ``3 * fourier + outcome``. Eve's step in basis
+    b reads row ``6 b + state`` of ``eve``: the weights of her outcomes, their cumulative sums and
+    the state each outcome leaves. A party's digit is drawn from one of the eight rows of
+    ``digits`` (``_walk``): their weights, cumulative sums and the sum before each digit."""
+
+    eve: tuple[np.ndarray, np.ndarray, np.ndarray]  # (12, 3) each
+    digits: tuple[np.ndarray, np.ndarray, np.ndarray]  # (8, 3) each: e_0, e_1, e_2, uniform, |c|^2, last r
 
 
-def _check_outcomes(
-    registers: np.ndarray, index: np.ndarray, fourier: np.ndarray, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The check step on a block: in round r every party measures register ``index[r]`` in the
-    Fourier basis where ``fourier[r]``, else the computational one, and the joint outcome is drawn
-    with ``u[r]``. Returns each round's joint outcome index, whose base-3 digits are the parties'
-    trits (``_trits``), and whether the round kept the GHZ correlation (``_passed``).
-
-    Born weights and their cumulative sums are computed once per distinct (register, basis) pair
-    (``_joint_weights``), and each round draws against its pair's sums (``core._sample``) by a
-    search that gathers no round's row. The step's widest arrays are the P pairs' ``3**n``
-    weights, so 2,304 rounds of nine parties with no Eve take a few registers, not a
-    ``(2304, 3**9)`` table."""
-    flat, turn, pair = _pairs(registers.reshape(len(registers), -1), index, fourier)
-    n = registers.ndim - 1
-    probs, sums = _joint_weights(flat, turn, n)
-    joint, _ = _sample(probs, u, pair, sums)
-    return joint, _passed(joint, fourier, n)
+#: Rows of ``_SpanModel.digits`` after the three deltas: uniform, the channel's moduli |c_k|^2, and
+#: the first of the last untargeted party's three Fourier rows, one per residue.
+_UNIFORM, _MODULI, _LAST = 3, 4, 5
 
 
-def _joint_weights(flat: np.ndarray, turn: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The check step's per-pair part: the Born weights ``(P, 3**n)`` of every joint outcome of the
-    flat n-qutrit registers, measured in the Fourier basis where ``turn``, else the computational
-    one, and their cumulative sums.
-
-    A computational pair's weights are those of its raw register. Only the Fourier pairs'
-    registers are turned: one product per party turns the last qutrit,
-    ``(P * 3**(n-1), 3) @ rows.T``, and rotates it to the front, so n turns leave the qutrits in
-    order."""
-    probs = flat.real**2 + flat.imag**2
-    if turn.any():
-        turned = flat[turn]
-        for _ in range(n):
-            turned = (turned.reshape(-1, 3) @ _XI_ROWS.T).reshape(len(turned), -1, 3).transpose(0, 2, 1)
-            turned = turned.reshape(len(turned), -1)
-        probs[turn] = turned.real**2 + turned.imag**2
-    return probs, np.cumsum(probs, axis=1)
+def _rows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights, those at or below ``ZERO_PROB_TOL`` set to zero, and their cumulative sums."""
+    weights = np.where(weights > ZERO_PROB_TOL, weights, 0.0)
+    return _freeze(weights), _freeze(np.cumsum(weights, axis=1))
 
 
+# Built on first use, from the channel's coefficients and the two bases' rows.
 @lru_cache(maxsize=None)
-def _passes(n: int) -> np.ndarray:
-    """``(2, 3**n)``: whether each joint outcome index of n parties keeps the GHZ correlation, in the
-    computational basis (row 0: the trits all agree, exactly at the multiples of
-    ``(3**n - 1) // 2``, the index of |11...1>) and in the Fourier one (row 1: they sum to 0 mod
-    3). Read-only; 1 MiB at twelve parties, 1.6 MiB for every party count."""
-    residue = np.zeros(1, dtype=np.int8)  # digit sum mod 3 of each index, one digit more per pass
-    for _ in range(n):
-        residue = ((residue[:, None] + np.arange(3, dtype=np.int8)) % 3).reshape(-1)
-    passes = np.zeros((2, 3**n), dtype=bool)
-    passes[0, :: (3**n - 1) // 2] = True
-    passes[1] = residue == 0
-    return _freeze(passes)
+def _span_model() -> _SpanModel:
+    """Eve's table and the digit rows. Eve's weights on a state in basis b are ``|rows_b|^2``
+    applied to the state's moduli, |c|^2 for the three phased states. A computational outcome j
+    leaves e_j; a Fourier outcome l turns state q into q - l and leaves e_j as it was.
+
+    A target's digit follows its member alone: a delta where the member's basis is the check
+    basis, uniform elsewhere. The untargeted parties read e_j as all j, or all uniform in the
+    Fourier basis. From ``c_k w^{qk}``, the first draws |c|^2 in the computational basis and the
+    others repeat its digit; in the Fourier basis all but the last are uniform, and the last draws
+    ``|<xi_l|c>|^2`` rotated by the residue r = q - (the others' digits) mod 3, at l - r."""
+    c = ghz_state(2).amplitudes[[0, 4, 8]]
+    bases = np.stack([_COMPUTATIONAL_ROWS, _XI_ROWS])
+    moduli = np.concatenate([np.tile(c.real**2 + c.imag**2, (3, 1)), np.eye(3)])
+    eve = moduli @ (bases.real**2 + bases.imag**2).transpose(0, 2, 1)  # (2, 6, 3)
+    state, outcome = np.arange(6)[:, None], np.arange(3)
+    fourier = np.where(state < 3, (state - outcome) % 3, state)
+    following = np.stack([np.broadcast_to(3 + outcome, (6, 3)), fourier])
+    last = _weights((_XI_ROWS @ c)[:, None])
+    rotated = np.stack([np.roll(last, r) for r in range(3)])
+    digits = np.concatenate([np.eye(3), _weights(_XI_ROWS[:, :1])[None], moduli[:1], rotated])
+    weights, sums = _rows(digits)
+    before = _freeze(np.concatenate([np.zeros((8, 1)), sums[:, :2]], axis=1))
+    return _SpanModel(_rows(eve.reshape(12, 3)) + (_freeze(following.reshape(12, 3)),), (weights, sums, before))
 
 
-def _passed(joint: np.ndarray, fourier: np.ndarray, n: int) -> np.ndarray:
-    """Whether each round's joint outcome index kept the correlation of its basis (``_passes``)."""
-    return _passes(n).reshape(-1)[fourier * 3**n + joint]
+def _walk(
+    num_parties: int, axes: tuple[int, ...], state: np.ndarray, members: np.ndarray, fourier: np.ndarray, draw: Callable
+) -> None:
+    """The party walk of the check step: for each party in order, the row of ``_SpanModel.digits``
+    that its digit is drawn from, given the span state, the member codes ``members[i]`` on target
+    axis ``axes[i]``, the check basis (Fourier where ``fourier``) and the digits before it, which
+    ``draw(axis, row)`` returns. A target's row follows its member alone. Party 1, whom no one
+    targets, draws from e_j or |c|^2 in the computational basis, and the other untargeted parties
+    repeat its digit; in the Fourier basis they are uniform, except that the last one draws from
+    the row of the residue of the span state less their digits. The arguments broadcast."""
+    span = [axis for axis in range(num_parties) if axis not in axes]
+    collapsed, first, residue = state >= 3, None, 0
+    for axis in range(num_parties):
+        if axis in axes:
+            member = members[axes.index(axis)]
+            draw(axis, np.where(member // 3 == fourier, member % 3, _UNIFORM))
+            continue
+        computational = np.where(collapsed, state - 3, _MODULI) if first is None else first
+        turned = np.where(collapsed, _UNIFORM, _LAST + (state - residue) % 3) if axis == span[-1] else _UNIFORM
+        drawn = draw(axis, np.where(fourier, turned, computational))
+        first = drawn if first is None else first
+        residue = residue + drawn
+
+
+def _passes(digits: np.ndarray, fourier: np.ndarray) -> np.ndarray:
+    """Whether the parties' digits ``(n, ...)`` keep the GHZ correlation of their basis: all equal in
+    the computational basis, summing to 0 mod 3 in the Fourier one."""
+    return np.where(fourier, digits.sum(axis=0) % 3 == 0, (digits == digits[0]).all(axis=0))
+
+
+def _check_step(
+    num_parties: int, axes: tuple[int, ...], state: np.ndarray, members: np.ndarray, fourier: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The check step on R rounds, digit by digit: round r's register is span state ``state[r]`` (or
+    ``state``, 0 for the channel, in every round) with member ``members[i, r]`` on target axis
+    ``axes[i]``, and every party measures its qutrit in
+    the Fourier basis where ``fourier[r]``, else the computational one. Party 1 draws first with
+    ``u[r]``, which each digit then rescales into its own interval, so the parties' digits are the
+    joint outcome that ``u[r]`` draws over the 3**n outcomes in index order, as a search over their
+    cumulative sums finds it except where a uniform lies within the last bits of a boundary.
+    Returns the digits ``(n, R)`` and whether each round kept the GHZ correlation."""
+    weights, sums, before = _span_model().digits
+    digits = np.empty((num_parties, len(u)), dtype=np.intp)
+
+    def draw(axis: int, row: np.ndarray) -> np.ndarray:
+        nonlocal u
+        digits[axis], weight = _sample(weights, u, row, sums)
+        u = (u - before[row, digits[axis]]) / weight
+        return digits[axis]
+
+    _walk(num_parties, axes, state, members, fourier, draw)
+    return digits, _passes(digits, fourier)
 
 
 def _trits(joint: np.ndarray, n: int) -> np.ndarray:
-    """Each round's trits ``(R, n)``, the base-3 digits of its joint outcome index; only the
-    distinct indices drawn are decoded."""
-    joint, kind = _distinct(joint, 3**n)
-    return (joint[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3)[kind]
+    """Each round's trits ``(R, n)``, the base-3 digits of its joint outcome index."""
+    return joint[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3
 
 
 # The correction table is built on first use, so that importing the package
@@ -362,15 +404,16 @@ def channel_check_round(
     Every party measures its own qutrit in the announced basis. A
     computational round passes when all outcomes agree; a Fourier round
     passes when the outcomes sum to 0 mod 3. Both rules extend the
-    three-party check to any party count. The round is a one-register call
-    of the check step that ``attacks.run_check_rounds`` runs on its blocks;
-    its joint outcome takes one uniform from ``rng``.
+    three-party check to any party count. The round is a one-round call of
+    the check step (``_check_step``) on the GHZ span state, which
+    ``attacks.run_check_rounds`` runs where a configuration's tables do not
+    fit; its joint outcome takes one uniform from ``rng``.
     """
     if basis not in CHECK_BASES:
         raise ConfigInvalid(f"check basis must be one of {CHECK_BASES}, got {basis!r}")
-    channel = _block(ghz_state(_validated_parties(num_parties)))
-    joint, passed = _check_outcomes(channel, np.zeros(1, dtype=np.intp), np.array([basis == FOURIER]), rng.random(1))
-    return CheckRecord(basis, tuple(_trits(joint, channel.ndim - 1)[0].tolist()), bool(passed[0]))
+    num_parties = _validated_parties(num_parties)
+    digits, passed = _check_step(num_parties, (), 0, np.empty((0, 1)), np.array([basis == FOURIER]), rng.random(1))
+    return CheckRecord(basis, tuple(digits[:, 0].tolist()), bool(passed[0]))
 
 
 def _verdict(blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> ChannelVerdict:

@@ -241,14 +241,24 @@ def test_outside_detections_are_the_failed_check_rounds(attack, policy, num_part
 
 
 @pytest.mark.parametrize("num_parties", [2, 3, 4, 5, 6])
-def test_computational_check_rounds_turn_no_qutrit(num_parties, monkeypatch):
-    class Refuse:
-        def __getattr__(self, name):
-            raise AssertionError("a block without Fourier rounds read the Fourier rows")
+def test_computational_check_rounds_draw_no_fourier_digit(num_parties, monkeypatch):
+    """A run of computational check rounds draws every joint outcome from computational rows: its
+    tables hold one row per leaf, and on the digit-by-digit route no party's walk is Fourier's."""
+    walk = protocol._walk
 
-    monkeypatch.setattr(protocol, "_XI_ROWS", Refuse())
+    def computational(num_parties, axes, state, members, fourier, draw):
+        assert not np.any(fourier), "a computational round walked in the Fourier basis"
+        return walk(num_parties, axes, state, members, fourier, draw)
+
     for attack in (None, OutsideAttack(tuple(range(2, num_parties + 1)), "random_per_qutrit")):
-        records = run_check_rounds(300, attack, COMPUTATIONAL, seed=71, num_parties=num_parties)
+        ((_, config, tables),) = _handed(attack, COMPUTATIONAL, num_parties)
+        leaves = 6 ** len(config[1])
+        assert tables is None or tables[0].shape == (leaves, 3**num_parties) and tables[2].shape == (1, 3**num_parties)
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "_walk", computational)
+            _digit_route(patch)
+            records = run_check_rounds(300, attack, COMPUTATIONAL, seed=71, num_parties=num_parties)
+        assert records == run_check_rounds(300, attack, COMPUTATIONAL, seed=71, num_parties=num_parties)
         assert {record.basis for record in records} == {COMPUTATIONAL}
         assert attack is not None or all(record.passed for record in records)
 
@@ -486,7 +496,7 @@ def test_results_do_not_depend_on_block_size(monkeypatch, block):
     def run_long():  # crosses two default inside blocks
         return run_inside_attack_experiment(5000, InsideAttack(1, FAKE_HAAR), SINGLE_COPY, seed=96)
 
-    def run_wide():  # one default block of 12-party registers; 16, 4 or 1 of them at the sizes it runs
+    def run_wide():  # one default block of 12-party rounds drawn digit by digit; 16, 4 or 1 at the sizes it runs
         return run_check_rounds(1000, None, "random", seed=99, num_parties=12)
 
     reference = run_all()
@@ -568,7 +578,7 @@ _NEAR_ONE = np.nextafter(1.0, 0.0)
 
 def _handed(attack, policy, num_parties, rounds=1, seed=0):
     """What ``_check_blocks`` hands each block of a run, ``(uniforms, configuration, tables)``, the
-    tables None on the per-block route; no block is played."""
+    tables None on the digit-by-digit route; no block is played."""
     handed = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(attacks, "_check_block", lambda *args: handed.append(args))
@@ -577,8 +587,8 @@ def _handed(attack, policy, num_parties, rounds=1, seed=0):
     return handed
 
 
-def _per_block_route(monkeypatch):
-    """Hand every check block no tables, so that it builds its registers, as where a
+def _digit_route(monkeypatch):
+    """Hand every check block no tables, so that it draws each round digit by digit, as where a
     configuration's tables do not fit."""
     check_block = attacks._check_block
     monkeypatch.setattr(attacks, "_check_block", lambda u, config, tables: check_block(u, config, None))
@@ -587,10 +597,10 @@ def _per_block_route(monkeypatch):
 @pytest.mark.parametrize("rounds", [1, 7, 256, 768, 1000])
 @pytest.mark.parametrize("num_parties", [2, 3, 4, 5, 6])
 def test_check_kernel_matches_the_per_round_oracle(num_parties, rounds):
-    """Both routes of the check kernel, the configuration's tables where they fit and the registers
-    a block builds when it is given none, draw what every round's own register draws. A third of
-    the rounds take their joint outcome, and every other round Eve's outcomes, with a uniform just
-    below 1."""
+    """Both routes of the check kernel, the configuration's tables where they fit and the digit by
+    digit check step, which every configuration is also made to take here, draw what every
+    round's own dense register draws. A third of the rounds take their joint outcome, and every
+    other round Eve's outcomes, with a uniform just below 1."""
     configs = itertools.product(OUTSIDE_SETTINGS, CHECK_POLICIES)
     for seed, (setting, policy) in enumerate(configs, start=10 * num_parties):
         attack = _outside_attack(setting, num_parties)
@@ -601,7 +611,7 @@ def test_check_kernel_matches_the_per_round_oracle(num_parties, rounds):
         u[1::2, 2 : 2 + 2 * targets : 2] = _NEAR_ONE
         u[::3, 1 + 2 * targets] = _NEAR_ONE
         want = _per_round_check_block(u, attack, policy, num_parties)
-        routes = {"tables": tables, "per block": None} if tables is not None else {"per block": None}
+        routes = {"tables": tables, "digit by digit": None} if tables is not None else {"digit by digit": None}
         for route, given in routes.items():
             fourier, joint, passed = attacks._check_block(u, config, given)
             got = fourier, protocol._trits(joint, num_parties), passed
@@ -609,56 +619,36 @@ def test_check_kernel_matches_the_per_round_oracle(num_parties, rounds):
                 assert np.array_equal(a, b), (route, name, attack, policy)
 
 
-@pytest.mark.parametrize("rounds", [1, 3])
-@pytest.mark.parametrize("num_parties", [7, 9, 12])
+@pytest.mark.parametrize("num_parties, rounds", [(n, 1) for n in range(7, 13)] + [(7, 3), (9, 3), (12, 3)])
 def test_check_kernel_matches_the_per_round_oracle_on_wide_registers(num_parties, rounds):
-    """The same comparison on the widest joint rows, 3**7 to 3**12 weights, whose cumulative sums
-    come from ``np.cumsum``; a block there whose tables do not fit holds 9 rounds or fewer."""
+    """The same comparison on the widest registers, 3**7 to 3**12 amplitudes in the oracle, whose
+    dense steps take most of the time; only honest runs up to nine parties and one-target runs at
+    seven fit the tables."""
     test_check_kernel_matches_the_per_round_oracle(num_parties, rounds)
 
 
-def test_a_twelve_party_check_block_allocates_a_few_registers():
-    """A 12-party block is one round on registers of 3**12 amplitudes, 8.5 MB each. Its Fourier
-    check turns a copy of the register and decodes only the joint outcome it drew, so its traced
-    peak stays below four registers (3.5 here); a (3**12, 12) int64 table of trits alone would
-    take six."""
-    ((u, config, tables),) = _handed(None, FOURIER, 12, seed=3)
-    assert tables is None
-    attacks._check_block(u, config, tables)  # builds the cached channel
-    tracemalloc.start()
-    try:
-        attacks._check_block(u, config, tables)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 16 * 3**12
-
-
 @pytest.mark.parametrize("policy", EVE_SETTINGS[1:])
-def test_a_one_target_block_holds_at_most_six_registers(monkeypatch, policy):
-    """A three-party configuration under one intercept has one register per (basis, outcome), 3 per
-    basis of Eve's, and under random check bases its check step meets 6 (register, basis) pairs per
-    basis of Eve's. Its tables hold those, built once for two runs of three 2,304-round blocks, and
-    no block builds a register: blocks only draw."""
-    blocks, resent = [], []
-    check_block, resend = attacks._check_block, attacks._resent
+def test_a_one_target_run_builds_its_tables_once_and_blocks_only_draw(monkeypatch, policy):
+    """A three-party configuration under one intercept builds its tables once, for two runs of three
+    2,304-round blocks: one walk over the 27 digit strings of each of its 3 * |Eve's bases| leaves
+    in both check bases. No block walks or takes the digit-by-digit step: blocks only draw."""
+    blocks, walked = [], []
+    check_block, walk = attacks._check_block, attacks._walk
 
     def counting_check_block(u, *args):
         blocks.append(len(u))
         return check_block(u, *args)
 
-    def counting_resent(*args):
-        registers = resend(*args)
-        resent.append(len(registers))
-        return registers
+    def counting_walk(*args):
+        walked.append(len(blocks))
+        return walk(*args)
 
     def refused(*args):
-        raise AssertionError("a block built registers")
+        raise AssertionError("a block drew digit by digit")
 
     monkeypatch.setattr(attacks, "_check_block", counting_check_block)
-    monkeypatch.setattr(attacks, "_resent", counting_resent)
-    monkeypatch.setattr(attacks, "_intercept", refused)
-    monkeypatch.setattr(attacks, "_check_outcomes", refused)
+    monkeypatch.setattr(attacks, "_walk", counting_walk)
+    monkeypatch.setattr(attacks, "_check_step", refused)
     attacks._check_tables.cache_clear()
     attack = OutsideAttack((2,), policy)
     for run in range(2):
@@ -667,12 +657,11 @@ def test_a_one_target_block_holds_at_most_six_registers(monkeypatch, policy):
         assert (info.misses, info.hits) == (1, run)
     bases = 2 if policy == RANDOM_PER_QUTRIT else 1
     assert blocks == [2304] * 6
-    assert resent == [3 * bases]
+    assert walked == [0]  # one walk, before the first block
     ((_, _, tables),) = _handed(attack, "random", 3)
-    ((weights, sums, index),) = tables.intercepts
-    assert weights.shape == sums.shape == index.shape == (bases, 3)
-    assert sorted(index.reshape(-1)) == list(range(3 * bases))
-    assert tables.joint[0].shape == tables.joint[1].shape == (6 * bases, 27)
+    weights, sums, passes = tables
+    assert weights.shape == sums.shape == (3 * bases * 2, 27)
+    assert passes.shape == (2, 27)
 
 
 def _table_configurations():
@@ -685,14 +674,12 @@ def _table_configurations():
             yield attack, policy, num_parties
 
 
-def test_check_rounds_agree_from_cold_and_warm_tables_and_per_block(monkeypatch):
+def test_check_rounds_agree_from_cold_and_warm_tables_and_digit_by_digit(monkeypatch):
     """Every configuration whose tables fit records the same rounds over three blocks on its first
-    run, which builds its tables, on a second, which finds them cached, under the budget of
-    64-trial blocks, and with each block building its own registers. The configurations run one
+    run, which builds its tables, on a second, which finds them cached, in 64-round blocks under
+    the budget they set, and with each block drawing digit by digit. The configurations run one
     after another on one cache, cleared once, so tables that one configuration took for another's
-    would show. A run's draws thus depend neither on its blocks nor on what ran before it. Under
-    the smaller budget, a block of five or more parties under Eve holds one or two rounds, so that
-    case runs the first 64 of its blocks and one round more."""
+    would show. A run's draws thus depend neither on its blocks nor on what ran before it."""
     configurations = list(_table_configurations())
     assert len(configurations) > 100
     rounds = 2 * 2304 + 1
@@ -702,11 +689,9 @@ def test_check_rounds_agree_from_cold_and_warm_tables_and_per_block(monkeypatch)
         assert run_check_rounds(rounds, attack, policy, seed, num_parties) == cold, (attack, policy, num_parties)
         with monkeypatch.context() as patch:
             patch.setattr(attacks, "_BLOCK", 64)
-            step = len(_handed(attack, policy, num_parties, 64)[0][0])
-            short = min(rounds, 64 * step + 1)
-            assert run_check_rounds(short, attack, policy, seed, num_parties) == cold[:short], (attack, policy)
+            assert run_check_rounds(rounds, attack, policy, seed, num_parties) == cold, (attack, policy)
         with monkeypatch.context() as patch:
-            _per_block_route(patch)
+            _digit_route(patch)
             assert run_check_rounds(rounds, attack, policy, seed, num_parties) == cold, (attack, policy, num_parties)
 
 
@@ -727,7 +712,7 @@ def test_check_rounds_agree_across_threads_on_shared_tables():
     """Threads build and share the cached tables, read-only, and record what sequential runs do."""
     sequential = [run_check_rounds(*run) for run in _THREADED_CHECKS * 5]
     attacks._check_tables.cache_clear()
-    protocol._passes.cache_clear()
+    protocol._span_model.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, between numpy calls too
     try:
@@ -736,28 +721,25 @@ def test_check_rounds_agree_across_threads_on_shared_tables():
     finally:
         sys.setswitchinterval(interval)
     assert threaded == sequential
+    model = [array for part in protocol._span_model() for array in part]
     for _, attack, policy, _, num_parties in _THREADED_CHECKS:
         ((_, _, tables),) = _handed(attack, policy, num_parties)
-        arrays = [array for level in tables.intercepts for array in level] + list(tables.joint)
-        arrays.append(protocol._passes(num_parties))
-        assert not any(array.flags.writeable for array in arrays)
+        assert not any(array.flags.writeable for array in list(tables) + model)
 
 
-#: (parties, targets, Eve's policy, rounds per block, whether the tables route is taken). A run
-#: whose complete register tree, (3 * |Eve's bases|)**t * 3**n amplitudes, fits the budget of a
-#: block draws from tables in 2,304-round blocks; elsewhere a block builds at most one register per
-#: round at each intercept and holds as many rounds as registers of 3**n fit, counting at least one.
-#: An honest run's rounds share one register, so its blocks hold 2,304 rounds at every width.
+#: (parties, targets, Eve's policy, rounds per block, whether the tables route is taken). Every
+#: block holds 2,304 rounds. A run whose complete tree, (3 * |Eve's bases|)**t leaves of 3**n joint
+#: outcomes, fits the budget of a block draws from tables; elsewhere a block draws digit by digit.
 _BLOCK_PINS = [
     (parties, tuple(range(2, 2 + targets)), policy, 2304, True)
     for parties, targets in ((5, 3), (5, 4), (6, 2), (6, 3), (7, 2), (8, 1))
     for policy in (ALWAYS_COMPUTATIONAL, ALWAYS_FOURIER)
 ]
 _BLOCK_PINS += [(3, (2, 3), RANDOM_PER_QUTRIT, 2304, True), (4, (2, 3, 4), RANDOM_PER_QUTRIT, 2304, True)]
-_BLOCK_PINS += [(6, (2, 3), RANDOM_PER_QUTRIT, 28, False), (5, (2, 3, 4), RANDOM_PER_QUTRIT, 85, False)]
-_BLOCK_PINS += [(7, (2, 3, 4), ALWAYS_FOURIER, 9, False), (8, (2,), RANDOM_PER_QUTRIT, 3, False)]
-_BLOCK_PINS += [(parties, (parties,), policy, 1, False) for parties in (9, 10, 12) for policy in EVE_SETTINGS[1:]]
-_BLOCK_PINS += [(9, tuple(range(2, 10)), RANDOM_PER_QUTRIT, 1, False)]
+_BLOCK_PINS += [(6, (2, 3), RANDOM_PER_QUTRIT, 2304, False), (5, (2, 3, 4), RANDOM_PER_QUTRIT, 2304, False)]
+_BLOCK_PINS += [(7, (2, 3, 4), ALWAYS_FOURIER, 2304, False), (8, (2,), RANDOM_PER_QUTRIT, 2304, False)]
+_BLOCK_PINS += [(parties, (parties,), policy, 2304, False) for parties in (9, 10, 12) for policy in EVE_SETTINGS[1:]]
+_BLOCK_PINS += [(9, tuple(range(2, 10)), RANDOM_PER_QUTRIT, 2304, False)]
 _BLOCK_PINS += [(parties, (), None, 2304, parties <= 9) for parties in range(2, 13)]
 
 
@@ -812,7 +794,7 @@ def test_a_refused_check_run_builds_no_tables(run):
 
 def _block_peak(attack, num_parties, seed):
     """Traced peak of one 2,304-round check block under random check bases, after a first run has
-    built the cached channel."""
+    built what it caches."""
     ((u, config, tables),) = _handed(attack, "random", num_parties, 2304, seed)
     attacks._check_block(u, config, tables)
     tracemalloc.start()
@@ -824,27 +806,28 @@ def _block_peak(attack, num_parties, seed):
 
 
 def test_a_full_check_block_allocates_no_table_per_round():
-    """One 2,304-round block keeps a few registers and a few arrays per round. At three parties
-    under two intercepts its peak stays below 512 KiB (a (2304, 27) table of weights alone takes
-    486 KiB); at nine parties with no Eve, below eight registers of 3**9 amplitudes, where one
-    (2304, 3**9) table of weights would take 346 MiB."""
+    """One 2,304-round block keeps a few arrays per round. At three parties under two intercepts
+    its peak stays below 512 KiB (a (2304, 27) table of weights alone takes 486 KiB); at nine
+    parties with no Eve, below eight registers of 3**9 amplitudes, where one (2304, 3**9) table of
+    weights would take 346 MiB."""
     assert _block_peak(OutsideAttack((2, 3), RANDOM_PER_QUTRIT), 3, seed=6) < 512 * 1024
     assert _block_peak(None, 9, seed=7) < 8 * 16 * 3**9
 
 
-def test_a_full_twelve_party_check_block_allocates_a_few_registers():
-    """An honest 12-party block holds 2,304 rounds on one register of 3**12 amplitudes, 8.5 MB.
-    Under random check bases it meets two (register, basis) pairs, and its traced peak stays below
-    six registers (5.0 here); a one-round block's Fourier check alone takes 3.5."""
-    assert _block_peak(None, 12, seed=8) < 6 * 16 * 3**12
+def test_a_full_twelve_party_check_block_allocates_no_register():
+    """A 2,304-round 12-party block, honest or under a random intercept on every transit qutrit,
+    draws its rounds digit by digit and stays below 1 MiB traced: one register of 3**12
+    amplitudes would take 8.1 MiB."""
+    assert _block_peak(None, 12, seed=8) < 2**20
+    assert _block_peak(OutsideAttack(tuple(range(2, 13)), RANDOM_PER_QUTRIT), 12, seed=9) < 2**20
 
 
 def test_inside_experiment_allocates_little():
     # A 1,000-trial experiment is one block. It holds each trial's register as three span
-    # coefficients, and its widest arrays are the nine Bell features and weights per trial; a
-    # (1000, 9, 9) coefficient array alone would be 1.2 MiB. The warm-up builds the kernel's
-    # tables, and the second run's traced peak is 380 KiB (numpy 2.4): the uniforms, the secrets
-    # and a few (3, B) and (9, B) arrays, written in place where a step allows it.
+    # coefficients, and its widest arrays are the nine Bell weights per trial; a (1000, 9, 9)
+    # coefficient array alone would be 1.2 MiB. The warm-up builds the kernel's tables, and the
+    # second run's traced peak is 380 KiB (numpy 2.4): the uniforms, the secrets and a few (3, B)
+    # and (9, B) arrays, written in place where a step allows it.
     attack = InsideAttack(1, FAKE_HAAR)
     run_inside_attack_experiment(1000, attack, SINGLE_COPY, seed=4)  # warms the caches it builds
     tracemalloc.start()
@@ -951,18 +934,27 @@ def test_inside_span_block_matches_the_dense_steps(seed):
         assert np.abs(block.fidelity - fid).max() < 1e-12
 
 
-def test_span_bell_weights_are_the_dealers_forms_on_any_density():
-    """The nine features carry the whole Born weight, also where the dealer's qutrit has a density
-    with off-diagonal entries, which no span channel gives: a Haar channel on three qutrits."""
+def test_span_bell_weights_are_the_dealers_forms_on_any_span_channel(monkeypatch):
+    """On a random span channel sum_k c_k |kkk>, the Bell forms on the secret's three moduli give
+    the dense forms' weights, and a channel off the span, whose dealer qutrit's density has
+    off-diagonal entries, is refused: there the moduli do not carry the whole weight."""
     rng = np.random.default_rng(71)
-    channel = haar_random_state(rng, 3).amplitudes.reshape(3, 9)
-    forms = protocol._dealer_forms(channel)
     secrets = np.array([haar_random_state(rng).amplitudes for _ in range(200)])
     outer = secrets[:, :, None] * secrets.conj()[:, None, :]
-    dense = outer.reshape(-1, 9).view(np.float64) @ forms
-    span = attacks._feature_forms(forms) @ attacks._features(np.ascontiguousarray(secrets.T))
-    assert np.abs(span.T - dense).max() < 1e-15
-    assert np.abs(dense - 1 / 9).max() > 0.01  # the channel's weights depend on the secret
+    for _ in range(5):
+        c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        amplitudes = np.zeros(27, dtype=complex)
+        amplitudes[[0, 13, 26]] = c / np.linalg.norm(c)
+        channel = PureState(3, amplitudes)
+        monkeypatch.setattr(attacks, "ghz_state", lambda n: channel)
+        tables = attacks._span_tables.__wrapped__()
+        dense = outer.reshape(-1, 9).view(np.float64) @ protocol._dealer_forms(amplitudes.reshape(3, 9))
+        span = tables.bell_forms @ (secrets.real**2 + secrets.imag**2).T
+        assert np.abs(span.T - dense).max() < 1e-15
+        assert np.abs(dense - 1 / 9).max() > 0.01  # the channel's weights depend on the secret
+    monkeypatch.setattr(attacks, "ghz_state", lambda n: haar_random_state(rng, 3))
+    with pytest.raises(ValueError, match="GHZ span"):
+        attacks._span_tables.__wrapped__()
 
 
 def test_span_tables_are_monomial_gathers_built_on_first_use():

@@ -7,8 +7,6 @@ reshape-based measurement path.
 
 import numpy as np
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from tritshare import (
     DensityMatrix,
@@ -40,7 +38,6 @@ import tritshare.core as core
 from tritshare.core import (
     INTERNAL_TOL,
     _contract,
-    _distinct,
     _family_matrix,
     _grouped,
     _measure,
@@ -575,19 +572,6 @@ def test_sample_index_refuses_a_total_off_one(probs):
         sample_index(probs, np.random.default_rng(0))
 
 
-@given(st.integers(1, 40).flatmap(lambda size: st.tuples(st.just(size), st.lists(st.integers(0, size - 1), min_size=1))))
-@example((1, [0]))  # one key
-@example((30, [7] * 12))  # all keys equal
-@example((27, list(range(26, -1, -1)) * 2))  # every key of the range, twice
-def test_distinct_matches_np_unique(case):
-    size, keys = case
-    keys = np.array(keys)
-    distinct, position = _distinct(keys, size)
-    want, inverse = np.unique(keys, return_inverse=True)
-    assert np.array_equal(distinct, want)
-    assert np.array_equal(position, inverse)
-
-
 @pytest.mark.parametrize("width", [3, 9, 27, 81])
 def test_product_sums_are_taken_draw_last(width):
     """``_sample``'s product route sums ``_upper_ones(n).T @ probs.T``, one column per draw. At 3
@@ -664,21 +648,24 @@ def test_row_indexed_draws_never_land_on_a_zero_weight():
 
 
 def test_sample_indices_redraws_where_the_product_steps_at_a_zero_weight():
-    """On 768 rows of 27 weights, about 30 % zero, OpenBLAS's small-matrix product sums step at
-    a zero weight on some rows (62 with numpy 2.4 and OpenBLAS 0.3.31), where a uniform drew that
-    branch and was refused. Such a draw is taken again from the row's sequential sums."""
+    """On 768 rows of 27 weights, about 30 % zero, each row with a zero weight past its first takes
+    as its uniform the sampler's own draw-last sum (``_upper_ones(27).T @ probs.T``) at the first
+    such weight. Where those sums do not step there, the uniform ties with the sum before it and
+    the count passes the zero weight; where they step, the draw lands on it and is taken again
+    from the row's sequential sums. Either way every draw has positive weight and is the scalar
+    rule's. The redraw itself is pinned by ``test_sample_indices_refuses_a_redrawn_zero_weight_only``."""
     rng = np.random.default_rng(781)
     probs = rng.random((768, 27)) * (rng.random((768, 27)) >= 0.3)
     probs /= probs.sum(axis=1, keepdims=True)
-    product = probs @ core._upper_ones(27)
-    step = (np.diff(product, axis=1) > 0) & (probs[:, 1:] == 0)
-    stepped = np.flatnonzero(step.any(axis=1))
+    sums = (core._upper_ones(27).T @ probs.T).T
+    zero = probs[:, 1:] == 0
+    rows = np.flatnonzero(zero.any(axis=1))
+    assert len(rows) > 700
     u = rng.random(768)
-    u[stepped] = product[stepped, np.argmax(step[stepped], axis=1)]
+    u[rows] = sums[rows, 1 + np.argmax(zero[rows], axis=1)]
     k = sample_indices(probs, u)
     assert np.all(probs[np.arange(768), k] > 0)
-    landed = np.flatnonzero(probs[np.arange(768), np.minimum(np.sum(product <= u[:, None], axis=1), 26)] == 0)
-    assert list(k[landed]) == [_scalar_inverse_cdf(probs[b], u[b]) for b in landed]
+    assert list(k) == [_scalar_inverse_cdf(p, x) for p, x in zip(probs, u)]
 
 
 def test_sample_indices_refuses_a_redrawn_zero_weight_only(monkeypatch):

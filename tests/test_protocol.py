@@ -36,14 +36,8 @@ from tritshare import (
     xi_family,
     xi_state,
 )
-from tritshare.attacks import (
-    ALWAYS_COMPUTATIONAL,
-    OutsideAttack,
-    _basis_rows,
-    _intercept,
-    run_check_rounds,
-    run_outside_attack_experiment,
-)
+import tritshare.attacks as attacks
+from tritshare.attacks import ALWAYS_COMPUTATIONAL, OutsideAttack, run_check_rounds, run_outside_attack_experiment
 from tritshare.errors import ConfigInvalid, DimensionMismatch, EmptyInput, ZeroProbabilityBranchSampled
 import tritshare.protocol as protocol
 from tritshare.core import _block, _measure, _weights, sample_indices
@@ -55,7 +49,7 @@ from tritshare.protocol import (
     HELPER_RESULT,
     MAX_AGENTS,
     CheckRecord,
-    _check_outcomes,
+    _check_step,
     _deal,
     _help,
     _trits,
@@ -644,6 +638,11 @@ def test_honest_round_keeps_the_ghz_correlation(num_parties, basis):
     assert len(seen) > 1
 
 
+def _basis_rows(fourier):
+    """Per-round measurement rows: the Fourier basis where flagged, else computational."""
+    return np.where(fourier[:, None, None], _XI_ROWS, np.eye(3))
+
+
 def _reference_check_outcomes(state, fourier, u):
     """The check step as every round's own basis rows applied on each party's axis of its own register."""
     rows = _basis_rows(fourier)
@@ -655,62 +654,59 @@ def _reference_check_outcomes(state, fourier, u):
     return trits, np.where(fourier, trits.sum(axis=1) % 3 == 0, np.all(trits == trits[:, :1], axis=1))
 
 
+def _intercepted(rng, num_parties, axes, rounds):
+    """Each round's GHZ register after Eve's intercepts on ``axes``, in a basis drawn per round and
+    target, as a dense register and as the check step's span state and member codes. The span
+    state follows from the outcomes alone: a computational outcome j leaves e_j (state 3 + j), and
+    a Fourier outcome l turns the phased state q into q - l and leaves e_j as it was."""
+    registers = np.repeat(_block(ghz_state(num_parties)), rounds, axis=0)
+    state, members = np.zeros(rounds, dtype=np.intp), np.empty((len(axes), rounds), dtype=np.intp)
+    for i, axis in enumerate(axes):
+        fourier = rng.random(rounds) < 0.5
+        rows = _basis_rows(fourier)
+        outcome, _, kept = _measure(registers, (axis,), rows, rng.random(rounds))
+        member = rows[np.arange(rounds), outcome].conj()
+        registers = (kept.reshape(rounds, 3**axis, 1, -1) * member[:, None, :, None]).reshape(registers.shape)
+        state = np.where(fourier, np.where(state < 3, (state - outcome) % 3, state), 3 + outcome)
+        members[i] = 3 * fourier + outcome
+    return registers, state, members
+
+
 @pytest.mark.parametrize("num_parties", [2, 3, 4, 5, 6])
 def test_check_step_matches_per_round_basis_rows(num_parties):
-    """The check step on distinct registers plus one index per round draws what every round's own
-    register, measured with its own basis rows, draws."""
+    """The check step on each round's span state and members draws what every round's own dense
+    register, measured with its own basis rows, draws: on the GHZ register, after one intercept,
+    after two, and after one on every transit qutrit. Every fourth round's uniform is the largest
+    double below 1."""
     rng = np.random.default_rng(60 + num_parties)
     rounds = 64
-    shape = (rounds,) + (3,) * num_parties
-    haar = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    haar /= np.linalg.norm(haar.reshape(rounds, -1), axis=1).reshape((-1,) + (1,) * num_parties)
-    ghz = _block(ghz_state(num_parties))
-    shared = np.zeros(rounds, dtype=np.intp)
-    intercepted = _intercept(ghz, shared, 1, rng.random(rounds) < 0.5, rng.random(rounds))
-    inputs = {
-        "shared GHZ register": (ghz, shared),
-        "shared Haar register": (haar[:1], shared),
-        "a Haar register per round": (haar, np.arange(rounds)),
-        "five Haar registers, rounds drawn among them": (haar[:5], rng.integers(0, 5, rounds)),
-        "one intercept on the shared GHZ register": intercepted,
-        "two intercepts on it": _intercept(*intercepted, num_parties - 1, rng.random(rounds) < 0.5, rng.random(rounds)),
-        "a transposed view of the Haar registers": (
-            haar.transpose((0,) + tuple(range(num_parties, 0, -1))), rng.permutation(rounds)
-        ),
-    }
-    for fourier in (rng.random(rounds) < 0.5, np.zeros(rounds, bool), np.ones(rounds, bool)):
-        u = rng.random(rounds)
-        for name, (registers, index) in inputs.items():
-            joint, passed = _check_outcomes(registers, index, fourier, u)
-            trits = _trits(joint, num_parties)
-            trits_ref, passed_ref = _reference_check_outcomes(registers[index], fourier, u)
-            assert np.array_equal(trits, trits_ref), name
-            assert np.array_equal(passed, passed_ref), name
+    last = tuple(range(1, num_parties))
+    for axes in dict.fromkeys([(), (1,), (1, num_parties - 1) if num_parties > 2 else (1,), last]):
+        registers, state, members = _intercepted(rng, num_parties, axes, rounds)
+        for fourier in (rng.random(rounds) < 0.5, np.zeros(rounds, bool), np.ones(rounds, bool)):
+            u = rng.random(rounds)
+            u[::4] = np.nextafter(1.0, 0.0)
+            digits, passed = _check_step(num_parties, axes, state, members, fourier, u)
+            trits_ref, passed_ref = _reference_check_outcomes(registers, fourier, u)
+            assert np.array_equal(digits.T, trits_ref), axes
+            assert np.array_equal(passed, passed_ref), axes
 
 
 @pytest.mark.parametrize("num_parties", range(2, 9))
 def test_check_trits_and_verdicts_at_every_joint_index(num_parties):
-    """Each joint index, drawn in either basis, reads as its base-3 digits, and its verdict follows
-    the all-equal rule in the computational basis and the sum-mod-3 rule in the Fourier one. The
-    register is a product of a qutrit unbiased to both bases, so every index has weight 3**-n and
-    the uniform at its midpoint draws it."""
-    unbiased = np.array([1, 1, np.exp(2j * np.pi / 3)]) / np.sqrt(3)
-    assert np.max(np.abs(np.abs(_XI_ROWS @ unbiased) ** 2 - 1 / 3)) < 1e-15
-    register = unbiased
-    for _ in range(num_parties - 1):
-        register = np.kron(register, unbiased)
-    block = register.reshape((1,) + (3,) * num_parties)
-    size = 3**num_parties
-    for start in range(0, size, 243):  # a draw holds a (rounds, 3**n) weight array
-        joint = np.tile(np.arange(start, min(start + 243, size)), 2)
-        fourier = np.arange(len(joint)) >= len(joint) // 2
-        drawn, passed = _check_outcomes(block, np.zeros(len(joint), np.intp), fourier, (joint + 0.5) / size)
-        assert np.array_equal(drawn, joint)
-        trits = _trits(drawn, num_parties)
-        digits = np.stack(np.unravel_index(joint, (3,) * num_parties), axis=1)
-        assert np.array_equal(trits, digits)
-        agree = np.all(digits == digits[:, :1], axis=1)
-        assert np.array_equal(passed, np.where(fourier, digits.sum(axis=1) % 3 == 0, agree))
+    """Each joint index reads as its base-3 digits (``_trits``), and the tables of a configuration,
+    honest or under an intercept, flag it by the all-equal rule in the computational basis and the
+    sum-mod-3 rule in the Fourier one."""
+    joint = np.arange(3**num_parties)
+    digits = np.stack(np.unravel_index(joint, (3,) * num_parties), axis=1)
+    assert np.array_equal(_trits(joint, num_parties), digits)
+    agree = np.all(digits == digits[:, :1], axis=1)
+    flags = np.stack([agree, digits.sum(axis=1) % 3 == 0])
+    for axes, eve in (((), ()), ((num_parties - 1,), (False, True))):
+        _, _, passes = attacks._check_tables(num_parties, axes, eve, (False, True))
+        assert np.array_equal(passes, flags), axes
+        _, _, passes = attacks._check_tables(num_parties, axes, eve, (True,))
+        assert np.array_equal(passes, flags[1:]), axes
 
 
 def test_check_round_party_count_is_keyword_only():
