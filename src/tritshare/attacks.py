@@ -12,12 +12,14 @@ keyed by the seed. An inside block holds up to ``_BLOCK`` = 2,304
 trials, so a 1,000-trial experiment is one block. The register the
 dealer's step leaves, sum_k a_k |kk>, has three coefficients, so the
 block holds each trial's as a column of a trial-last ``(3, B)`` array and
-every step runs along rows of B trials: the dealer's nine Bell weights are
-one real form in the secret's three moduli, the drawn member's row and the
-correction are gathers from monomial tables built once
-(``_span_tables``), and a helper's weights are ``|xi_l|^2 @ |a|^2``. Its
-widest arrays are the nine Bell weights per trial; each step allocates its
-own and writes in place where it can.
+every step runs along rows of B trials. Its constants come from the
+channel's three span coefficients c_k (``_span_tables``): the dealer's nine
+Bell weights are one real form in the secret's three moduli,
+``|S_k|^2 @ |c|^2``, and the drawn member's row and the correction are
+gathers from monomial tables. A helper's three outcomes weigh 1/3 each on
+any span register, so it draws its outcome straight from its uniform and
+turns a by unit phases. Its widest arrays are the nine Bell weights per
+trial; each step allocates its own and writes in place where it can.
 
 A check round's register is on the GHZ span too: one of six span states,
 ``c_k w^{qk}`` or ``e_j``, on the parties nobody intercepted, times Eve's
@@ -26,14 +28,13 @@ only on its configuration: the party count, Eve's target axes, the bases
 her policy draws from and the check bases, which ``_check_blocks``
 resolves once per run, after validation. Every intercept is a three-way
 draw from Eve's table, the same on both routes, and each check block
-holds ``_BLOCK`` rounds. One budget rule picks a run's route: where its
-complete tree, ``(3 * |Eve's bases|)**t`` leaves of ``3**n`` joint
-outcomes under t targets, fits the amplitude budget of a block
-(``_BLOCK``), the party walk (``protocol._walk``) is evaluated over
-every leaf's digit strings once, into joint weights, their cumulative
-sums and pass flags kept read-only in a small cache (``_check_tables``),
-and each round draws its joint outcome from its leaf's row
-(``core._sample``). Elsewhere the check step draws each round's digits
+holds ``_BLOCK`` rounds. One rule picks a run's route: where its complete
+tree, ``(3 * |Eve's bases|)**t`` leaves of ``3**n`` joint outcomes under t
+targets, fits ``_TABLE_WEIGHTS`` joint weights per check basis, the party
+walk (``protocol._walk``) is evaluated over every leaf's digit strings
+once, into joint weights, their cumulative sums and pass flags kept
+read-only in a small cache (``_check_tables``), and each round draws its
+joint outcome from its leaf's row (``core._sample``). Elsewhere the check step draws each round's digits
 one by one from its span state and members (``protocol._check_step``),
 and no array of ``3**n`` amplitudes or weights is built. Both routes
 draw the joint outcome that the round's uniform draws over the ``3**n``
@@ -70,8 +71,8 @@ from .core import ZERO_PROB_TOL, PureState, _axes, _block, _freeze, _integer, _m
 from .errors import ConfigInvalid, LabelOutOfRange, SelfCapture, ZeroProbabilityBranchSampled
 from .operators import _COMPUTATIONAL_ROWS, _XI_ROWS, BellOutcome, ghz_state
 from .protocol import (
-    _BELL_BLOCKS, CHECK_BASES, COMPUTATIONAL, FOURIER, CheckRecord, _check_step, _dealer_forms, _passes,
-    _recovery_table, _span_model, _trits, _validated_parties, _validated_seed, _walk,
+    _BELL_BLOCKS, CHECK_BASES, COMPUTATIONAL, FOURIER, CheckRecord, _check_step, _passes, _recovery_table,
+    _span_model, _trits, _validated_parties, _validated_seed, _walk,
 )
 
 ALWAYS_COMPUTATIONAL = "always_computational"
@@ -88,27 +89,19 @@ EXACT_COMPARISON_THRESHOLD = 1.0 - 1e-9
 
 RANDOM_CHECK_BASIS = "random"
 
-#: Inside trials and check rounds simulated together as one array; with ``_INSIDE_QUTRITS`` it sets
-#: the amplitude budget of a block, ``_BLOCK * 3**_INSIDE_QUTRITS`` = 20,736. A check run whose
-#: complete tree fits it, ``(3 * |Eve's bases|)**t * 3**n`` joint outcomes under t targets, draws
-#: from tables built once (``_check_tables``); elsewhere its rounds are drawn digit by digit. That
-#: is the budget's only job: every check block holds ``_BLOCK`` rounds, and the draws are the same
-#: on either route and at any block size. Traced peaks of a 2,304-round check block once its
-#: tables are built: 225 KiB at three parties under two intercepts, 114 KiB at nine parties with no
-#: Eve; at twelve, digit by digit, 414 KiB with no Eve and 669 KiB with every transit qutrit
-#: targeted (2 cores, numpy 2.4).
-#: Smaller blocks are bound by numpy's per-call overhead; larger ones raise an experiment's
-#: peak memory. Over a warm 100-trial run in a fresh process, the peak RSS of a 4,000-trial
-#: inside experiment grew by 0 MiB at 256-trial blocks, 0.25 MiB at 1,024 and 1.2 MiB at
-#: 2,304, and that of a 1,000-trial one, a single block, by 0.1-0.25 MiB (2 cores, numpy 2.4).
-#: Those figures were taken when an inside trial held a 3 x 3 register; it now holds three span
-#: coefficients, and a warm 1,000-trial experiment's traced peak is 380 KiB.
+#: Inside trials and check rounds simulated together as one array. Smaller blocks are bound by
+#: numpy's per-call overhead; larger ones raise an experiment's peak memory. A full inside block's
+#: widest arrays are its nine Bell weights per trial (8 B each, 162 KiB), and a warm 1,000-trial
+#: experiment's traced peak is 372 KiB. Traced peaks of a 2,304-round check block once its tables
+#: are built: 225 KiB at three parties under two intercepts, 114 KiB at nine parties with no Eve;
+#: at twelve, digit by digit, 414 KiB with no Eve and 669 KiB with every transit qutrit targeted
+#: (2 cores, numpy 2.4).
 _BLOCK = 2304
-#: Qutrits per register of the amplitude budget: the two agents' channel qutrits of a three-party
-#: session, 3 x 3 amplitudes (16 B each, so 324 KiB for 2,304 registers), the register the dense
-#: dealer's step (``protocol._deal``) builds. The inside kernel keeps three amplitudes per trial,
-#: on the GHZ span, and nine Bell weights (8 B each, 162 KiB a full block).
-_INSIDE_QUTRITS = 2
+#: Joint weights per check basis that a configuration's tables may hold. A check run whose complete
+#: tree fits, ``(3 * |Eve's bases|)**t * 3**n`` joint outcomes under t targets, draws from tables
+#: built once (``_check_tables``); elsewhere its rounds are drawn digit by digit. That is its only
+#: job: every check block holds ``_BLOCK`` rounds, and the draws are the same on either route.
+_TABLE_WEIGHTS = 20_736
 
 # Columns of an inside trial's uniforms: six for the Haar secret, then the
 # designation, the Bell outcome, the two Fourier outcomes and the
@@ -220,8 +213,7 @@ class _SpanTables(NamedTuple):
 
     bell_forms: np.ndarray  # (9, 3): Bell outcome k's weight as a form in the secret's moduli |s_i|^2
     bell: tuple[np.ndarray, np.ndarray]  # member k's row on the dealer's qutrit, times the channel's coefficients
-    xi_weights: np.ndarray  # (3, 3): |<xi_l|k>|^2, a helper's outcome weights on |a_k|^2
-    xi_columns: np.ndarray  # (3, 3): column l is the Fourier row l, the helper's factor on a_k
+    phases: np.ndarray  # (3, 3): column l is sqrt(3) times the Fourier row l, the helper's unit factors on a_k
     correction: tuple[np.ndarray, np.ndarray]  # the correction for Bell outcome b and helper sum L, at 3b + L
 
 
@@ -239,23 +231,18 @@ def _monomial(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Built on first use, as the correction table it reads is.
 @lru_cache(maxsize=None)
 def _span_tables() -> _SpanTables:
-    """The inside kernel's tables, from the sharing steps' own constants: the dealer's forms on
-    the three-party channel (``protocol._dealer_forms``), the Bell blocks and the correction
+    """The inside kernel's tables, from the channel's three span coefficients ``c_k`` (read as
+    ``protocol._span_model`` reads them), the Bell blocks, the Fourier rows and the correction
     table. The channel holds the agents' qutrits at |kk> with coefficient ``c_k`` when the
-    dealer's qutrit reads k, so the dealt register is ``(s @ S_k)_k c_k`` on the |kk>. Its dealer
-    qutrit's density is diag(|c_k|^2), so the forms weigh only the secret's moduli: the columns of
-    its pairs ``s_i conj(s_j)``, i != j, are exactly zero, and a channel where they are not is
-    refused."""
-    channel = ghz_state(3).amplitudes.reshape(3, 9)
-    forms = _dealer_forms(channel).reshape(3, 3, 2, 9)  # at (i, j, real or imaginary part, k)
-    if forms[~np.eye(3, dtype=bool)].any():
-        raise ValueError("the inside kernel's span step needs a channel on the GHZ span")
+    dealer's qutrit reads k, so Bell member b leaves ``(s @ S_b)_k c_k`` on each |kk>. Each block
+    S_b is monomial, so that weight is ``sum_i |s_i|^2 sum_k |S_b[i, k]|^2 |c_k|^2``: the forms
+    ``|S|^2 @ |c|^2`` in the secret's moduli, exact for every channel on the span."""
+    c = ghz_state(1).amplitudes
     column, entry = _monomial(_BELL_BLOCKS.transpose(0, 2, 1))
     return _SpanTables(
-        bell_forms=_freeze(np.ascontiguousarray(forms[[0, 1, 2], [0, 1, 2], 0].T)),
-        bell=(column, _freeze(entry * channel[[0, 1, 2], [0, 4, 8]][:, None])),  # c_k, at |kk>
-        xi_weights=_freeze(_XI_ROWS.real**2 + _XI_ROWS.imag**2),
-        xi_columns=_freeze(np.ascontiguousarray(_XI_ROWS.T)),
+        bell_forms=_freeze((_BELL_BLOCKS.real**2 + _BELL_BLOCKS.imag**2) @ (c.real**2 + c.imag**2)),
+        bell=(column, _freeze(entry * c[:, None])),
+        phases=_freeze(np.ascontiguousarray(np.sqrt(3) * _XI_ROWS.T)),
         correction=_monomial(_recovery_table().reshape(27, 3, 3)),
     )
 
@@ -272,34 +259,27 @@ def _gather(table: tuple[np.ndarray, np.ndarray], index: np.ndarray, x: np.ndarr
     return product
 
 
-def _scale(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Divide column b of the fresh complex ``(3, B)`` array ``x`` by ``sqrt(weight[b])`` in place,
-    by one real multiply through its ``float64`` view."""
-    x.view(np.float64).reshape(3, -1, 2)[...] *= (1.0 / np.sqrt(weight))[:, None]
-    return x
-
-
-def _span_deal(tables: _SpanTables, s: np.ndarray, draw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _span_deal(tables: _SpanTables, s: np.ndarray, draw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The dealer's step (``protocol._deal``) on the span: draws each trial's Bell outcome from its
-    nine weights, one real form in its secret's moduli, and returns the outcomes, the dealt
-    coefficients a, normalized, and their squared moduli."""
+    nine weights, one real form in its secret's moduli, and returns the outcomes and the dealt
+    coefficients a, normalized in place by one real multiply through their ``float64`` view."""
     bell, _ = _sample((tables.bell_forms @ (s.real**2 + s.imag**2)).T, draw)
     dealt = _gather(tables.bell, bell, s)
-    moduli = dealt.real**2 + dealt.imag**2
-    weight = moduli.sum(axis=0)
+    weight = (dealt.real**2 + dealt.imag**2).sum(axis=0)
     if weight.min() <= ZERO_PROB_TOL:
         raise ZeroProbabilityBranchSampled(f"dealt branch has probability {float(weight.min())!r}")
-    moduli /= weight
-    return bell, _scale(dealt, weight), moduli
+    dealt.view(np.float64).reshape(3, -1, 2)[...] *= (1.0 / np.sqrt(weight))[:, None]
+    return bell, dealt
 
 
-def _span_help(tables: _SpanTables, dealt: np.ndarray, moduli: np.ndarray, draw: np.ndarray) -> np.ndarray:
-    """One helper's step (``protocol._help``) on the span: outcome l has weight ``|xi_l|^2 @ |a|^2``
-    and leaves the other qutrit in ``xi_l * a``, normalized, which overwrites ``dealt``. Returns the
-    outcomes."""
-    outcome, chosen = _sample((tables.xi_weights @ moduli).T, draw)
-    dealt *= tables.xi_columns.take(outcome, axis=1)
-    _scale(dealt, chosen)
+def _span_help(tables: _SpanTables, dealt: np.ndarray, draw: np.ndarray) -> np.ndarray:
+    """One helper's step (``protocol._help``) on the span. On sum_k a_k |kk> outcome l has weight
+    ``sum_k |a_k|^2 / 3 = 1/3`` whatever a is, so it is drawn as ``core._sample`` draws on exact
+    thirds: ``int(3 u)`` steps at the doubles 1/3 and 2/3, where those sums do. The other qutrit
+    is left in ``xi_l * a``, normalized: a times the unit phases ``sqrt(3) conj(xi_l)``, which
+    overwrites ``dealt``. Returns the outcomes."""
+    outcome = (3 * draw).astype(np.intp)
+    dealt *= tables.phases.take(outcome, axis=1)
     return outcome
 
 
@@ -327,9 +307,9 @@ def _inside_block(secrets: np.ndarray, designated: np.ndarray, attack: InsideAtt
     |11> and |22>, each a trial-last ``(3, B)`` array, so that every
     operation runs along rows of B trials. The dealer's nine Bell weights
     are one real form in the secret's three moduli, and the drawn
-    member's row is a gather from a monomial table; a helper's weights
-    are ``|xi_l|^2 @ |a|^2`` and it keeps ``xi_l * a``; the correction is
-    a monomial gather too, and the fidelity one sum over three rows.
+    member's row is a gather from a monomial table; a helper's outcomes
+    weigh 1/3 each, and it keeps ``xi_l * a``, normalized; the correction
+    is a monomial gather too, and the fidelity one sum over three rows.
 
     After the capture the attacker holds both qutrits of the dealt
     register, and the victim holds the fake, an unentangled qutrit that
@@ -344,13 +324,13 @@ def _inside_block(secrets: np.ndarray, designated: np.ndarray, attack: InsideAtt
     """
     tables = _span_tables()
     s = np.ascontiguousarray(secrets.T)
-    bell, kept, moduli = _span_deal(tables, s, u[:, _U_BELL])
+    bell, kept = _span_deal(tables, s, u[:, _U_BELL])
     if attack.fake_state is None:
-        outcome = _span_help(tables, kept, moduli, u[:, _U_FIRST])
+        outcome = _span_help(tables, kept, u[:, _U_FIRST])
         captured, announced = np.full(len(u), -1, dtype=np.intp), outcome
     else:
         theft = designated == attack.dishonest_agent
-        outcome = _span_help(tables, kept, moduli, np.where(theft, u[:, _U_SECOND], u[:, _U_FIRST]))
+        outcome = _span_help(tables, kept, np.where(theft, u[:, _U_SECOND], u[:, _U_FIRST]))
         fake = attack.fake_state.amplitudes
         fake_weights = np.broadcast_to(np.abs(_XI_ROWS @ fake) ** 2, (len(u), 3))
         announced = np.where(theft, _sample(fake_weights, u[:, _U_FIRST])[0], outcome)
@@ -381,8 +361,8 @@ def _flags(u: np.ndarray, bases: tuple[bool, ...]) -> np.ndarray:
 _Config = tuple[int, tuple[int, ...], tuple[bool, ...], tuple[bool, ...]]
 
 
-#: Configurations whose tables stay cached. A configuration's tables fit the amplitude budget of a
-#: block, 20,736 weights per check basis, so its joint weights and sums take at most 2 check bases
+#: Configurations whose tables stay cached. A configuration's tables hold at most ``_TABLE_WEIGHTS``
+#: weights per check basis, so its joint weights and sums take at most 2 check bases
 #: x 20,736 x 16 B = 648 KiB, and its pass flags 2 x 3**n B, 38 KiB at nine parties; the cache thus
 #: holds at most 16 x 686 KiB, 10.7 MiB. At three parties a configuration's tables take 5.1 KiB
 #: under one random intercept and 30 KiB under two.
@@ -492,8 +472,8 @@ def _check_blocks(
     count: int, name: str, unit: str, attack: OutsideAttack | None, check_basis_policy: str, seed: int, num_parties: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Validate a run of check rounds, resolve its configuration once and return ``_check_block``'s
-    arrays block by block, ``_BLOCK`` rounds a block. One budget rule decides the route (see
-    ``_BLOCK``); a refused run builds no tables."""
+    arrays block by block, ``_BLOCK`` rounds a block. One rule decides the route (see
+    ``_TABLE_WEIGHTS``); a refused run builds no tables."""
     if check_basis_policy not in CHECK_BASES + (RANDOM_CHECK_BASIS,):
         raise ConfigInvalid(f"unknown check basis policy {check_basis_policy!r}")
     num_parties = _validated_parties(num_parties)
@@ -506,7 +486,7 @@ def _check_blocks(
         policy = attack.measure_basis_policy
         eve = (False, True) if policy == RANDOM_PER_QUTRIT else (policy == ALWAYS_FOURIER,)
     check = (False, True) if check_basis_policy == RANDOM_CHECK_BASIS else (check_basis_policy == FOURIER,)
-    fits = (3 * len(eve)) ** len(axes) * 3**num_parties <= _BLOCK * 3**_INSIDE_QUTRITS
+    fits = (3 * len(eve)) ** len(axes) * 3**num_parties <= _TABLE_WEIGHTS
     # a round's uniforms (see ``_check_block``), in whole Philox steps
     blocks = _uniform_blocks(count, name, unit, seed, _BLOCK, -(-(2 + 2 * len(axes)) // 4) * 4)
     config = (num_parties, axes, eve, check)

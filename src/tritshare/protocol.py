@@ -11,11 +11,13 @@ symmetric under every permutation of the agents' qutrits, so the helpers
 measure its qutrits in turn and nobody tracks who holds which.
 The inside attack's kernel (``attacks._inside_block``) plays the same
 steps on the three coefficients the dealt register has on the GHZ span,
-sum_k a_k |k...k>, from the same Bell forms, channel density and
-correction table; it draws what these steps draw except where a uniform
-lies within the last bits of a boundary. Sessions keep the dense steps
-until the session benchmark can judge a faster session path (ROADMAP,
-item 1); the two paths then meet again on the span.
+sum_k a_k |k...k>. It needs no density: its constants come from the
+channel's span coefficients c_k, which ``_span_model`` reads the same way,
+the Bell blocks and the correction table, and a helper's outcomes weigh
+1/3 each on any span register. It draws what these steps draw except
+where a uniform lies within the last bits of a boundary. Sessions keep
+the dense steps until the session benchmark can judge a faster session
+path (ROADMAP, item 1); the two paths then meet again on the span.
 Check rounds consume dedicated GHZ copies and feed a compare-and-abort
 verdict. A check register stays on the span as well: one of six span
 states on the parties nobody intercepted, ``c_k w^{qk}`` or ``e_j``, times
@@ -177,7 +179,7 @@ def _span_model() -> _SpanModel:
     Fourier basis. From ``c_k w^{qk}``, the first draws |c|^2 in the computational basis and the
     others repeat its digit; in the Fourier basis all but the last are uniform, and the last draws
     ``|<xi_l|c>|^2`` rotated by the residue r = q - (the others' digits) mod 3, at l - r."""
-    c = ghz_state(2).amplitudes[[0, 4, 8]]
+    c = ghz_state(1).amplitudes
     bases = np.stack([_COMPUTATIONAL_ROWS, _XI_ROWS])
     moduli = np.concatenate([np.tile(c.real**2 + c.imag**2, (3, 1)), np.eye(3)])
     eve = moduli @ (bases.real**2 + bases.imag**2).transpose(0, 2, 1)  # (2, 6, 3)

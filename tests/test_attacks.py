@@ -51,7 +51,7 @@ from tritshare import (
     xi_state,
 )
 from tritshare.attacks import ALWAYS_COMPUTATIONAL, ALWAYS_FOURIER, EXACT, RANDOM_PER_QUTRIT, SINGLE_COPY
-from tritshare.core import _measure, sample_indices
+from tritshare.core import _measure, _sample, sample_indices
 from tritshare.errors import ConfigInvalid, LabelOutOfRange, SelfCapture
 from tritshare.operators import _XI_ROWS
 from tritshare.protocol import COMPUTATIONAL, FOURIER
@@ -826,7 +826,7 @@ def test_inside_experiment_allocates_little():
     # A 1,000-trial experiment is one block. It holds each trial's register as three span
     # coefficients, and its widest arrays are the nine Bell weights per trial; a (1000, 9, 9)
     # coefficient array alone would be 1.2 MiB. The warm-up builds the kernel's tables, and the
-    # second run's traced peak is 380 KiB (numpy 2.4): the uniforms, the secrets and a few (3, B)
+    # second run's traced peak is 372 KiB (numpy 2.4): the uniforms, the secrets and a few (3, B)
     # and (9, B) arrays, written in place where a step allows it.
     attack = InsideAttack(1, FAKE_HAAR)
     run_inside_attack_experiment(1000, attack, SINGLE_COPY, seed=4)  # warms the caches it builds
@@ -935,26 +935,66 @@ def test_inside_span_block_matches_the_dense_steps(seed):
 
 
 def test_span_bell_weights_are_the_dealers_forms_on_any_span_channel(monkeypatch):
-    """On a random span channel sum_k c_k |kkk>, the Bell forms on the secret's three moduli give
-    the dense forms' weights, and a channel off the span, whose dealer qutrit's density has
-    off-diagonal entries, is refused: there the moduli do not carry the whole weight."""
+    """On a random span channel sum_k c_k |kkk>, the Bell forms built from its coefficients c are
+    the columns of the dense forms (``protocol._dealer_forms``) on the secret's moduli |s_i|^2, and
+    give the dense forms' weights: the pairs ``s_i conj(s_j)``, i != j, weigh nothing there."""
     rng = np.random.default_rng(71)
     secrets = np.array([haar_random_state(rng).amplitudes for _ in range(200)])
     outer = secrets[:, :, None] * secrets.conj()[:, None, :]
     for _ in range(5):
         c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        c /= np.linalg.norm(c)
         amplitudes = np.zeros(27, dtype=complex)
-        amplitudes[[0, 13, 26]] = c / np.linalg.norm(c)
-        channel = PureState(3, amplitudes)
-        monkeypatch.setattr(attacks, "ghz_state", lambda n: channel)
+        amplitudes[[0, 13, 26]] = c
+        monkeypatch.setattr(attacks, "ghz_state", {1: PureState(1, c)}.__getitem__)
         tables = attacks._span_tables.__wrapped__()
-        dense = outer.reshape(-1, 9).view(np.float64) @ protocol._dealer_forms(amplitudes.reshape(3, 9))
+        forms = protocol._dealer_forms(amplitudes.reshape(3, 9))
+        moduli = forms.reshape(3, 3, 2, 9)[[0, 1, 2], [0, 1, 2], 0].T  # at (k, i): the column of |s_i|^2
+        assert np.abs(tables.bell_forms - moduli).max() < 1e-15
+        dense = outer.reshape(-1, 9).view(np.float64) @ forms
         span = tables.bell_forms @ (secrets.real**2 + secrets.imag**2).T
         assert np.abs(span.T - dense).max() < 1e-15
         assert np.abs(dense - 1 / 9).max() > 0.01  # the channel's weights depend on the secret
-    monkeypatch.setattr(attacks, "ghz_state", lambda n: haar_random_state(rng, 3))
-    with pytest.raises(ValueError, match="GHZ span"):
-        attacks._span_tables.__wrapped__()
+
+
+#: Uniforms at and just below each boundary of three exact thirds, and the largest double below 1.
+_THIRD_EDGES = np.array([0.0, np.nextafter(1 / 3, 0), 1 / 3, np.nextafter(2 / 3, 0), 2 / 3, np.nextafter(1, 0)])
+
+
+@pytest.mark.parametrize("num_agents", [2, 3, 4, 5, 6])
+def test_span_helpers_draw_thirds_and_keep_what_the_dense_helpers_keep(num_agents, monkeypatch):
+    """On a span register sum_k a_k |k...k> each helper outcome weighs 1/3 in the dense step
+    (``protocol._help``), whatever a is: the fact that ``attacks._span_help`` draws on. It draws
+    what ``core._sample`` draws on exact thirds at and just below each boundary, and its unit
+    phases leave the qutrit that the dense helpers leave, of norm 1."""
+    assert _sample(np.full((6, 3), 1 / 3), _THIRD_EDGES)[0].tolist() == [0, 0, 1, 1, 2, 2]
+    rng = np.random.default_rng(90 + num_agents)
+    u = np.stack([rng.permutation(np.tile(_THIRD_EDGES, 8)) for _ in range(num_agents - 1)], axis=1)
+    outcomes = np.stack([_sample(np.full((len(u), 3), 1 / 3), draw)[0] for draw in u.T], axis=1)
+    a = rng.standard_normal((3, len(u))) + 1j * rng.standard_normal((3, len(u)))
+    a /= np.linalg.norm(a, axis=0)
+    register = np.zeros((len(u), 3**num_agents), dtype=complex)
+    register[:, [0, (3**num_agents - 1) // 2, 3**num_agents - 1]] = a.T
+    register = register.reshape((len(u),) + (3,) * num_agents)
+
+    weights = []
+
+    def recording(*args):
+        result = _measure(*args)
+        weights.append(result[1])
+        return result
+
+    monkeypatch.setattr(protocol, "_measure", recording)
+    for shift in (1, 2, 0):  # every register meets every outcome at every helper
+        _, kept = protocol._help(register, (outcomes + shift) % 3)
+    assert len(weights) == 3 * (num_agents - 1)
+    assert np.abs(np.array(weights) - 1 / 3).max() < 1e-15
+
+    tables = attacks._span_tables()
+    for draw, outcome in zip(u.T, outcomes.T):
+        assert np.array_equal(attacks._span_help(tables, a, draw), outcome)
+        assert np.abs(np.linalg.norm(a, axis=0) - 1).max() < 1e-15
+    assert np.abs(a.T - kept).max() < 1e-15
 
 
 def test_span_tables_are_monomial_gathers_built_on_first_use():
