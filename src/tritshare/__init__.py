@@ -62,7 +62,7 @@ from .protocol import (
     verify_correlations,
 )
 
-__version__ = "0.4.11"
+__version__ = "0.4.12"
 
 
 def __getattr__(name: str):

@@ -27,14 +27,16 @@ resent member on each target (``protocol._span_model``). Its draws depend
 only on its configuration: the party count, Eve's target axes, the bases
 her policy draws from and the check bases, which ``_check_blocks``
 resolves once per run, after validation. Every intercept is a three-way
-draw from Eve's table, the same on both routes, and each check block
-holds ``_BLOCK`` rounds. One rule picks a run's route: where its complete
-tree, ``(3 * |Eve's bases|)**t`` leaves of ``3**n`` joint outcomes under t
-targets, fits ``_TABLE_WEIGHTS`` joint weights per check basis, the party
-walk (``protocol._walk``) is evaluated over every leaf's digit strings
-once, into joint weights, their cumulative sums and pass flags kept
+draw from Eve's table through its guide (``core._guided``), the same on
+both routes, and each check block holds ``_BLOCK`` rounds. One rule picks
+a run's route: where its complete tree, ``(3 * |Eve's bases|)**t`` leaves
+of ``3**n`` joint outcomes under t targets, fits ``_TABLE_WEIGHTS`` joint
+weights per check basis, the party walk (``protocol._walk``) is evaluated
+over every leaf's digit strings once, into joint weights, the exact guide
+table of their cumulative sums (``core._cumulative``) and pass flags kept
 read-only in a small cache (``_check_tables``), and each round draws its
-joint outcome from its leaf's row (``core._sample``). Elsewhere the check step draws each round's digits
+joint outcome from its leaf's row (``core._sample``) with a few gathers,
+whatever the row's width. Elsewhere the check step draws each round's digits
 one by one from its span state and members (``protocol._check_step``),
 and no array of ``3**n`` amplitudes or weights is built. Both routes
 draw the joint outcome that the round's uniform draws over the ``3**n``
@@ -47,8 +49,8 @@ the four doubles Philox yields per counter step, so trial ``t`` reads the
 K uniforms at counter ``t * K / 4``. Results are therefore identical for
 any block size, and trial ``t`` alone can be replayed from a generator
 advanced by ``t * K / 4``. One driver, ``_uniform_blocks``, validates a
-run's length, opens its stream and cuts it into blocks for both
-experiments. The inside kernel plays the sharing steps of ``protocol``
+run's length, opens its own stream (``_stream``, which reads no OS
+entropy) and cuts it into blocks for both experiments. The inside kernel plays the sharing steps of ``protocol``
 (the dealer's, then the helpers') on the dealt register's span
 coefficients, and draws what the dense steps draw except where a uniform
 lies within the last bits of a boundary. The
@@ -66,8 +68,12 @@ from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
-from .core import ZERO_PROB_TOL, PureState, _axes, _block, _freeze, _integer, _measure, _sample, _trusted_state, tensor
+from .core import (
+    ZERO_PROB_TOL, PureState, _axes, _block, _cumulative, _freeze, _Guide, _integer, _measure, _sample, _trusted_state,
+    tensor,
+)
 from .errors import ConfigInvalid, LabelOutOfRange, SelfCapture, ZeroProbabilityBranchSampled
 from .operators import _COMPUTATIONAL_ROWS, _XI_ROWS, BellOutcome, ghz_state
 from .protocol import (
@@ -177,9 +183,24 @@ def outside_intercept_resend(state: PureState, label: int, basis: str, rng: np.r
 # block kernels
 
 
+class _Key(ISeedSequence):
+    """A seed sequence that hands ``Philox`` a 128-bit key as its two 64-bit words, low word first,
+    as ``Philox(key=...)`` splits it. ``Philox(key=...)`` first builds a ``SeedSequence`` from OS
+    entropy and then drops it, and ``SeedSequence.generate_state`` alone takes about as long; this
+    one hashes nothing."""
+
+    def __init__(self, key: int) -> None:
+        self.words = np.array([key & (2**64 - 1), key >> 64], dtype=np.uint64)
+
+    def generate_state(self, n_words: int, dtype: type = np.uint32) -> np.ndarray:
+        return self.words  # ``Philox`` asks for its key's two uint64 words
+
+
 def _stream(seed: int) -> np.random.Generator:
-    """The experiment's one counter-based stream, keyed by the seed."""
-    return np.random.Generator(np.random.Philox(key=_validated_seed(seed)))
+    """The experiment's own counter-based stream: ``Philox`` keyed by the seed, at counter 0, the
+    uniforms of ``Philox(key=seed)`` without reading OS entropy. Every call builds a fresh
+    generator, so experiments share no stream."""
+    return np.random.Generator(np.random.Philox(_Key(_validated_seed(seed))))
 
 
 def _haar_secrets(u: np.ndarray) -> np.ndarray:
@@ -362,25 +383,28 @@ _Config = tuple[int, tuple[int, ...], tuple[bool, ...], tuple[bool, ...]]
 
 
 #: Configurations whose tables stay cached. A configuration's tables hold at most ``_TABLE_WEIGHTS``
-#: weights per check basis, so its joint weights and sums take at most 2 check bases
-#: x 20,736 x 16 B = 648 KiB, and its pass flags 2 x 3**n B, 38 KiB at nine parties; the cache thus
-#: holds at most 16 x 686 KiB, 10.7 MiB. At three parties a configuration's tables take 5.1 KiB
-#: under one random intercept and 30 KiB under two.
+#: weights per check basis, so its joint weights take at most 2 check bases x 20,736 x 8 B = 324 KiB;
+#: its guide, fewer than twice as many entries of 24 B, less than 1.9 MiB; and its pass flags
+#: 2 x 3**n B, 38 KiB at nine parties. The cache thus holds at most 16 x 2.3 MiB, 37 MiB. The widest,
+#: seven parties under two computational intercepts and random checks, take 2.0 MiB (18 rows of
+#: 2,187 outcomes, 4,096 buckets each); at three parties a configuration's tables take 12 KiB under
+#: one random intercept and 69 KiB under two.
 _TABLES = 16
 
 
 @lru_cache(maxsize=_TABLES)
 def _check_tables(
     num_parties: int, axes: tuple[int, ...], eve: tuple[bool, ...], check: tuple[bool, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, _Guide | np.ndarray, np.ndarray]:
     """A configuration's joint tables: the party walk (``protocol._walk``) evaluated over the 3**n
     digit strings of every leaf of its tree, once. A leaf is the mixed-radix number of Eve's codes
     ``3 * position + outcome`` (position in ``eve``, ``_flags``), target by target; row
     ``leaf * len(check) + position`` holds the weight of each joint outcome in the check basis at
     that position of ``check``, the product of its digits' weights in their rows. Returns those
-    weights, their cumulative sums and the pass flags ``(len(check), 3**n)`` of every joint
-    outcome. Leaves that take a zero-weight outcome are never drawn. The arrays are read-only and
-    shared by every thread."""
+    weights, their cumulative sums as an exact guide table (``core._cumulative``; every
+    configuration that fits the budget gets one) and the pass flags ``(len(check), 3**n)`` of every
+    joint outcome. Leaves that take a zero-weight outcome are never drawn. The arrays, the guide's
+    too, are read-only and shared by every thread."""
     rows, following = _span_model().digits[0], _span_model().eve[2]
     radix = 3 * len(eve)
     leaf = np.arange(radix ** len(axes))
@@ -401,11 +425,11 @@ def _check_tables(
     state, members = np.repeat(state, len(check))[:, None], np.repeat(members, len(check), axis=1)[:, :, None]
     _walk(num_parties, axes, state, members, fourier, weigh)
     passes = _passes(digits, np.array(check)[:, None])
-    return _freeze(weights), _freeze(np.cumsum(weights, axis=1)), _freeze(passes)
+    return _freeze(weights), _cumulative(weights), _freeze(passes)
 
 
 def _check_block(
-    u: np.ndarray, config: _Config, tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    u: np.ndarray, config: _Config, tables: tuple[np.ndarray, _Guide | np.ndarray, np.ndarray] | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Play a block of check rounds of ``config``; return per round the Fourier-basis flag, the
     parties' joint outcome index (its base-3 digits are their trits, ``protocol._trits``) and the
@@ -417,13 +441,13 @@ def _check_block(
     num_parties, axes, eve, check = config
     position = _flags(u[:, 0], check)
     fourier = position ^ check[0]
-    weights, sums, following = _span_model().eve
+    weights, eve_table, following = _span_model().eve
     state, leaf = 0, 0  # the channel's state, q = 0, and the tree's root
     members = np.empty((len(axes), len(u)), dtype=np.intp) if tables is None else None
     for i, (basis, drawn) in enumerate(zip(u[:, 1 : 1 + 2 * len(axes) : 2].T, u[:, 2::2].T)):
         flag = _flags(basis, eve)  # Eve's basis is flag ^ eve[0], as flag is False where she has one
         row = 6 * flag + (state + 6 * eve[0])
-        outcome, _ = _sample(weights, drawn, row, sums)
+        outcome, _ = _sample(weights, drawn, row, eve_table)
         if tables is None:
             members[i] = 3 * (flag + eve[0]) + outcome
         else:
@@ -434,8 +458,8 @@ def _check_block(
     if tables is None:
         digits, passed = _check_step(num_parties, axes, state, members, fourier, last)
         return fourier, 3 ** np.arange(num_parties - 1, -1, -1) @ digits, passed
-    joint_weights, joint_sums, passes = tables
-    joint, _ = _sample(joint_weights, last, leaf * len(check) + position, joint_sums)
+    joint_weights, joint_table, passes = tables
+    joint, _ = _sample(joint_weights, last, leaf * len(check) + position, joint_table)
     return fourier, joint, passes.reshape(-1)[position * 3**num_parties + joint]
 
 

@@ -13,10 +13,12 @@ sharing session's steps in ``protocol`` on its one register. The inside
 kernel (``attacks._inside_block``) and the check kernel hold each trial's
 or round's register on the GHZ span and take only their draws from here
 (``_sample``): the check kernel draws every round against a row of its
-own among a few tables whose cumulative sums it took once (``_sample``
-with a row per draw), by a binary search that all rounds step through
-together (``_counts``), so no array of the draw grows as rounds times
-outcomes.
+own among a few tables whose cumulative sums it made once into exact
+guide tables (``_cumulative``), so that each draw is a few gathers at the
+bucket its uniform falls in (``_guided``); sums that no guide fits, and
+the digit-by-digit step's rescaled uniforms, take a binary search that
+all rounds step through together (``_counts``). No array of the draw
+grows as rounds times outcomes.
 ``apply_single`` turns one register's qutrit by a matrix product of its
 own.
 A step whose rows every register shares runs as one 2-D matrix product;
@@ -51,7 +53,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,8 +91,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _integer(value: object, error: type, name: str) -> int:
-    """``value`` as an int, refused with ``error`` unless it is an integer (numpy's included)."""
+    """``value`` as an int, refused with ``error`` unless it is an integer (numpy's included). A
+    bool is refused too: ``operator.index`` takes Python's ``True`` as 1, numpy's ``True`` not."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise error(f"{name} {value!r} is not an integer") from None
@@ -482,15 +487,17 @@ def _checked_weights(probs: np.ndarray) -> np.ndarray:
 
 
 def _sample(
-    probs: np.ndarray, u: np.ndarray, row: np.ndarray | None = None, sums: np.ndarray | None = None
+    probs: np.ndarray, u: np.ndarray, row: np.ndarray | None = None, table: np.ndarray | _Guide | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """``sample_indices``' draws and the drawn entries' weights, which its refusal gathers anyway.
 
     With ``row``, draw b is from row ``row[b]`` of ``probs``, as ``sample_indices(probs[row], u)``
-    draws, but each row's cumulative sums are taken once, by ``np.cumsum``, and no per-draw row
-    is gathered (``_counts``). ``sums``, with ``row``, are those sums taken before: the check
-    kernel takes them once, for its span model and for each configuration's tables, and every
-    draw of its rounds comes through here. A sequential sum of non-negative weights is flat across a
+    draws, but each row's cumulative sums are taken once, by ``np.cumsum``, and no per-draw row is
+    gathered. ``table``, with ``row``, is what ``_cumulative`` made of those sums before: the check
+    kernel makes it once, for Eve's rows of its span model and for each configuration's joint
+    weights, and every draw of its rounds comes through here. A guide table finds each count in a
+    few gathers (``_guided``), sums are searched (``_counts``); both count exactly the sums at or
+    below the uniform. A sequential sum of non-negative weights is flat across a
     zero weight, so such a draw never lands on one. The product sums of a row of up to
     ``_PRODUCT_CUMSUM_WIDTH`` outcomes can step there, as OpenBLAS's small-matrix kernels sum out
     of order; a draw that lands on a weight at or below ``ZERO_PROB_TOL`` is redrawn from its
@@ -507,8 +514,10 @@ def _sample(
         row = np.arange(len(u))
     if product:
         k = np.sum(_upper_ones(n).T @ probs.T <= u, axis=0)
+    elif isinstance(table, _Guide):
+        k = _guided(table, u, row)
     else:
-        k = _counts(np.cumsum(probs, axis=1) if sums is None else sums, u, row)
+        k = _counts(np.cumsum(probs, axis=1) if table is None else table, u, row)
     if k.max() >= n:
         overflow = k >= n
         positive = probs[row[overflow]] > ZERO_PROB_TOL
@@ -526,9 +535,69 @@ def _sample(
     return k, chosen
 
 
+class _Guide(NamedTuple):
+    """An exact guide table over the ascending sums of some rows of weights (``_cumulative``), after
+    Chen and Asau (AIIE Trans. 6, 163 (1974)). Each row's [0, 1) is cut into ``size`` = G buckets
+    [g/G, (g+1)/G), G a power of two, with at most one distinct sum strictly inside each. Entry
+    ``row * G + g`` holds the count of the row's sums at or below g/G (``low``), the one sum
+    strictly inside the bucket (``inner``, inf where there is none) and the count of the row's sums
+    at or below that one (``high``)."""
+
+    size: int
+    low: np.ndarray
+    inner: np.ndarray
+    high: np.ndarray
+
+
+def _cumulative(weights: np.ndarray) -> np.ndarray | _Guide:
+    """The sequential sums of rows of non-negative weights, read-only, for ``_sample`` to draw from:
+    as a guide table where one fits, else as they are, to be searched.
+
+    G is the smallest power of two at which no bucket holds two distinct sums strictly inside, and
+    at most the rows' width rounded up to a power of two, so that a guide's entries stay within
+    twice as many as its sums; the check kernel's tables all fit one. It is built by array
+    operations over the sums, with no loop over buckets: ``sums * G`` is exact, so a sum lies at or
+    below g/G where its ceiling is at most g, and strictly inside bucket g where its floor is g and
+    it is not an integer."""
+    sums = np.cumsum(weights, axis=1)
+    rows, n = sums.shape
+    first, last = np.ones(sums.shape, dtype=bool), np.ones(sums.shape, dtype=bool)
+    first[:, 1:] = last[:, :-1] = sums[:, 1:] != sums[:, :-1]
+    size = 1
+    while size < 2 * n:
+        scaled = sums * size
+        floor = np.floor(scaled)
+        inside = (scaled != floor) & (floor < size)
+        key = np.arange(rows)[:, None] * size + np.minimum(floor, size).astype(np.intp)
+        distinct = key[inside & first]  # ascending, so two distinct sums in a bucket are neighbours
+        if not (distinct[1:] == distinct[:-1]).any():
+            edge = np.arange(rows)[:, None] * (size + 1) + np.minimum(np.ceil(scaled), size).astype(np.intp)
+            low = np.bincount(edge.reshape(-1), minlength=rows * (size + 1)).reshape(rows, size + 1)
+            low = np.cumsum(low, axis=1)[:, :size].reshape(-1)
+            inner, high = np.full(rows * size, np.inf), low.copy()
+            inner[key[inside]] = sums[inside]
+            high[key[inside & last]] = np.broadcast_to(np.arange(1, n + 1), sums.shape)[inside & last]
+            return _Guide(size, _freeze(low), _freeze(inner), _freeze(high))
+        size *= 2
+    return _freeze(sums)
+
+
+def _guided(guide: _Guide, u: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """``_counts``' counts through a guide table, for uniforms in [0, 1). Draw b's bucket is
+    ``floor(u[b] G)``, exact as G is a power of two. The row's sums at or below the bucket's lower
+    edge count, and its inner sum with them where that is at most ``u[b]``; no other sum lies in
+    the bucket, so the count is exact. A handful of operations over the draws, whatever the
+    row's width."""
+    key = (u * guide.size).astype(np.intp)
+    key += row * guide.size
+    return np.where(guide.inner.take(key) <= u, guide.high.take(key), guide.low.take(key))
+
+
 def _counts(sums: np.ndarray, u: np.ndarray, row: np.ndarray) -> np.ndarray:
     """For each b, how many of the ascending ``sums[row[b]]`` are at most ``u[b]``: the count
-    over a gathered ``(B, n)`` table of sums, found without building one.
+    over a gathered ``(B, n)`` table of sums, found without building one. It serves the sums that
+    have no guide table (``_cumulative``) and the digit-by-digit check step, whose rescaled
+    uniforms may leave [0, 1).
 
     All draws run one branch-free binary search over the flat sums together. A draw's position
     starts at its row's first sum; while m > 1 sums remain, it moves ahead by m // 2 where the

@@ -40,7 +40,9 @@ import numpy as np
 from .core import (
     ZERO_PROB_TOL,
     PureState,
+    _cumulative,
     _freeze,
+    _Guide,
     _integer,
     _measure,
     _normalized,
@@ -148,11 +150,12 @@ class _SpanModel(NamedTuple):
     """The check kernel's constants (``_span_model``). A check register is one of six span states
     on the parties nobody intercepted, ``c_k w^{qk}`` (state q = 0, 1, 2) or ``e_j`` (state 3 + j),
     times Eve's resent member on each target, coded ``3 * fourier + outcome``. Eve's step in basis
-    b reads row ``6 b + state`` of ``eve``: the weights of her outcomes, their cumulative sums and
-    the state each outcome leaves. A party's digit is drawn from one of the eight rows of
-    ``digits`` (``_walk``): their weights, cumulative sums and the sum before each digit."""
+    b reads row ``6 b + state`` of ``eve``: the weights of her outcomes, their cumulative sums as a
+    guide table (``core._cumulative``) and the state each outcome leaves. A party's digit is drawn
+    from one of the eight rows of ``digits`` (``_walk``): their weights, cumulative sums and the sum
+    before each digit; its uniforms are rescaled, so its sums are searched."""
 
-    eve: tuple[np.ndarray, np.ndarray, np.ndarray]  # (12, 3) each
+    eve: tuple[np.ndarray, _Guide | np.ndarray, np.ndarray]  # (12, 3) weights and next states
     digits: tuple[np.ndarray, np.ndarray, np.ndarray]  # (8, 3) each: e_0, e_1, e_2, uniform, |c|^2, last r
 
 
@@ -191,7 +194,10 @@ def _span_model() -> _SpanModel:
     digits = np.concatenate([np.eye(3), _weights(_XI_ROWS[:, :1])[None], moduli[:1], rotated])
     weights, sums = _rows(digits)
     before = _freeze(np.concatenate([np.zeros((8, 1)), sums[:, :2]], axis=1))
-    return _SpanModel(_rows(eve.reshape(12, 3)) + (_freeze(following.reshape(12, 3)),), (weights, sums, before))
+    eve_weights, _ = _rows(eve.reshape(12, 3))
+    return _SpanModel(
+        (eve_weights, _cumulative(eve_weights), _freeze(following.reshape(12, 3))), (weights, sums, before)
+    )
 
 
 def _walk(

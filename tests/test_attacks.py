@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import tritshare.attacks as attacks
+import tritshare.core as core
 import tritshare.protocol as protocol
 from tritshare import (
     BellOutcome,
@@ -55,6 +56,7 @@ from tritshare.core import _measure, _sample, sample_indices
 from tritshare.errors import ConfigInvalid, LabelOutOfRange, SelfCapture
 from tritshare.operators import _XI_ROWS
 from tritshare.protocol import COMPUTATIONAL, FOURIER
+from test_core import assert_guide_counts_exactly
 
 FAKE_ZERO = basis_state([0])
 #: A fake off the computational axes, so that a wrong correction shows in the victim's fidelity.
@@ -450,10 +452,13 @@ NON_INTEGER_INPUT = {
 
 @pytest.mark.parametrize("case", list(NON_INTEGER_INPUT))
 def test_non_integer_library_input_is_refused(case):
+    """Floats are refused, and so are bools, Python's as numpy's: ``True`` would otherwise play one
+    round or run seed 1."""
     call, accepted, refused, error = NON_INTEGER_INPUT[case]
     call(np.int64(accepted))  # numpy integers are integers
-    with pytest.raises(error, match="is not an integer"):
-        call(refused)
+    for value in (refused, True, np.True_, False):
+        with pytest.raises(error, match="is not an integer"):
+            call(value)
 
 
 @pytest.mark.parametrize("fake", ["zero", np.array([1, 0, 0]), ghz_state(2)], ids=["name", "array", "two-qutrit"])
@@ -631,7 +636,8 @@ def test_check_kernel_matches_the_per_round_oracle_on_wide_registers(num_parties
 def test_a_one_target_run_builds_its_tables_once_and_blocks_only_draw(monkeypatch, policy):
     """A three-party configuration under one intercept builds its tables once, for two runs of three
     2,304-round blocks: one walk over the 27 digit strings of each of its 3 * |Eve's bases| leaves
-    in both check bases. No block walks or takes the digit-by-digit step: blocks only draw."""
+    in both check bases, whose sums become one guide table. No block walks, takes the digit-by-digit
+    step or searches sums: blocks only draw, through the guides of the tables and of Eve's rows."""
     blocks, walked = [], []
     check_block, walk = attacks._check_block, attacks._walk
 
@@ -649,6 +655,7 @@ def test_a_one_target_run_builds_its_tables_once_and_blocks_only_draw(monkeypatc
     monkeypatch.setattr(attacks, "_check_block", counting_check_block)
     monkeypatch.setattr(attacks, "_walk", counting_walk)
     monkeypatch.setattr(attacks, "_check_step", refused)
+    monkeypatch.setattr(core, "_counts", refused)
     attacks._check_tables.cache_clear()
     attack = OutsideAttack((2,), policy)
     for run in range(2):
@@ -659,8 +666,10 @@ def test_a_one_target_run_builds_its_tables_once_and_blocks_only_draw(monkeypatc
     assert blocks == [2304] * 6
     assert walked == [0]  # one walk, before the first block
     ((_, _, tables),) = _handed(attack, "random", 3)
-    weights, sums, passes = tables
-    assert weights.shape == sums.shape == (3 * bases * 2, 27)
+    weights, guide, passes = tables
+    assert weights.shape == (3 * bases * 2, 27)
+    assert isinstance(guide, core._Guide) and guide.size in (1, 2, 4, 8, 16, 32)
+    assert [array.shape for array in guide[1:]] == [(3 * bases * 2 * guide.size,)] * 3
     assert passes.shape == (2, 27)
 
 
@@ -708,11 +717,21 @@ _THREADED_CHECKS = [
 ]
 
 
-def test_check_rounds_agree_across_threads_on_shared_tables():
-    """Threads build and share the cached tables, read-only, and record what sequential runs do."""
+def test_check_rounds_agree_across_threads_on_shared_tables(monkeypatch):
+    """Threads build and share the cached tables and Eve's guide, read-only, and record what
+    sequential runs do: every block of a configuration, in whichever thread, draws from the one
+    cached tables object, whose arrays and guide arrays are all frozen."""
     sequential = [run_check_rounds(*run) for run in _THREADED_CHECKS * 5]
     attacks._check_tables.cache_clear()
     protocol._span_model.cache_clear()
+    drawn_from = {}
+    check_block = attacks._check_block
+
+    def recording_check_block(u, config, tables):
+        drawn_from.setdefault(config, set()).add(id(tables))
+        return check_block(u, config, tables)
+
+    monkeypatch.setattr(attacks, "_check_block", recording_check_block)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, between numpy calls too
     try:
@@ -720,11 +739,66 @@ def test_check_rounds_agree_across_threads_on_shared_tables():
             threaded = list(pool.map(lambda run: run_check_rounds(*run), _THREADED_CHECKS * 5, timeout=300))
     finally:
         sys.setswitchinterval(interval)
+    monkeypatch.undo()
     assert threaded == sequential
-    model = [array for part in protocol._span_model() for array in part]
+    model = _arrays(protocol._span_model())
+    assert isinstance(protocol._span_model().eve[1], core._Guide) and len(model) == 8  # 3 guide arrays among them
+    assert len(drawn_from) == len(_THREADED_CHECKS)
     for _, attack, policy, _, num_parties in _THREADED_CHECKS:
-        ((_, _, tables),) = _handed(attack, policy, num_parties)
-        assert not any(array.flags.writeable for array in list(tables) + model)
+        ((_, config, tables),) = _handed(attack, policy, num_parties)
+        assert drawn_from[config] == {id(tables)}, config
+        assert isinstance(tables[1], core._Guide)
+        assert not any(array.flags.writeable for array in _arrays(tables) + model)
+
+
+def _fitting_configurations(num_parties):
+    """Every check configuration of ``num_parties`` whose complete tree fits ``_TABLE_WEIGHTS``: each
+    set of target axes, each choice of Eve's bases and each choice of check bases."""
+    for t in range(num_parties):
+        for axes in itertools.combinations(range(1, num_parties), t):
+            for eve in [(False,), (True,), (False, True)] if axes else [()]:
+                if (3 * len(eve)) ** t * 3**num_parties <= attacks._TABLE_WEIGHTS:
+                    for check in ((False,), (True,), (False, True)):
+                        yield num_parties, axes, eve, check
+
+
+def test_eves_guide_counts_what_the_binary_search_counts():
+    weights, guide, _ = protocol._span_model().eve
+    assert guide.size == 2
+    assert_guide_counts_exactly(weights, guide)
+
+
+@pytest.mark.parametrize("num_parties", range(2, 10))
+def test_every_fitting_configuration_draws_through_an_exact_guide(num_parties):
+    """Each configuration whose tree fits the budget keeps a guide table, never more than twice
+    as many entries per row as joint outcomes, that counts what the binary search counts over its
+    joint sums: at and one ulp around every sum, at every bucket edge, at 0, just below 1 and at
+    10**4 random draws."""
+    configurations = list(_fitting_configurations(num_parties))
+    assert len(configurations) >= 3
+    for seed, config in enumerate(configurations):
+        weights, guide, _ = attacks._check_tables.__wrapped__(*config)
+        assert isinstance(guide, core._Guide), config
+        assert guide.size < 2 * 3**num_parties, config
+        assert_guide_counts_exactly(weights, guide, seed)
+
+
+def test_the_widest_configurations_keep_the_table_cache_within_its_cap():
+    """At every party count and Eve policy, the configuration with the most targets that fits, under
+    random checks, holds its weights, guide and pass flags within the per-configuration bound that
+    ``_TABLES`` states, 2.3 MiB; a full cache of ``_TABLES`` such configurations stays below 37 MiB."""
+    bound = 2 * attacks._TABLE_WEIGHTS * (8 + 2 * 24) + 2 * 3**9
+    assert bound <= 2.3 * 2**20 and attacks._TABLES * bound <= 37 * 2**20
+    widest = {}
+    for num_parties in range(2, 10):
+        for parties, axes, eve, check in _fitting_configurations(num_parties):
+            if check == (False, True) and len(axes) >= len(widest.get((parties, eve), ((), ()))[0]):
+                widest[parties, eve] = (axes, check)
+    assert len(widest) == 8 + 3 * 6 + 2  # no Eve at 2-9 parties, every Eve at 2-7, a one-basis Eve at 8
+    sizes = {key: sum(array.nbytes for array in _arrays(attacks._check_tables.__wrapped__(key[0], axes, key[1], check)))
+             for key, (axes, check) in widest.items()}
+    assert max(sizes.values()) <= bound, max(sizes.items(), key=lambda item: item[1])
+    assert sizes[7, (False,)] > 2**20  # two computational targets at seven parties: 18 rows of 2,187 outcomes
 
 
 #: (parties, targets, Eve's policy, rounds per block, whether the tables route is taken). Every
@@ -862,10 +936,12 @@ def test_inside_experiments_agree_across_threads():
 
 
 def _arrays(value):
-    """Every array in a nest of tuples."""
+    """Every array in a nest of tuples, such as a guide table's (``core._Guide``)."""
     if isinstance(value, np.ndarray):
         return [value]
-    return [a for item in value for a in _arrays(item)]
+    if isinstance(value, tuple):
+        return [a for item in value for a in _arrays(item)]
+    return []
 
 
 def test_inside_results_share_no_memory_with_their_inputs_or_tables():
@@ -1114,6 +1190,38 @@ def test_any_trial_replays_from_its_counter():
         rng = attacks._stream(95)
         rng.bit_generator.advance(t * k // 4)
         assert np.array_equal(rng.random((1, k)), stream[t : t + 1])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**64, 2**128 - 1])
+def test_a_stream_draws_the_uniforms_of_philox_keyed_by_the_seed(seed):
+    want = np.random.Generator(np.random.Philox(key=seed)).random(4099)
+    assert np.array_equal(attacks._stream(seed).random(4099), want)
+
+
+def test_streams_open_at_once_do_not_disturb_each_other():
+    """Each call opens a stream of its own: streams of one seed and of two, drawn in turns in one
+    thread or at once in two, each draw what a stream drawn alone does."""
+    seeds = (5, 5, 2**100 + 3)
+    alone = {seed: np.random.Generator(np.random.Philox(key=seed)).random((300, 8)) for seed in seeds}
+    streams = [attacks._stream(seed) for seed in seeds]
+    assert len({id(stream.bit_generator) for stream in streams}) == len(seeds)
+    turns = np.array([[stream.random(8) for stream in streams] for _ in range(300)])
+    for i, seed in enumerate(seeds):
+        assert np.array_equal(turns[:, i], alone[seed]), i
+
+    def drawn(seed):
+        stream = attacks._stream(seed)
+        return np.array([stream.random(8) for _ in range(300)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(drawn, seeds + seeds, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for seed, got in zip(seeds + seeds, threaded):
+        assert np.array_equal(got, alone[seed]), seed
 
 
 def _drop(labels, measured):

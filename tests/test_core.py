@@ -647,6 +647,79 @@ def test_row_indexed_draws_never_land_on_a_zero_weight():
     assert chosen.min() > 0
 
 
+def _guide_uniforms(sums, size, rng):
+    """Draws ``(row, u)`` that probe a guide of ``size`` buckets over ``sums``: in each row every
+    sum, one ulp below and above it, each bucket's lower edge, 0 and the largest double below 1,
+    then 10**4 random draws; only uniforms in [0, 1), the guide's domain, are kept."""
+    rows = len(sums)
+    edges = np.broadcast_to(np.arange(size) / size, (rows, size))
+    ends = np.broadcast_to([0.0, np.nextafter(1.0, 0.0)], (rows, 2))
+    probes = np.concatenate([np.nextafter(sums, -1.0), sums, np.nextafter(sums, 2.0), edges, ends], axis=1)
+    row = np.concatenate([np.repeat(np.arange(rows), probes.shape[1]), rng.integers(0, rows, 10_000)])
+    u = np.concatenate([probes.reshape(-1), rng.random(10_000)])
+    keep = (u >= 0) & (u < 1)
+    return row[keep], u[keep]
+
+
+def assert_guide_counts_exactly(weights, table, seed=0):
+    """``table``, what ``_cumulative`` made of ``weights``, is a read-only guide whose counts are the
+    binary search's over the rows' sequential sums, at and around every sum and edge."""
+    assert isinstance(table, core._Guide)
+    assert all(not array.flags.writeable for array in table[1:])
+    sums = np.cumsum(weights, axis=1)
+    row, u = _guide_uniforms(sums, table.size, np.random.default_rng(seed))
+    assert np.array_equal(core._guided(table, u, row), core._counts(sums, u, row))
+
+
+def _dyadic_and_third_rows():
+    """Rows whose sums sit on bucket edges, inside buckets, tie across zero weights, start at 0 or
+    stop short of 1: the tables a guide must count exactly."""
+    return {
+        "edges": np.array([[0.25, 0.25, 0.5], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
+        "thirds": np.array([[1 / 3, 1 / 3, 1 / 3], [0.0, 1 / 3, 2 / 3], [2 / 3, 0.0, 1 / 3]]),
+        "short": np.array([[0.2, 0.2, 0.1], [0.125, 0.25, 0.0]]),
+        "ninths": np.full((2, 9), 1 / 9) * [[1], [0.5]],
+        "twenty-sevenths": np.concatenate([np.full((1, 27), 1 / 27), np.eye(27)[[0, 13, 26]]]),
+        "sparse": np.where(np.arange(81) % 4 == 0, 1 / 21, 0.0)[None, :],
+    }
+
+
+@pytest.mark.parametrize("kind", list(_dyadic_and_third_rows()))
+def test_a_guide_counts_what_the_binary_search_counts(kind):
+    weights = _dyadic_and_third_rows()[kind]
+    table = core._cumulative(weights)
+    assert table.size < 2 * weights.shape[1]
+    assert_guide_counts_exactly(weights, table)
+
+
+def test_a_table_that_no_allowed_guide_separates_keeps_its_sums_and_draws_the_same(monkeypatch):
+    """Sums 0.1 and 0.2 share a bucket at every power of two up to 4, the width 3 rounded up, so
+    the table keeps its sums and ``_sample`` searches them; it draws what it draws from no table."""
+    weights = np.array([[0.1, 0.1, 0.8], [0.25, 0.25, 0.5]])
+    table = core._cumulative(weights)
+    assert isinstance(table, np.ndarray) and not table.flags.writeable
+    assert np.array_equal(table, np.cumsum(weights, axis=1))
+    searched = []
+    counts = core._counts
+    monkeypatch.setattr(core, "_counts", lambda *args: searched.append(1) or counts(*args))
+    row, u = _guide_uniforms(table, 4, np.random.default_rng(3))
+    k, chosen = _sample(weights, u, row, table)
+    assert searched == [1]
+    assert [np.array_equal(a, b) for a, b in zip((k, chosen), _sample(weights, u, row))] == [True, True]
+    assert list(k) == [_scalar_inverse_cdf(weights[r], x) for r, x in zip(row, u)]
+
+
+def test_guided_draws_keep_the_overflow_and_refusal_rules():
+    """Through a guide, a uniform past a row's rounded total falls to its last positive entry, and a
+    draw that lands in a zero-width gap below ``ZERO_PROB_TOL`` is refused, as with sums."""
+    weights = np.array([[0.25, 0.25, 0.0], [1e-30, 0.5, 0.5]])
+    table = core._cumulative(weights)
+    assert isinstance(table, core._Guide)
+    assert list(_sample(weights, np.array([0.75, 0.3, 0.6]), np.array([0, 1, 1]), table)[0]) == [1, 1, 2]
+    with pytest.raises(ZeroProbabilityBranchSampled, match="sampled branch 0"):
+        _sample(weights, np.array([0.0]), np.array([1]), table)
+
+
 def test_sample_indices_redraws_where_the_product_steps_at_a_zero_weight():
     """On 768 rows of 27 weights, about 30 % zero, each row with a zero weight past its first takes
     as its uniform the sampler's own draw-last sum (``_upper_ones(27).T @ probs.T``) at the first
