@@ -68,7 +68,6 @@ from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .core import (
     ZERO_PROB_TOL, PureState, _axes, _block, _cumulative, _freeze, _Guide, _integer, _measure, _sample, _trusted_state,
@@ -183,24 +182,37 @@ def outside_intercept_resend(state: PureState, label: int, basis: str, rng: np.r
 # block kernels
 
 
-class _Key(ISeedSequence):
-    """A seed sequence that hands ``Philox`` a 128-bit key as its two 64-bit words, low word first,
-    as ``Philox(key=...)`` splits it. ``Philox(key=...)`` first builds a ``SeedSequence`` from OS
-    entropy and then drops it, and ``SeedSequence.generate_state`` alone takes about as long; this
-    one hashes nothing."""
+@lru_cache(maxsize=1)
+def _key_type() -> type:
+    """The seed sequence type that keys ``_stream``'s ``Philox``, made at first use: importing the
+    package thus does not import ``numpy.random`` (about 6 MiB and 15 ms at start), which commands
+    that draw nothing would pay."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    def __init__(self, key: int) -> None:
-        self.words = np.array([key & (2**64 - 1), key >> 64], dtype=np.uint64)
+    class Key(ISeedSequence):
+        """A seed sequence that hands ``Philox`` a 128-bit key as its two 64-bit words, low word
+        first, as ``Philox(key=...)`` splits it. ``Philox(key=...)`` first builds a
+        ``SeedSequence`` from OS entropy and then drops it, and ``SeedSequence.generate_state``
+        alone takes about as long; this one hashes nothing. It hands over nothing but those two
+        words: any other request is refused with ``ValueError``, so a numpy that asked ``Philox``
+        for its key otherwise would fail rather than rekey every stream."""
 
-    def generate_state(self, n_words: int, dtype: type = np.uint32) -> np.ndarray:
-        return self.words  # ``Philox`` asks for its key's two uint64 words
+        def __init__(self, key: int) -> None:
+            self.words = np.array([key & (2**64 - 1), key >> 64], dtype=np.uint64)
+
+        def generate_state(self, n_words: int, dtype: type = np.uint32) -> np.ndarray:
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"a Philox key is 2 words of uint64, not {n_words} of {np.dtype(dtype)}")
+            return self.words
+
+    return Key
 
 
 def _stream(seed: int) -> np.random.Generator:
     """The experiment's own counter-based stream: ``Philox`` keyed by the seed, at counter 0, the
     uniforms of ``Philox(key=seed)`` without reading OS entropy. Every call builds a fresh
     generator, so experiments share no stream."""
-    return np.random.Generator(np.random.Philox(_Key(_validated_seed(seed))))
+    return np.random.Generator(np.random.Philox(_key_type()(_validated_seed(seed))))
 
 
 def _haar_secrets(u: np.ndarray) -> np.ndarray:
@@ -384,25 +396,26 @@ _Config = tuple[int, tuple[int, ...], tuple[bool, ...], tuple[bool, ...]]
 
 #: Configurations whose tables stay cached. A configuration's tables hold at most ``_TABLE_WEIGHTS``
 #: weights per check basis, so its joint weights take at most 2 check bases x 20,736 x 8 B = 324 KiB;
-#: its guide, fewer than twice as many entries of 24 B, less than 1.9 MiB; and its pass flags
-#: 2 x 3**n B, 38 KiB at nine parties. The cache thus holds at most 16 x 2.3 MiB, 37 MiB. The widest,
-#: seven parties under two computational intercepts and random checks, take 2.0 MiB (18 rows of
-#: 2,187 outcomes, 4,096 buckets each); at three parties a configuration's tables take 12 KiB under
-#: one random intercept and 69 KiB under two.
+#: its guide, fewer than twice as many entries of at most 12 B (an 8 B sum and two 2 B counts), less
+#: than 972 KiB; and its pass flags 2 x 3**n B, 38 KiB at nine parties. The cache thus holds at most
+#: 16 x 1.31 MiB, 21 MiB. The widest, seven parties under two computational intercepts and random
+#: checks, take 1.15 MiB (18 rows of 2,187 outcomes, 4,096 buckets each); at three parties, whose
+#: counts take 1 B, a configuration's tables take 6.3 KiB under one random intercept and 38 KiB
+#: under two.
 _TABLES = 16
 
 
 @lru_cache(maxsize=_TABLES)
 def _check_tables(
     num_parties: int, axes: tuple[int, ...], eve: tuple[bool, ...], check: tuple[bool, ...]
-) -> tuple[np.ndarray, _Guide | np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, _Guide, np.ndarray]:
     """A configuration's joint tables: the party walk (``protocol._walk``) evaluated over the 3**n
     digit strings of every leaf of its tree, once. A leaf is the mixed-radix number of Eve's codes
     ``3 * position + outcome`` (position in ``eve``, ``_flags``), target by target; row
     ``leaf * len(check) + position`` holds the weight of each joint outcome in the check basis at
     that position of ``check``, the product of its digits' weights in their rows. Returns those
-    weights, their cumulative sums as an exact guide table (``core._cumulative``; every
-    configuration that fits the budget gets one) and the pass flags ``(len(check), 3**n)`` of every
+    weights, their cumulative sums as an exact guide table (``core._cumulative``, which every
+    configuration that fits the budget fits) and the pass flags ``(len(check), 3**n)`` of every
     joint outcome. Leaves that take a zero-weight outcome are never drawn. The arrays, the guide's
     too, are read-only and shared by every thread."""
     rows, following = _span_model().digits[0], _span_model().eve[2]
@@ -429,7 +442,7 @@ def _check_tables(
 
 
 def _check_block(
-    u: np.ndarray, config: _Config, tables: tuple[np.ndarray, _Guide | np.ndarray, np.ndarray] | None
+    u: np.ndarray, config: _Config, tables: tuple[np.ndarray, _Guide, np.ndarray] | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Play a block of check rounds of ``config``; return per round the Fourier-basis flag, the
     parties' joint outcome index (its base-3 digits are their trits, ``protocol._trits``) and the

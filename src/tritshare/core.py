@@ -15,10 +15,10 @@ or round's register on the GHZ span and take only their draws from here
 (``_sample``): the check kernel draws every round against a row of its
 own among a few tables whose cumulative sums it made once into exact
 guide tables (``_cumulative``), so that each draw is a few gathers at the
-bucket its uniform falls in (``_guided``); sums that no guide fits, and
-the digit-by-digit step's rescaled uniforms, take a binary search that
-all rounds step through together (``_counts``). No array of the draw
-grows as rounds times outcomes.
+bucket its uniform falls in (``_guided``); only the digit-by-digit
+step, whose uniforms are rescaled, takes a binary search that all
+rounds step through together (``_counts``). No array of the draw grows
+as rounds times outcomes.
 ``apply_single`` turns one register's qutrit by a matrix product of its
 own.
 A step whose rows every register shares runs as one 2-D matrix product;
@@ -487,17 +487,18 @@ def _checked_weights(probs: np.ndarray) -> np.ndarray:
 
 
 def _sample(
-    probs: np.ndarray, u: np.ndarray, row: np.ndarray | None = None, table: np.ndarray | _Guide | None = None
+    probs: np.ndarray, u: np.ndarray, row: np.ndarray | None = None, table: _Guide | np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """``sample_indices``' draws and the drawn entries' weights, which its refusal gathers anyway.
 
     With ``row``, draw b is from row ``row[b]`` of ``probs``, as ``sample_indices(probs[row], u)``
     draws, but each row's cumulative sums are taken once, by ``np.cumsum``, and no per-draw row is
-    gathered. ``table``, with ``row``, is what ``_cumulative`` made of those sums before: the check
-    kernel makes it once, for Eve's rows of its span model and for each configuration's joint
-    weights, and every draw of its rounds comes through here. A guide table finds each count in a
-    few gathers (``_guided``), sums are searched (``_counts``); both count exactly the sums at or
-    below the uniform. A sequential sum of non-negative weights is flat across a
+    gathered. ``table``, with ``row``, is those sums taken before: the check kernel makes them once
+    into guide tables (``_cumulative``), for Eve's rows of its span model and for each
+    configuration's joint weights, and every draw of its rounds comes through here; a guide finds
+    each count in a few gathers (``_guided``). The digit-by-digit step passes plain sums, as its
+    rescaled uniforms may leave a guide's [0, 1), and they are searched (``_counts``); both count
+    exactly the sums at or below the uniform. A sequential sum of non-negative weights is flat across a
     zero weight, so such a draw never lands on one. The product sums of a row of up to
     ``_PRODUCT_CUMSUM_WIDTH`` outcomes can step there, as OpenBLAS's small-matrix kernels sum out
     of order; a draw that lands on a weight at or below ``ZERO_PROB_TOL`` is redrawn from its
@@ -541,7 +542,8 @@ class _Guide(NamedTuple):
     [g/G, (g+1)/G), G a power of two, with at most one distinct sum strictly inside each. Entry
     ``row * G + g`` holds the count of the row's sums at or below g/G (``low``), the one sum
     strictly inside the bucket (``inner``, inf where there is none) and the count of the row's sums
-    at or below that one (``high``)."""
+    at or below that one (``high``). The counts are at most the rows' width and take its smallest
+    unsigned type, one byte per entry each up to 255 outcomes and two up to 65,535."""
 
     size: int
     low: np.ndarray
@@ -549,18 +551,20 @@ class _Guide(NamedTuple):
     high: np.ndarray
 
 
-def _cumulative(weights: np.ndarray) -> np.ndarray | _Guide:
-    """The sequential sums of rows of non-negative weights, read-only, for ``_sample`` to draw from:
-    as a guide table where one fits, else as they are, to be searched.
+def _cumulative(weights: np.ndarray) -> _Guide:
+    """The sequential sums of rows of non-negative weights as a read-only guide table, for
+    ``_sample`` to draw from.
 
-    G is the smallest power of two at which no bucket holds two distinct sums strictly inside, and
-    at most the rows' width rounded up to a power of two, so that a guide's entries stay within
-    twice as many as its sums; the check kernel's tables all fit one. It is built by array
-    operations over the sums, with no loop over buckets: ``sums * G`` is exact, so a sum lies at or
-    below g/G where its ceiling is at most g, and strictly inside bucket g where its floor is g and
-    it is not an integer."""
+    G is the smallest power of two at which no bucket holds two distinct sums strictly inside. It
+    may be at most the rows' width rounded up to a power of two, so that a guide has fewer than
+    twice as many entries as sums; sums that no such G separates are refused with ``ValueError``
+    (every table of the check kernel fits one). The guide is built by array operations over the
+    sums, with no loop over buckets: ``sums * G`` is exact, so a sum lies at or below g/G where its
+    ceiling is at most g, and strictly inside bucket g where its floor is g and it is not an
+    integer."""
     sums = np.cumsum(weights, axis=1)
     rows, n = sums.shape
+    count = np.min_scalar_type(n)
     first, last = np.ones(sums.shape, dtype=bool), np.ones(sums.shape, dtype=bool)
     first[:, 1:] = last[:, :-1] = sums[:, 1:] != sums[:, :-1]
     size = 1
@@ -573,13 +577,13 @@ def _cumulative(weights: np.ndarray) -> np.ndarray | _Guide:
         if not (distinct[1:] == distinct[:-1]).any():
             edge = np.arange(rows)[:, None] * (size + 1) + np.minimum(np.ceil(scaled), size).astype(np.intp)
             low = np.bincount(edge.reshape(-1), minlength=rows * (size + 1)).reshape(rows, size + 1)
-            low = np.cumsum(low, axis=1)[:, :size].reshape(-1)
+            low = np.cumsum(low, axis=1)[:, :size].reshape(-1).astype(count)
             inner, high = np.full(rows * size, np.inf), low.copy()
             inner[key[inside]] = sums[inside]
             high[key[inside & last]] = np.broadcast_to(np.arange(1, n + 1), sums.shape)[inside & last]
             return _Guide(size, _freeze(low), _freeze(inner), _freeze(high))
         size *= 2
-    return _freeze(sums)
+    raise ValueError(f"no guide of at most {size // 2} buckets per row separates these {n} sums")
 
 
 def _guided(guide: _Guide, u: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -590,14 +594,15 @@ def _guided(guide: _Guide, u: np.ndarray, row: np.ndarray) -> np.ndarray:
     row's width."""
     key = (u * guide.size).astype(np.intp)
     key += row * guide.size
-    return np.where(guide.inner.take(key) <= u, guide.high.take(key), guide.low.take(key))
+    counts = np.where(guide.inner.take(key) <= u, guide.high.take(key), guide.low.take(key))
+    return counts.astype(np.intp)
 
 
 def _counts(sums: np.ndarray, u: np.ndarray, row: np.ndarray) -> np.ndarray:
     """For each b, how many of the ascending ``sums[row[b]]`` are at most ``u[b]``: the count
-    over a gathered ``(B, n)`` table of sums, found without building one. It serves the sums that
-    have no guide table (``_cumulative``) and the digit-by-digit check step, whose rescaled
-    uniforms may leave [0, 1).
+    over a gathered ``(B, n)`` table of sums, found without building one. It serves rows drawn
+    without a table taken before and the digit-by-digit check step, whose rescaled uniforms may
+    leave a guide's [0, 1).
 
     All draws run one branch-free binary search over the flat sums together. A draw's position
     starts at its row's first sum; while m > 1 sums remain, it moves ahead by m // 2 where the

@@ -155,7 +155,7 @@ class _SpanModel(NamedTuple):
     from one of the eight rows of ``digits`` (``_walk``): their weights, cumulative sums and the sum
     before each digit; its uniforms are rescaled, so its sums are searched."""
 
-    eve: tuple[np.ndarray, _Guide | np.ndarray, np.ndarray]  # (12, 3) weights and next states
+    eve: tuple[np.ndarray, _Guide, np.ndarray]  # (12, 3) weights and next states
     digits: tuple[np.ndarray, np.ndarray, np.ndarray]  # (8, 3) each: e_0, e_1, e_2, uniform, |c|^2, last r
 
 

@@ -786,9 +786,9 @@ def test_every_fitting_configuration_draws_through_an_exact_guide(num_parties):
 def test_the_widest_configurations_keep_the_table_cache_within_its_cap():
     """At every party count and Eve policy, the configuration with the most targets that fits, under
     random checks, holds its weights, guide and pass flags within the per-configuration bound that
-    ``_TABLES`` states, 2.3 MiB; a full cache of ``_TABLES`` such configurations stays below 37 MiB."""
-    bound = 2 * attacks._TABLE_WEIGHTS * (8 + 2 * 24) + 2 * 3**9
-    assert bound <= 2.3 * 2**20 and attacks._TABLES * bound <= 37 * 2**20
+    ``_TABLES`` states, 1.31 MiB; a full cache of ``_TABLES`` such configurations stays below 21 MiB."""
+    bound = 2 * attacks._TABLE_WEIGHTS * (8 + 2 * 12) + 2 * 3**9
+    assert bound <= 1.31 * 2**20 and attacks._TABLES * bound <= 21 * 2**20
     widest = {}
     for num_parties in range(2, 10):
         for parties, axes, eve, check in _fitting_configurations(num_parties):
@@ -1196,6 +1196,16 @@ def test_any_trial_replays_from_its_counter():
 def test_a_stream_draws_the_uniforms_of_philox_keyed_by_the_seed(seed):
     want = np.random.Generator(np.random.Philox(key=seed)).random(4099)
     assert np.array_equal(attacks._stream(seed).random(4099), want)
+
+
+@pytest.mark.parametrize("n_words, dtype", [(2, np.uint32), (4, np.uint32), (1, np.uint64), (4, np.uint64)])
+def test_a_stream_key_hands_over_only_its_two_uint64_words(n_words, dtype):
+    """``Philox`` asks a seed sequence for 2 uint64 words; the key refuses any other request, so a
+    numpy that asked otherwise would fail loudly instead of keying every stream with other words."""
+    key = attacks._key_type()(2**64 + 7)
+    assert key.generate_state(2, np.uint64).tolist() == [7, 1]
+    with pytest.raises(ValueError, match="2 words of uint64"):
+        key.generate_state(n_words, dtype)
 
 
 def test_streams_open_at_once_do_not_disturb_each_other():

@@ -692,21 +692,24 @@ def test_a_guide_counts_what_the_binary_search_counts(kind):
     assert_guide_counts_exactly(weights, table)
 
 
-def test_a_table_that_no_allowed_guide_separates_keeps_its_sums_and_draws_the_same(monkeypatch):
-    """Sums 0.1 and 0.2 share a bucket at every power of two up to 4, the width 3 rounded up, so
-    the table keeps its sums and ``_sample`` searches them; it draws what it draws from no table."""
-    weights = np.array([[0.1, 0.1, 0.8], [0.25, 0.25, 0.5]])
-    table = core._cumulative(weights)
-    assert isinstance(table, np.ndarray) and not table.flags.writeable
-    assert np.array_equal(table, np.cumsum(weights, axis=1))
-    searched = []
-    counts = core._counts
-    monkeypatch.setattr(core, "_counts", lambda *args: searched.append(1) or counts(*args))
-    row, u = _guide_uniforms(table, 4, np.random.default_rng(3))
-    k, chosen = _sample(weights, u, row, table)
-    assert searched == [1]
-    assert [np.array_equal(a, b) for a, b in zip((k, chosen), _sample(weights, u, row))] == [True, True]
-    assert list(k) == [_scalar_inverse_cdf(weights[r], x) for r, x in zip(row, u)]
+def test_a_table_that_no_allowed_guide_separates_is_refused():
+    """Sums 0.1 and 0.2 share a bucket at every power of two up to 4, the width 3 rounded up, so no
+    guide fits them and none is built; a guide with more buckets than that is never made."""
+    with pytest.raises(ValueError, match="no guide of at most 4 buckets per row separates these 3 sums"):
+        core._cumulative(np.array([[0.25, 0.25, 0.5], [0.1, 0.1, 0.8]]))
+    assert core._cumulative(np.array([[0.25, 0.25, 0.5], [0.125, 0.125, 0.75]])).size == 4
+
+
+def test_a_guide_takes_the_smallest_count_type_of_its_width():
+    """Counts reach the rows' width, so a guide over up to 255 outcomes stores them in one byte and
+    one over 3**9 in two, and its draws are ``_counts``' intp counts all the same."""
+    for width, dtype in [(3, np.uint8), (255, np.uint8), (256, np.uint16), (3**9, np.uint16)]:
+        weights = np.concatenate([np.full((1, width), 1 / width), np.eye(width)[[width // 2]]])
+        table = core._cumulative(weights)
+        assert table.low.dtype == table.high.dtype == dtype, width
+        row, u = np.array([0, 1, 1]), np.array([0.0, 0.25, np.nextafter(1.0, 0.0)])
+        assert core._guided(table, u, row).dtype == np.intp
+        assert_guide_counts_exactly(weights, table)
 
 
 def test_guided_draws_keep_the_overflow_and_refusal_rules():
